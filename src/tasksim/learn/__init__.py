@@ -2,8 +2,9 @@
 
 Five algorithms: naive_bayes (Gaussian, or multinomial on pure tf-idf
 content), knn, tree (gain-ratio binary splits), forest (bagged trees with
-per-split feature subsets), and svm_smo (linear SVM trained with sequential
-minimal optimization, one-vs-rest). All are deterministic given the seed.
+per-split feature subsets), and svm_smo (linear SVM, one-vs-rest, each
+machine trained by SMO with maximal-violating-pair selection until its KKT
+gap is below svm_tol). All are deterministic given the seed.
 """
 
 from .base import (

@@ -26,7 +26,6 @@ class LearnerConfig:
     forest_feature_fraction: float | None = None
     svm_C: float = 1.0
     svm_tol: float = 1e-3
-    svm_max_passes: int = 10
     nb_variance_floor: float = 1e-9
 
     def validate(self) -> None:
@@ -42,8 +41,6 @@ class LearnerConfig:
             raise ValueError("svm_C must be positive")
         if self.svm_tol <= 0:
             raise ValueError("svm_tol must be positive")
-        if self.svm_max_passes < 1:
-            raise ValueError("svm_max_passes must be >= 1")
         if self.nb_variance_floor <= 0:
             raise ValueError("nb_variance_floor must be positive")
 
@@ -97,7 +94,7 @@ def train(
         "knn": lambda: knn.fit(rows, y_idx, config),
         "tree": lambda: tree.fit(rows, y_idx, len(classes), config),
         "forest": lambda: forest.fit(rows, y_idx, len(classes), config, seed),
-        "svm_smo": lambda: svm.fit(rows, y_idx, len(classes), config, seed),
+        "svm_smo": lambda: svm.fit(rows, y_idx, len(classes), config),
     }
     if algorithm not in trainers:
         raise ValueError(f"unknown algorithm '{algorithm}' (choose from {ALGORITHMS})")

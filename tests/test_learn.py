@@ -18,6 +18,7 @@ from tasksim.learn import (
     save_model,
     train,
 )
+from tasksim.learn import svm
 
 
 def blobs(seed=0, n_per=20, centers=((0.0, 0.0), (8.0, 8.0), (-8.0, 8.0))):
@@ -248,23 +249,43 @@ class TestSvmSmo:
 
     def test_kkt_conditions_within_tol(self):
         rng = np.random.default_rng(21)
-        X = np.vstack([rng.normal((0, 0), 0.7, (10, 2)), rng.normal((5, 5), 0.7, (10, 2))])
-        y = ["a"] * 10 + ["b"] * 10
+        separable = (
+            np.vstack([rng.normal((0, 0), 0.7, (10, 2)), rng.normal((5, 5), 0.7, (10, 2))]),
+            ["a"] * 10 + ["b"] * 10,
+        )
+        # three overlapping classes plus rows repeated under another label:
+        # multipliers reach C, and a repeated row pairs with its twin along a
+        # direction of zero curvature
+        rng = np.random.default_rng(31)
+        X = np.vstack([rng.normal(c, 1.0, (12, 2)) for c in ((0, 0), (1.5, 0), (0.75, 1.2))])
+        overlapping = (
+            np.vstack([X, X[:4], X[12:16]]),
+            ["a"] * 12 + ["b"] * 12 + ["c"] * 12 + ["b"] * 4 + ["c"] * 4,
+        )
         config = LearnerConfig()
-        model = train("svm_smo", X, y, config, seed=4)
-        std = (X - model.parameters["mean"]) / model.parameters["std"]
-        for machine in model.parameters["machines"]:
-            alpha, ybin = machine["alpha"], machine["y"]
-            f = std @ machine["w"] + machine["b"]
-            margins = ybin * f
-            C, tol = config.svm_C, config.svm_tol
-            for a, m in zip(alpha, margins):
-                if a < 1e-8:
-                    assert m >= 1 - tol - 1e-8
-                elif a > C - 1e-8:
-                    assert m <= 1 + tol + 1e-8
-                else:
-                    assert abs(m - 1) <= tol + 1e-8
+        C, tol = config.svm_C, config.svm_tol
+        for X, y in (separable, overlapping):
+            model = train("svm_smo", X, y, config, seed=4)
+            std = (X - model.parameters["mean"]) / model.parameters["std"]
+            for machine in model.parameters["machines"]:
+                alpha, ybin = machine["alpha"], machine["y"]
+                f = std @ machine["w"] + machine["b"]
+                margins = ybin * f
+                for a, m in zip(alpha, margins):
+                    if a < 1e-8:
+                        assert m >= 1 - tol - 1e-8
+                    elif a > C - 1e-8:
+                        assert m <= 1 + tol + 1e-8
+                    else:
+                        assert abs(m - 1) <= tol + 1e-8
+        # the overlapping set, trained last, has multipliers at C in every machine
+        assert all(np.any(m["alpha"] > C - 1e-8) for m in model.parameters["machines"])
+
+    def test_step_cap_reports_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(svm, "_MAX_STEPS", 1)
+        X, y = blobs(seed=13, n_per=10, centers=((0, 0), (6, 6)))
+        with pytest.raises(RuntimeError, match=r"class 0 .*KKT gap"):
+            train("svm_smo", X, y)
 
     def test_label_invariance_under_feature_scaling(self):
         X, y = blobs(seed=17, n_per=12, centers=((0, 0), (4, 1), (1, 4)))
