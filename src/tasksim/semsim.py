@@ -9,6 +9,16 @@ diagonal, symmetric, valued in [0, 1].
 The verb trigger is a lexicon/position rule, not a POS tagger: deterministic
 and offline, good on imperative task prose, known to misfire on declarative
 text.
+
+The pair functions (`required_action_similarity`,
+`comprehensibility_similarity`) define the measures; `similarity_matrix`
+builds a whole matrix with array code that gives the same numbers, bit for
+bit. For required action it maps each phrase to its kind (verb lemma plus
+argument lemmas; a corpus repeats few kinds many times), asks WordNet once
+per distinct verb pair and noun pair, and turns the two lemma tables into
+one kind-by-kind phrase table. Task rows are then filled in blocks of
+`_ROW_BLOCK` straight into the n x n output, so no other n x n array is
+made. Corpora of more than `MAX_MATRIX_TASKS` tasks are refused up front.
 """
 
 from __future__ import annotations
@@ -39,6 +49,16 @@ _TRIGGER_PRECEDERS = frozenset({"to", "and", "or", "then", ",", "please"})
 _PHRASE_SPAN_CAP = 6
 
 _STREAM_RE = re.compile(r"[A-Za-z0-9'-]+|,")
+
+# Share of a phrase similarity that comes from the verbs when both phrases
+# carry arguments.
+_VERB_WEIGHT = 0.7
+
+# The largest corpus similarity_matrix accepts: one float64 matrix of this
+# many tasks takes 2 GiB.
+MAX_MATRIX_TASKS = 16384
+# Task rows computed at a time while filling a matrix.
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -114,15 +134,14 @@ def phrase_similarity(
     q: VerbPhrase,
     wn: WordNetGraph,
     *,
-    verb_weight: float = 0.7,
-    measure=word_similarity,
+    verb_weight: float = _VERB_WEIGHT,
 ) -> float:
     """Verb similarity, blended with the best argument pair when both
     phrases carry arguments; verb-only (full weight) otherwise."""
-    verbs = measure(wn, p.verb_lemma, q.verb_lemma, VERB)
+    verbs = word_similarity(wn, p.verb_lemma, q.verb_lemma, VERB)
     if p.argument_lemmas and q.argument_lemmas:
         nouns = max(
-            measure(wn, a, b, NOUN)
+            word_similarity(wn, a, b, NOUN)
             for a in p.argument_lemmas
             for b in q.argument_lemmas
         )
@@ -135,8 +154,7 @@ def required_action_similarity(
     B: Sequence[VerbPhrase],
     wn: WordNetGraph,
     *,
-    verb_weight: float = 0.7,
-    measure=word_similarity,
+    verb_weight: float = _VERB_WEIGHT,
 ) -> float:
     """Mean best-match phrase similarity, averaged over both directions.
     Zero when either side has no phrases."""
@@ -145,15 +163,92 @@ def required_action_similarity(
 
     def best(p, side):
         return max(
-            phrase_similarity(
-                p, q, wn, verb_weight=verb_weight, measure=measure
-            )
-            for q in side
+            phrase_similarity(p, q, wn, verb_weight=verb_weight) for q in side
         )
 
     forward = sum(best(p, B) for p in A) / len(A)
     backward = sum(best(q, A) for q in B) / len(B)
     return (forward + backward) / 2.0
+
+
+def _lemma_table(
+    lemmas: Sequence[str], pos: str, wn: WordNetGraph
+) -> np.ndarray:
+    """word_similarity of every two lemmas, asked once per unordered pair
+    (the measure is symmetric)."""
+    table = np.empty((len(lemmas), len(lemmas)))
+    for i, a in enumerate(lemmas):
+        for j in range(i, len(lemmas)):
+            table[i, j] = table[j, i] = word_similarity(wn, a, lemmas[j], pos)
+    return table
+
+
+def _positions(items: Iterable) -> dict:
+    """Each distinct item's index, in order of first appearance."""
+    return {item: i for i, item in enumerate(dict.fromkeys(items))}
+
+
+def _kind_table(kinds: Sequence[tuple], wn: WordNetGraph) -> np.ndarray:
+    """phrase_similarity of every two phrase kinds (verb lemma, argument
+    lemmas), from one verb table and one noun table."""
+    verbs = _positions(verb for verb, _ in kinds)
+    verb_of = [verbs[verb] for verb, _ in kinds]
+    table = _lemma_table(list(verbs), VERB, wn)[np.ix_(verb_of, verb_of)]
+    with_args = [k for k, (_, args) in enumerate(kinds) if args]
+    if with_args:
+        arguments = [a for k in with_args for a in kinds[k][1]]
+        nouns = _positions(arguments)
+        flat = [nouns[a] for a in arguments]
+        counts = np.array([len(kinds[k][1]) for k in with_args])
+        starts = np.cumsum(counts) - counts
+        # The best argument pair of every two kinds: max over one side's
+        # arguments, then over the other's.
+        best = np.maximum.reduceat(
+            _lemma_table(list(nouns), NOUN, wn)[flat], starts, axis=0
+        )
+        best = np.maximum.reduceat(best[:, flat], starts, axis=1)
+        both = np.ix_(with_args, with_args)
+        table[both] = _VERB_WEIGHT * table[both] + (1.0 - _VERB_WEIGHT) * best
+    return table
+
+
+def _phrase_means(best, phrase_kinds, starts, lens) -> np.ndarray:
+    """Row t: the mean of `best`'s rows over task t's phrases (kinds
+    phrase_kinds[starts[t]:starts[t] + lens[t]]). The rows are added one
+    phrase offset at a time, left to right as Python's sum adds them; a
+    segment reduction would pair the terms in another order."""
+    total = np.zeros((len(lens), best.shape[1]))
+    for r in range(lens.max()):
+        has = lens > r
+        total[has] += best[phrase_kinds[starts[has] + r]]
+    return total / lens[:, None]
+
+
+def _fill_required_action(values, phrase_sets, wn: WordNetGraph) -> None:
+    """Off-diagonal required_action_similarity of every two tasks into
+    `values`, whose rows and columns of phraseless tasks are left as they
+    are (they score 0)."""
+    keys = [
+        (p.verb_lemma, p.argument_lemmas)
+        for phrases in phrase_sets
+        for p in phrases
+    ]
+    kinds = _positions(keys)
+    phrase_kinds = np.array([kinds[key] for key in keys], dtype=np.intp)
+    lens = np.array([len(phrases) for phrases in phrase_sets], dtype=np.intp)
+    tasks = np.flatnonzero(lens)
+    if not tasks.size:
+        return
+    lens = lens[tasks]
+    starts = np.cumsum(lens) - lens
+    table = _kind_table(list(kinds), wn)
+    # best[k, t]: how well phrase kind k matches its best phrase of task t.
+    best = np.maximum.reduceat(table[:, phrase_kinds], starts, axis=1)
+    for lo in range(0, len(tasks), _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        forward = _phrase_means(best, phrase_kinds, starts[block], lens[block])
+        backward = _phrase_means(best[:, block], phrase_kinds, starts, lens)
+        values[np.ix_(tasks[block], tasks)] = (forward + backward.T) / 2.0
 
 
 def presence_document_frequencies(
@@ -256,6 +351,18 @@ def _vector_values(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
+def _z_similarities(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """1/(1+d) of every row of za against every row of zb, z-scored
+    vectors both. The squared differences are summed one column at a time,
+    left to right, so a pair gets the same bits from any call and on any
+    machine."""
+    squares = np.zeros((za.shape[0], zb.shape[0]))
+    for c in range(za.shape[1]):
+        diff = za[:, c, None] - zb[None, :, c]
+        squares += diff * diff
+    return 1.0 / (1.0 + np.sqrt(squares) / np.sqrt(za.shape[1]))
+
+
 def comprehensibility_similarity(u, v, stats: CorpusStats) -> float:
     """1/(1+d) where d is the z-scored Euclidean distance scaled by the
     square root of the dimension."""
@@ -268,8 +375,7 @@ def comprehensibility_similarity(u, v, stats: CorpusStats) -> float:
         )
     za = (a - stats.mean) / stats.std
     zb = (b - stats.mean) / stats.std
-    d = float(np.linalg.norm(za - zb)) / np.sqrt(a.shape[0])
-    return 1.0 / (1.0 + d)
+    return float(_z_similarities(za[None], zb[None])[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,32 +424,37 @@ def similarity_matrix(
     required_action needs a loaded WordNet graph; comprehensibility uses
     corpus-wide document frequencies and the (bundled by default) word list.
     The diagonal is 1 by definition, whatever the pairwise value would be.
+    Every other entry equals the pair function's value exactly. Phrases are
+    deduplicated into kinds and WordNet is asked once per distinct lemma
+    pair; rows are filled in blocks. More than MAX_MATRIX_TASKS tasks raise
+    ValueError before any work.
     """
     tasks = list(corpus)
-    ids = tuple(task.id for task in tasks)
     n = len(tasks)
-    values = np.ones((n, n))
+    if n > MAX_MATRIX_TASKS:
+        raise ValueError(
+            f"{n} tasks exceed the similarity matrix limit of "
+            f"{MAX_MATRIX_TASKS} tasks"
+        )
+    ids = tuple(task.id for task in tasks)
+    values = np.zeros((n, n))
     if measure == "required_action":
         if wn is None:
             raise ValueError("required_action measure needs a WordNet graph")
         phrase_sets = [extract_verb_phrases(task, wn) for task in tasks]
-        for i in range(n):
-            for j in range(i + 1, n):
-                s = required_action_similarity(
-                    phrase_sets[i], phrase_sets[j], wn
-                )
-                values[i, j] = values[j, i] = s
+        _fill_required_action(values, phrase_sets, wn)
     elif measure == "comprehensibility":
         df = presence_document_frequencies(tasks)
         words = wordlist if wordlist is not None else default_wordlist()
         vectors = [comprehensibility_vector(task, df, words) for task in tasks]
-        stats = comprehensibility_stats(vectors) if vectors else None
-        for i in range(n):
-            for j in range(i + 1, n):
-                s = comprehensibility_similarity(
-                    vectors[i], vectors[j], stats
+        if vectors:
+            stats = comprehensibility_stats(vectors)
+            stacked = np.vstack([v.values for v in vectors])
+            z = (stacked - stats.mean) / stats.std
+            for lo in range(0, n, _ROW_BLOCK):
+                values[lo : lo + _ROW_BLOCK] = _z_similarities(
+                    z[lo : lo + _ROW_BLOCK], z
                 )
-                values[i, j] = values[j, i] = s
     else:
         raise ValueError(f"unknown measure '{measure}'")
     np.fill_diagonal(values, 1.0)

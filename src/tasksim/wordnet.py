@@ -333,37 +333,3 @@ def word_similarity(wn: WordNetGraph, a: str, b: str, pos: str) -> float:
         synset_path_length(wn, sa, sb) for sa in ids_a for sb in ids_b
     )
     return 1.0 / (1.0 + length)
-
-
-def wu_palmer_similarity(wn: WordNetGraph, a: str, b: str, pos: str) -> float:
-    """Alternative measure: 2*depth(lcs) / (depth(a)+depth(b)), with depth
-    counted from the virtual global root (real roots have depth 1). Unknown
-    lemmas score 0; identical strings score 1."""
-    a = a.lower().replace(" ", "_")
-    b = b.lower().replace(" ", "_")
-    if a == b:
-        return 1.0
-    ids_a = wn.lemma_index.get((a, pos))
-    ids_b = wn.lemma_index.get((b, pos))
-    if not ids_a or not ids_b:
-        return 0.0
-
-    def depth(distances):
-        return _root_distance(distances, wn) + 1
-
-    best = 0.0
-    for sa in ids_a:
-        da = _ancestor_distances(wn, sa)
-        for sb in ids_b:
-            db = _ancestor_distances(wn, sb)
-            common = da.keys() & db.keys()
-            if common:
-                # The deepest common ancestor; its own depth via either side.
-                lcs_depth = max(
-                    depth(_ancestor_distances(wn, node)) for node in common
-                )
-            else:
-                lcs_depth = 0
-            value = 2.0 * lcs_depth / (depth(da) + depth(db))
-            best = max(best, value)
-    return min(best, 1.0)

@@ -18,6 +18,7 @@ from tasksim.cli import (
     synthetic_corpus_text,
 )
 from tasksim.corpus import load_corpus
+from tasksim import semsim
 from tasksim.semsim import extract_verb_phrases
 from tasksim.wordnet import bundled_mini_wordnet_dir, load_wordnet
 
@@ -244,6 +245,19 @@ def test_sim_matrix_output(small_corpus, capsys):
     assert rows[0][0] == "id"
     assert len(rows) == 19
     assert rows[1][1] == "1.000000"
+
+
+def test_sim_refuses_oversized_corpus(small_corpus, monkeypatch, capsys):
+    monkeypatch.setattr(semsim, "MAX_MATRIX_TASKS", 5)
+    code = dispatch([
+        "sim", "--corpus", small_corpus, "--measure", "comprehensibility",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 18 tasks exceed the similarity matrix limit of 5 tasks\n"
+    )
 
 
 def test_cluster_without_wordnet_is_a_resource_error(small_corpus, capsys):

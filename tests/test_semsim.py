@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_task
+from tasksim import semsim
 from tasksim.semsim import (
     COMPREHENSIBILITY_FEATURE_NAMES,
     ComprehensibilityVector,
@@ -294,16 +295,67 @@ def test_identical_tasks_fully_similar(wn):
         assert matrix.pair("x", "y") == pytest.approx(1.0, abs=1e-12)
 
 
+def pairwise_reference(tasks, measure, wn):
+    """The matrix built from the pair functions, one call per pair."""
+    n = len(tasks)
+    expected = np.eye(n)
+    if measure == "required_action":
+        phrases = [extract_verb_phrases(t, wn) for t in tasks]
+
+        def pair(i, j):
+            return required_action_similarity(phrases[i], phrases[j], wn)
+    else:
+        df = presence_document_frequencies(tasks)
+        words = default_wordlist()
+        vectors = [comprehensibility_vector(t, df, words) for t in tasks]
+        stats = comprehensibility_stats(vectors) if vectors else None
+
+        def pair(i, j):
+            return comprehensibility_similarity(vectors[i], vectors[j], stats)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                expected[i, j] = pair(i, j)
+    return expected
+
+
+def exactness_corpus():
+    """Noun arguments (one phrase with two), phraseless tasks, and a task
+    with eleven phrases, where a segment sum such as np.add.reduceat adds
+    in another order than Python's sum."""
+    return small_corpus() + [
+        text_task(
+            "Watch the cat. Download the email, and rate the dog.", id="d"
+        ),
+        text_task("", id="e", title="Quality report"),
+        text_task(
+            "Download your cat, watch the dog and confirm the email.", id="f"
+        ),
+        text_task(
+            "Watch the cat. Download the email. Rate the dog. Sign up. "
+            "Confirm your email. Register now. Review the cat and dog. "
+            "Click and watch the email. Subscribe to the dog. View the cat.",
+            id="g",
+        ),
+        text_task("Review the email and cat.", id="h", title="Join now"),
+        # act is the verb root, at 1/2 from every verb; 0.7 * 1/2 + 0.3 * 1
+        # rounds apart from 0.7 * 1/2 + (1.0 - 0.7) * 1.
+        text_task("Act on the cat.", id="i"),
+        text_task("Watch the cat.", id="j"),
+    ]
+
+
 def test_matrix_matches_pairwise_calls(wn):
-    tasks = small_corpus()
-    matrix = similarity_matrix(tasks, "required_action", wn=wn)
+    tasks = exactness_corpus()
     phrases = [extract_verb_phrases(t, wn) for t in tasks]
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            direct = required_action_similarity(phrases[i], phrases[j], wn)
-            assert matrix.values[i, j] == pytest.approx(direct, abs=1e-12)
+    assert max(len(p) for p in phrases) >= 9
+    assert sum(not p for p in phrases) >= 2
+    assert any(len(q.argument_lemmas) >= 2 for p in phrases for q in p)
+    for n in (0, 1, 2, 3, len(tasks)):
+        for measure in ("required_action", "comprehensibility"):
+            matrix = similarity_matrix(tasks[:n], measure, wn=wn)
+            expected = pairwise_reference(tasks[:n], measure, wn)
+            assert np.array_equal(matrix.values, expected), (n, measure)
 
 
 def test_phraseless_tasks_keep_unit_diagonal(wn):
@@ -313,6 +365,23 @@ def test_phraseless_tasks_keep_unit_diagonal(wn):
     matrix = similarity_matrix(tasks, "required_action", wn=wn)
     assert np.all(np.diag(matrix.values) == 1.0)
     assert matrix.pair("t0", "t1") == 0.0
+
+
+def test_matrix_refuses_oversized_corpora(wn, monkeypatch):
+    monkeypatch.setattr(semsim, "MAX_MATRIX_TASKS", 2)
+
+    def no_extraction(*args):
+        raise AssertionError("phrases extracted before the size check")
+
+    monkeypatch.setattr(semsim, "extract_verb_phrases", no_extraction)
+    for measure in ("required_action", "comprehensibility"):
+        with pytest.raises(ValueError) as info:
+            similarity_matrix(small_corpus(), measure, wn=wn)
+        assert str(info.value) == (
+            "3 tasks exceed the similarity matrix limit of 2 tasks"
+        )
+    matrix = similarity_matrix(small_corpus()[:2], "comprehensibility")
+    assert matrix.values.shape == (2, 2)
 
 
 def test_matrix_requires_resources(wn):
@@ -340,22 +409,24 @@ def test_matrix_validation_rejects_bad_values():
 
 _WORD_POOL = [
     "download", "watch", "register", "review", "click", "email", "cat",
-    "dog", "report", "xqzt", "the", "your", "now", "please", "and",
+    "dog", "report", "xqzt", "the", "your", "now", "please", "and", ",",
 ]
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_matrix_invariants_on_random_corpora(data, wn):
-    n_tasks = data.draw(st.integers(2, 5))
+    n_tasks = data.draw(st.integers(0, 6))
     tasks = []
     for i in range(n_tasks):
         words = data.draw(
-            st.lists(st.sampled_from(_WORD_POOL), min_size=0, max_size=10)
+            st.lists(st.sampled_from(_WORD_POOL), min_size=0, max_size=30)
         )
         tasks.append(text_task(" ".join(words), id=f"t{i}"))
     measure = data.draw(st.sampled_from(["required_action", "comprehensibility"]))
     matrix = similarity_matrix(tasks, measure, wn=wn)
     assert np.all(np.diag(matrix.values) == 1.0)
-    assert np.max(np.abs(matrix.values - matrix.values.T)) <= 1e-9
-    assert matrix.values.min() >= 0.0 and matrix.values.max() <= 1.0
+    assert np.array_equal(matrix.values, matrix.values.T)
+    assert np.all((matrix.values >= 0.0) & (matrix.values <= 1.0))
+    expected = pairwise_reference(tasks, measure, wn)
+    assert np.array_equal(matrix.values, expected)

@@ -16,7 +16,6 @@ from tasksim.wordnet import (
     load_wordnet,
     synset_path_length,
     word_similarity,
-    wu_palmer_similarity,
 )
 
 
@@ -192,16 +191,6 @@ def test_path_length_cached_and_stable(wn):
     b = wn.lemma_index[("cat", "n")][0]
     assert synset_path_length(wn, a, b) == 4
     assert synset_path_length(wn, b, a) == 4
-
-
-def test_wu_palmer_reference_points(wn):
-    assert wu_palmer_similarity(wn, "dog", "dog", "n") == 1.0
-    assert wu_palmer_similarity(wn, "dog", "xqzt", "n") == 0.0
-    # Deepest common ancestor carnivore sits at depth 6 (virtual root depth
-    # 0); dog and cat sit at depth 8.
-    value = wu_palmer_similarity(wn, "dog", "cat", "n")
-    assert value == pytest.approx(0.75, abs=1e-12)
-    assert value == wu_palmer_similarity(wn, "cat", "dog", "n")
 
 
 # ---------------------------------------------------------------- real database
