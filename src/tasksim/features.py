@@ -3,20 +3,26 @@
 Every extractor is fitted on training tasks only and applied to any task;
 fitting and extraction are pure so per-fold refits cannot leak evaluation
 data. `combine_features` concatenates sets column-wise for the grid runs.
+
+Text is analysed once per task: `analyse` tokenizes, stems and measures a
+task on first request and keeps the `TaskAnalysis` while the task lives, so
+folds, grid cells and feature sets share it. The analysis depends on the
+task alone, never on a training split.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .corpus import MicroTask
-from .text import count_syllables, split_sentences, stopwords, tokenize, word_tokens
+from .text import count_syllables, split_sentences, stem, stopwords, tokenize, word_tokens
 
 __all__ = [
     "FEATURE_SET_NAMES",
@@ -24,6 +30,8 @@ __all__ = [
     "ContentConfig",
     "ContentModel",
     "FittedExtractor",
+    "TaskAnalysis",
+    "analyse",
     "combine_features",
     "content_vector",
     "factual_features",
@@ -166,9 +174,12 @@ def lexical_diversity(tokens) -> float:
 def structural_features(task: MicroTask) -> np.ndarray:
     """The nine layout/readability features, computed on description_text
     (title excluded). Averages with a zero denominator are 0."""
+    return analyse(task).structural.copy()
+
+
+def _structural_row(task: MicroTask, stream, sentences: tuple[str, ...]) -> np.ndarray:
     text = task.description_text
-    words = word_tokens(text)
-    sentences = split_sentences(text)
+    words = stream.surfaces
     n_words = len(words)
     n_sents = len(sentences)
     complex_words = sum(1 for w in words if count_syllables(w) >= 3)
@@ -188,7 +199,7 @@ def structural_features(task: MicroTask) -> np.ndarray:
             mean(struct.paragraph_lengths),
             mean(struct.line_lengths),
             gunning_fog(n_words, n_sents, complex_words),
-            lexical_diversity(tokenize(text)),
+            lexical_diversity(stream),
         ]
     )
 
@@ -235,10 +246,10 @@ def semantic_feature_names(host_vocab: Mapping[str, int]) -> tuple[str, ...]:
     return (*(f"host={h}" for h in hosts), "host=<other>", "named_entity_count", "sentiment")
 
 
-def _named_entity_count(text: str) -> int:
+def _named_entity_count(sentences: Iterable[str]) -> int:
     stops = stopwords()
     count = 0
-    for sentence in split_sentences(text):
+    for sentence in sentences:
         for word in word_tokens(sentence)[1:]:
             if word[0].isupper() and word.lower() not in stops:
                 count += 1
@@ -256,15 +267,16 @@ def semantic_features(
     for host in task.structure.url_hosts:
         idx = host_vocab.get(host)
         hosts[len(host_vocab) if idx is None else idx] = 1.0
+    analysis = analyse(task)
     pos = neg = 0
-    for tok in word_tokens(task.description_text):
-        polarity = sentiment_lexicon.get(tok.lower())
+    for tok in analysis.lower_words:
+        polarity = sentiment_lexicon.get(tok)
         if polarity == 1:
             pos += 1
         elif polarity == -1:
             neg += 1
     sentiment = (pos - neg) / max(1, pos + neg)
-    tail = np.array([float(_named_entity_count(task.description_text)), sentiment])
+    tail = np.array([float(analysis.named_entities), sentiment])
     return np.concatenate([hosts, tail])
 
 
@@ -289,17 +301,6 @@ class ContentModel:
     max_features: int
 
 
-def _doc_terms(task: MicroTask, ngram_range: tuple[int, int]) -> list[str]:
-    # n-grams never cross the title/description boundary
-    lo, hi = ngram_range
-    terms: list[str] = []
-    for field in (task.title, task.description_text):
-        toks = tokenize(field, drop_stopwords=True, stem_tokens=True).normalized
-        for n in range(lo, hi + 1):
-            terms.extend(" ".join(toks[i : i + n]) for i in range(len(toks) - n + 1))
-    return terms
-
-
 def fit_content_model(
     training_tasks: Iterable[MicroTask], config: ContentConfig | None = None
 ) -> ContentModel:
@@ -313,7 +314,7 @@ def fit_content_model(
         raise ValueError("cannot fit a content model on an empty training set")
     df: Counter = Counter()
     for task in tasks:
-        df.update(set(_doc_terms(task, config.ngram_range)))
+        df.update(analyse(task).terms(config.ngram_range).keys())
     eligible = [t for t, c in df.items() if c >= config.min_df]
     eligible.sort(key=lambda t: (-df[t], t))
     kept = sorted(eligible[: config.max_features])
@@ -331,8 +332,7 @@ def content_vector(model: ContentModel, task: MicroTask) -> np.ndarray:
     """tf * ln(n_docs/df) over vocabulary terms, L2-normalized when nonzero;
     out-of-vocabulary terms are ignored."""
     vec = np.zeros(len(model.vocabulary))
-    counts = Counter(_doc_terms(task, model.ngram_range))
-    for term, tf in counts.items():
+    for term, tf in analyse(task).terms(model.ngram_range).items():
         idx = model.vocabulary.get(term)
         if idx is not None:
             vec[idx] = tf * math.log(model.n_docs / model.doc_freq[term])
@@ -340,6 +340,77 @@ def content_vector(model: ContentModel, task: MicroTask) -> np.ndarray:
     if norm > 0:
         vec /= norm
     return vec
+
+
+# ---------------------------------------------------------------------------
+# per-task analysis
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class TaskAnalysis:
+    """What the feature sets and the comprehensibility measure read from one
+    task's text. Built once per task by `analyse`; treat it as read-only
+    (`structural` is a read-only array, `terms` Counters are shared)."""
+
+    # title and description tokens, stopwords dropped, stemmed
+    title_stems: tuple[str, ...]
+    description_stems: tuple[str, ...]
+    # description word tokens as written and lowercased, and its sentences
+    words: tuple[str, ...]
+    lower_words: tuple[str, ...]
+    sentences: tuple[str, ...]
+    structural: np.ndarray
+    named_entities: int
+    _terms: dict = field(default_factory=dict, repr=False)
+
+    def terms(self, ngram_range: tuple[int, int]) -> Counter:
+        """Counts of the title and description n-grams of stems for each n
+        in ngram_range; n-grams never cross the title/description boundary."""
+        key = tuple(ngram_range)
+        counts = self._terms.get(key)
+        if counts is None:
+            lo, hi = key
+            terms: list[str] = []
+            for toks in (self.title_stems, self.description_stems):
+                for n in range(lo, hi + 1):
+                    terms.extend(
+                        " ".join(toks[i : i + n]) for i in range(len(toks) - n + 1)
+                    )
+            counts = self._terms[key] = Counter(terms)
+        return counts
+
+
+# Entries go when their task is garbage-collected.
+_ANALYSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def analyse(task: MicroTask) -> TaskAnalysis:
+    """The task's TaskAnalysis, built on the first request and kept while
+    the task lives."""
+    analysis = _ANALYSES.get(task)
+    if analysis is None:
+        analysis = _ANALYSES[task] = _build_analysis(task)
+    return analysis
+
+
+def _build_analysis(task: MicroTask) -> TaskAnalysis:
+    stops = stopwords()
+    stream = tokenize(task.description_text)
+    lower_words = stream.normalized
+    sentences = tuple(split_sentences(task.description_text))
+    structural = _structural_row(task, stream, sentences)
+    structural.setflags(write=False)
+    return TaskAnalysis(
+        title_stems=tuple(
+            stem(t) for t in tokenize(task.title).normalized if t not in stops
+        ),
+        description_stems=tuple(stem(t) for t in lower_words if t not in stops),
+        words=stream.surfaces,
+        lower_words=lower_words,
+        sentences=sentences,
+        structural=structural,
+        named_entities=_named_entity_count(sentences),
+    )
 
 
 # ---------------------------------------------------------------------------

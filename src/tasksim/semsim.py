@@ -32,8 +32,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import MicroTask
-from .features import STRUCTURAL_FEATURE_NAMES, structural_features
-from .text import split_sentences, word_tokens
+from .features import STRUCTURAL_FEATURE_NAMES, analyse
+from .text import split_sentences
 from .wordnet import NOUN, VERB, WordNetGraph, lemmatize, word_similarity
 
 SIMILARITY_MEASURES = ("required_action", "comprehensibility")
@@ -257,7 +257,7 @@ def presence_document_frequencies(
     """How many tasks mention each token in their description at least once."""
     df: Counter[str] = Counter()
     for task in tasks:
-        df.update({tok.lower() for tok in word_tokens(task.description_text)})
+        df.update(set(analyse(task).lower_words))
     return df
 
 
@@ -283,7 +283,7 @@ def unusual_word_ratio(
 ) -> float:
     """Share of description tokens found in at most five tasks corpus-wide
     and missing from the word list. Token-level: repeats count repeatedly."""
-    tokens = [tok.lower() for tok in word_tokens(task.description_text)]
+    tokens = analyse(task).lower_words
     if not tokens:
         return 0.0
     unusual = sum(
@@ -323,7 +323,7 @@ def comprehensibility_vector(
 ) -> ComprehensibilityVector:
     ratio = unusual_word_ratio(task, corpus_df, wordlist)
     return ComprehensibilityVector(
-        np.append(structural_features(task), ratio)
+        np.append(analyse(task).structural, ratio)
     )
 
 
@@ -400,8 +400,12 @@ class SimilarityMatrix:
         if n:
             if not np.all(np.diag(values) == 1.0):
                 raise ValueError("similarity diagonal must be exactly 1")
-            if np.max(np.abs(values - values.T), initial=0.0) > 1e-9:
-                raise ValueError("similarity matrix not symmetric")
+            # in row blocks, so that no n x n temporary is made
+            for lo in range(0, n, _ROW_BLOCK):
+                rows = values[lo : lo + _ROW_BLOCK]
+                cols = values[:, lo : lo + _ROW_BLOCK].T
+                if np.max(np.abs(rows - cols), initial=0.0) > 1e-9:
+                    raise ValueError("similarity matrix not symmetric")
             if values.min(initial=1.0) < 0.0 or values.max(initial=0.0) > 1.0:
                 raise ValueError("similarity values outside [0, 1]")
         object.__setattr__(self, "values", values)

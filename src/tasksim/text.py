@@ -70,12 +70,17 @@ def stopwords() -> frozenset[str]:
     return frozenset(w for w in (line.strip() for line in data.splitlines()) if w)
 
 
-def _is_abbreviation(prefix: str) -> bool:
-    # prefix is the text up to but excluding a candidate '.' boundary
-    m = re.search(r"\S+$", prefix)
-    if m is None:
+def _is_abbreviation(text: str, i: int) -> bool:
+    # the token before a candidate '.' boundary at text[i]: the run of
+    # non-space characters that ends at i; one newline right before i is
+    # looked past, so "J\n." still reads "J"
+    end = i - 1 if i and text[i - 1] == "\n" else i
+    start = end
+    while start and not text[start - 1].isspace():
+        start -= 1
+    if start == end:
         return False
-    tok = m.group(0).lstrip("(\"'[")
+    tok = text[start:end].lstrip("(\"'[")
     if re.fullmatch(r"[A-Z]", tok):
         return True
     return (tok + ".").lower() in _ABBREVIATIONS
@@ -105,7 +110,7 @@ def split_sentences(text: str) -> list[str]:
             while j + 1 < n and text[j + 1] in ".!?":
                 j += 1
             at_end = j + 1 >= n or text[j + 1].isspace()
-            if at_end and not (c == "." and j == i and _is_abbreviation(text[:i])):
+            if at_end and not (c == "." and j == i and _is_abbreviation(text, i)):
                 sentences.append(text[start : j + 1])
                 start = j + 1
             i = j + 1
@@ -243,9 +248,11 @@ _STEP4_SUFFIXES = (
 )
 
 
+@lru_cache(maxsize=None)
 def stem(word: str) -> str:
     """Porter-stem a non-empty lowercase word. Deterministic; words of length
-    one or two are returned unchanged, as in the original definition."""
+    one or two are returned unchanged, as in the original definition.
+    Memoized: a corpus has few distinct words and stems each many times."""
     if len(word) <= 2:
         return word
 

@@ -1,5 +1,6 @@
 """Tests for the four feature sets and their combination."""
 
+import gc
 import math
 
 import numpy as np
@@ -7,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tasksim.corpus import strip_html
+from tasksim import features
+from tasksim.cli import generate_synthetic_corpus
+from tasksim.corpus import load_corpus, strip_html
 from tasksim.features import (
+    FEATURE_SET_NAMES,
     ContentConfig,
     FeatureMatrix,
     combine_features,
@@ -21,6 +25,7 @@ from tasksim.features import (
     fit_host_vocab,
     gunning_fog,
     lexical_diversity,
+    analyse,
     load_sentiment_lexicon,
     semantic_features,
     structural_features,
@@ -383,3 +388,63 @@ class TestFittedExtractor:
         ext = fit_extractor("structural", self.corpus())
         single = ext.matrix([make_task(html="three words here.")])
         assert single.rows[0][0] == 3.0
+
+
+class TestTaskAnalysis:
+    @pytest.fixture
+    def tasks(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        generate_synthetic_corpus(path, seed=3, per_category=6)
+        return list(load_corpus(path))
+
+    @staticmethod
+    def fitted_rows(name, train, held_out):
+        ext = fit_extractor(name, train)
+        return ext.matrix(train).rows, ext.matrix(held_out).rows
+
+    @pytest.mark.parametrize("name", FEATURE_SET_NAMES)
+    def test_matrices_equal_cold_and_warm(self, tasks, name):
+        train, held_out = tasks[::3] + tasks[1::3], tasks[2::3]
+        features._ANALYSES.clear()
+        cold = self.fitted_rows(name, train, held_out)
+        warm = self.fitted_rows(name, train, held_out)
+        features._ANALYSES.clear()
+        for task in held_out:
+            analyse(task)
+        held_out_first = self.fitted_rows(name, train, held_out)
+        for got in (warm, held_out_first):
+            assert np.array_equal(got[0], cold[0])
+            assert np.array_equal(got[1], cold[1])
+
+    def test_content_ranges_do_not_share_terms(self, tasks):
+        features._ANALYSES.clear()
+        unigrams = fit_content_model(tasks, ContentConfig(ngram_range=(1, 1)))
+        both = fit_content_model(tasks, ContentConfig(ngram_range=(1, 2)))
+        again = fit_content_model(tasks, ContentConfig(ngram_range=(1, 1)))
+        assert not any(" " in term for term in unigrams.vocabulary)
+        assert any(" " in term for term in both.vocabulary)
+        assert again.vocabulary == unigrams.vocabulary
+        assert again.doc_freq == unigrams.doc_freq
+
+    def test_returned_arrays_do_not_reach_the_cache(self, tasks):
+        task = tasks[0]
+        expected = structural_features(task)
+        first = structural_features(task)
+        first[:] = -1.0
+        assert np.array_equal(structural_features(task), expected)
+        with pytest.raises(ValueError):
+            analyse(task).structural[0] = -1.0
+        for name in ("content", "structural", "semantic"):
+            ext = fit_extractor(name, tasks)
+            before = ext.matrix(tasks).rows.copy()
+            ext.matrix(tasks).rows[:] = -1.0
+            assert np.array_equal(ext.matrix(tasks).rows, before)
+
+    def test_entries_die_with_their_tasks(self, tasks):
+        features._ANALYSES.clear()
+        for name in FEATURE_SET_NAMES:
+            fit_extractor(name, tasks).matrix(tasks)
+        assert len(features._ANALYSES) == len(tasks)
+        del tasks[:]
+        gc.collect()
+        assert len(features._ANALYSES) == 0

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_task
-from tasksim import semsim
+from tasksim import features, semsim
+from tasksim.cli import generate_synthetic_corpus
+from tasksim.corpus import load_corpus
 from tasksim.semsim import (
     COMPREHENSIBILITY_FEATURE_NAMES,
+    SIMILARITY_MEASURES,
     ComprehensibilityVector,
     CorpusStats,
     SimilarityMatrix,
@@ -295,6 +298,17 @@ def test_identical_tasks_fully_similar(wn):
         assert matrix.pair("x", "y") == pytest.approx(1.0, abs=1e-12)
 
 
+def test_matrices_equal_cold_and_warm(wn, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    generate_synthetic_corpus(path, seed=3, per_category=6)
+    tasks = list(load_corpus(path))
+    features._ANALYSES.clear()
+    cold = [similarity_matrix(tasks, m, wn=wn).values for m in SIMILARITY_MEASURES]
+    warm = [similarity_matrix(tasks, m, wn=wn).values for m in SIMILARITY_MEASURES]
+    for a, b in zip(cold, warm):
+        assert np.array_equal(a, b)
+
+
 def pairwise_reference(tasks, measure, wn):
     """The matrix built from the pair functions, one call per pair."""
     n = len(tasks)
@@ -399,6 +413,15 @@ def test_matrix_validation_rejects_bad_values():
         SimilarityMatrix(ids, np.array([[0.9, 0.5], [0.5, 1.0]]), "required_action")
     with pytest.raises(ValueError, match="symmetric"):
         SimilarityMatrix(ids, np.array([[1.0, 0.4], [0.5, 1.0]]), "required_action")
+    # symmetry is checked in row blocks; here only the second block sees it
+    late = np.full((300, 300), 0.5)
+    np.fill_diagonal(late, 1.0)
+    late[290, 270] = 0.5 + 5e-10
+    many = tuple(f"t{i}" for i in range(300))
+    SimilarityMatrix(many, late, "required_action")
+    late[290, 270] = 0.6
+    with pytest.raises(ValueError, match="symmetric"):
+        SimilarityMatrix(many, late, "required_action")
     with pytest.raises(ValueError, match="outside"):
         SimilarityMatrix(ids, np.array([[1.0, 1.5], [1.5, 1.0]]), "required_action")
     with pytest.raises(ValueError, match="unknown measure"):

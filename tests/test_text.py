@@ -1,6 +1,7 @@
 """Tests for sentence splitting, tokenization, stemming and syllable counts."""
 
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,64 @@ from tasksim.text import (
     tokenize,
     word_tokens,
 )
+
+
+def _oracle_is_abbreviation(prefix: str) -> bool:
+    m = re.search(r"\S+$", prefix)
+    if m is None:
+        return False
+    tok = m.group(0).lstrip("(\"'[")
+    if re.fullmatch(r"[A-Z]", tok):
+        return True
+    return (tok + ".").lower() in {"e.g.", "i.e.", "etc.", "vs.", "dr.", "mr."}
+
+
+def _oracle_split_sentences(text: str) -> list[str]:
+    """The prefix-scanning split_sentences, kept as the reference: each
+    candidate period re-scans the whole prefix before it."""
+    sentences: list[str] = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            sentences.append(text[start:i])
+            start = i + 1
+            i += 1
+            continue
+        if c in ".!?":
+            j = i
+            while j + 1 < n and text[j + 1] in ".!?":
+                j += 1
+            at_end = j + 1 >= n or text[j + 1].isspace()
+            if at_end and not (
+                c == "." and j == i and _oracle_is_abbreviation(text[:i])
+            ):
+                sentences.append(text[start : j + 1])
+                start = j + 1
+            i = j + 1
+            continue
+        i += 1
+    sentences.append(text[start:])
+    return [s for s in (s.strip() for s in sentences) if s]
+
+
+# Texts built from the pieces that matter to sentence boundaries: initials,
+# abbreviations (any case), brackets and quotes before a token, terminator
+# runs, and every kind of whitespace, newlines included.
+_SENTENCE_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from([
+            "J", "a", "Go", "word", "e.g", "E.G", "i.e", "etc", "Etc", "vs",
+            "Dr", "mr", "(", "[", '"', "'", '("', "x.y", "3", "J\n", "etc\n",
+        ]),
+        st.sampled_from([".", "..", "...", "?", "!", "?!", "!?", ".?", ","]),
+        st.sampled_from([" ", "  ", "\n", "\n\n", " \n", "\t", "\r", "\u00a0"]),
+        st.text(alphabet="aJ.!? \n(\"'[e", max_size=6),
+    ),
+    max_size=40,
+).map("".join)
 
 
 class TestSplitSentences:
@@ -51,6 +110,32 @@ class TestSplitSentences:
             assert s == s.strip()
             assert s
 
+    @given(_SENTENCE_TEXT)
+    @settings(max_examples=500)
+    def test_matches_prefix_scanning_oracle(self, text):
+        assert split_sentences(text) == _oracle_split_sentences(text)
+
+    def test_period_after_one_newline_reads_the_token_before_it(self):
+        # "J" before a single newline still guards the period, as the oracle's
+        # `\S+$` (which also matches before one final newline) finds it
+        assert split_sentences("J\n. x") == ["J", ". x"]
+        assert split_sentences("J\n\n. x") == ["J", ".", "x"]
+        assert split_sentences("J \n. x") == ["J", ".", "x"]
+
+    def test_long_text_is_linear(self):
+        # 4x the text should cost about 4x the time; the prefix-scanning
+        # version took about 16x
+        unit = "Dr. Smith e.g. said J. Doe wrote it. " * 1000
+
+        def seconds(text):
+            start = time.perf_counter()
+            split_sentences(text)
+            return time.perf_counter() - start
+
+        small = min(seconds(unit) for _ in range(3))
+        large = min(seconds(unit * 4) for _ in range(3))
+        assert large < 8 * small
+
 
 class TestTokenize:
     def test_spec_options_chain(self):
@@ -79,6 +164,21 @@ class TestTokenize:
     def test_word_tokens_helper(self):
         assert word_tokens("a b-c, d!") == ["a", "b-c", "d"]
         assert word_tokens("-- !!") == []
+
+    @given(
+        st.one_of(
+            _SENTENCE_TEXT,
+            st.text(alphabet="ab-'3.!? \n,", max_size=80),
+            st.text(max_size=80),
+        )
+    )
+    @settings(max_examples=300)
+    def test_word_surfaces_are_the_word_tokens(self, text):
+        # sentence splitting never cuts a word token, so the per-sentence
+        # stream holds exactly the word tokens of the whole text
+        stream = tokenize(text)
+        assert stream.surfaces == tuple(word_tokens(text))
+        assert stream.normalized == tuple(w.lower() for w in word_tokens(text))
 
     def test_stopword_list_loaded(self):
         stops = stopwords()
