@@ -1,13 +1,11 @@
 """Clustering of tasks from a similarity matrix, plus cluster summaries.
 
-Partitioning around medoids (PAM) is the default: the inputs are pairwise
-similarities with no coordinate embedding, so centroid methods do not apply.
-Dissimilarity is 1 - similarity throughout. An agglomerative average-linkage
-variant produces the same output type.
+Partitioning around medoids (PAM): the inputs are pairwise similarities
+with no coordinate embedding, so centroid methods do not apply.
+Dissimilarity is 1 - similarity throughout.
 
-Both algorithms are deterministic: greedy seeding and fixed tie orders, no
-random draws. The seed argument is recorded in the result for config echo
-and reserved for stochastic variants.
+PAM is deterministic: greedy seeding and fixed tie orders, no random draws.
+The seed argument is recorded in the result for config echo.
 """
 
 from __future__ import annotations
@@ -152,55 +150,6 @@ def k_medoids(
     medoids = _greedy_build(d, k)
     medoids, _ = _swap_passes(d, medoids, max_iter, trace)
     return _as_clustering(d, medoids, sim.task_ids, seed)
-
-
-def average_linkage(sim: SimilarityMatrix, k: int, seed: int = 0) -> Clustering:
-    """Agglomerative alternative: merge the pair of clusters with the lowest
-    average dissimilarity until k remain, then report each cluster's medoid.
-    Ties go to the lowest (slot, slot) pair."""
-    d = _check_matrix(sim, k)
-    n = d.shape[0]
-    # Lance-Williams update for average linkage over cluster slots.
-    dist = d.astype(float).copy()
-    np.fill_diagonal(dist, np.inf)
-    sizes = {i: 1 for i in range(n)}
-    members = {i: [i] for i in range(n)}
-    while len(members) > k:
-        active = sorted(members)
-        best = None
-        for ai, i in enumerate(active):
-            for j in active[ai + 1 :]:
-                value = dist[i, j]
-                if best is None or (value, i, j) < best:
-                    best = (value, i, j)
-        _, i, j = best
-        for other in members:
-            if other in (i, j):
-                continue
-            merged = (
-                sizes[i] * dist[i, other] + sizes[j] * dist[j, other]
-            ) / (sizes[i] + sizes[j])
-            dist[i, other] = dist[other, i] = merged
-        members[i] = members[i] + members[j]
-        sizes[i] += sizes[j]
-        del members[j], sizes[j]
-
-    groups = {}
-    for slot in sorted(members):
-        group = members[slot]
-        within = d[np.ix_(group, group)].sum(axis=1)
-        groups[group[int(np.argmin(within))]] = group
-    # Label clusters by medoid order, like PAM; assignment follows the
-    # merge history, not the nearest medoid.
-    assignments = {}
-    total = 0.0
-    medoid_map = {}
-    for cluster, m in enumerate(sorted(groups)):
-        medoid_map[cluster] = sim.task_ids[m]
-        for i in groups[m]:
-            assignments[sim.task_ids[i]] = cluster
-            total += float(d[i, m])
-    return Clustering(assignments, medoid_map, k, total, seed)
 
 
 def purity(clustering: Clustering, labels: Mapping[str, str]) -> float:

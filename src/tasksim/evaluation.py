@@ -14,14 +14,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .features import (
-    FEATURE_SET_NAMES,
-    ContentConfig,
-    FeatureMatrix,
-    combine_features,
-    fit_extractor,
-)
-from .learn import ALGORITHMS, LearnerConfig, predict_batch, train
+from .features import FEATURE_SET_NAMES, FeatureMatrix, combine_features, fit_extractor
+from .learn import ALGORITHMS, predict_batch, train
 
 
 class EvaluationError(RuntimeError):
@@ -166,17 +160,17 @@ def cross_validate(
     algorithm: str,
     k: int,
     seed: int,
-    config: LearnerConfig | None = None,
     *,
-    content_config: ContentConfig | None = None,
     sentiment_lexicon: Mapping[str, int] | None = None,
 ) -> EvaluationReport:
     """Stratified k-fold cross-validation of one (feature sets, algorithm)
     cell; returns pooled metrics plus per-fold weighted F1.
 
     `corpus` is anything iterable over tasks. Feature extractors are fitted
-    per fold on the training split only. A fold whose training or prediction
-    fails aborts the whole run with the fold index in the error.
+    per fold on the training split only, and every cell runs the default
+    ContentConfig and LearnerConfig. A fold whose training or prediction
+    fails (a solver that hits its step cap included) aborts the whole run
+    with the fold index in the error.
     """
     tasks = list(corpus)
     sets = ordered_feature_sets(feature_sets)
@@ -201,21 +195,16 @@ def cross_validate(
         eval_tasks = [tasks[i] for i in eval_idx]
         try:
             extractors = [
-                fit_extractor(
-                    name,
-                    train_tasks,
-                    content_config=content_config,
-                    sentiment_lexicon=sentiment_lexicon,
-                )
+                fit_extractor(name, train_tasks, sentiment_lexicon=sentiment_lexicon)
                 for name in sets
             ]
             train_x = _combined_matrix(extractors, train_tasks)
             eval_x = _combined_matrix(extractors, eval_tasks)
             model = train(
-                algorithm, train_x, [labels[i] for i in train_idx], config, seed
+                algorithm, train_x, [labels[i] for i in train_idx], seed=seed
             )
             predicted, _ = predict_batch(model, eval_x)
-        except (ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
             raise EvaluationError(f"fold {fold_no} failed: {exc}") from exc
         fold_confusion = np.zeros_like(pooled)
         for i, label in zip(eval_idx, predicted):
@@ -252,17 +241,16 @@ def grid_run(
     algorithms: Sequence[str] = ALGORITHMS,
     k: int = 10,
     seed: int = 0,
-    config: LearnerConfig | None = None,
     *,
-    content_config: ContentConfig | None = None,
     sentiment_lexicon: Mapping[str, int] | None = None,
 ) -> GridResult:
     """Cross-validate every cell of the grid.
 
     By default runs all 15 feature-set combinations against all five
-    algorithms. Cell seeds are seed + cell index (row-major over
-    combinations, then algorithms), so any cell reproduces exactly as a
-    standalone cross_validate call with that derived seed.
+    algorithms, each with the default hyperparameters. Cell seeds are
+    seed + cell index (row-major over combinations, then algorithms), so
+    any cell reproduces exactly as a standalone cross_validate call with
+    that derived seed.
     """
     if feature_set_combinations is None:
         combos = all_feature_set_combinations()
@@ -281,13 +269,7 @@ def grid_run(
         itertools.product(combos, algorithms)
     ):
         reports[(combo, algorithm)] = cross_validate(
-            tasks,
-            combo,
-            algorithm,
-            k,
-            seed + cell_no,
-            config,
-            content_config=content_config,
+            tasks, combo, algorithm, k, seed + cell_no,
             sentiment_lexicon=sentiment_lexicon,
         )
     return GridResult(tuple(combos), algorithms, reports)

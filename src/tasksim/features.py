@@ -297,8 +297,6 @@ class ContentModel:
     doc_freq: dict[str, int]
     n_docs: int
     ngram_range: tuple[int, int]
-    min_df: int
-    max_features: int
 
 
 def fit_content_model(
@@ -323,8 +321,6 @@ def fit_content_model(
         doc_freq={t: df[t] for t in kept},
         n_docs=len(tasks),
         ngram_range=config.ngram_range,
-        min_df=config.min_df,
-        max_features=config.max_features,
     )
 
 
@@ -462,11 +458,11 @@ def fit_extractor(
     set_name: str,
     train_tasks: Iterable[MicroTask],
     *,
-    content_config: ContentConfig | None = None,
     sentiment_lexicon: Mapping[str, int] | None = None,
 ) -> FittedExtractor:
     """Fit one named feature set ("factual", "content", "structural",
-    "semantic") on the given training tasks."""
+    "semantic") on the given training tasks; content uses the default
+    ContentConfig."""
     train = tuple(train_tasks)
     if set_name == "factual":
         employer_vocab = fit_employer_vocab(train)
@@ -494,7 +490,7 @@ def fit_extractor(
             return FeatureMatrix(names, _stack(rows, len(names)), frozenset({"semantic"}))
 
     elif set_name == "content":
-        model = fit_content_model(train, content_config)
+        model = fit_content_model(train)
         names = tuple(sorted(model.vocabulary, key=model.vocabulary.__getitem__))
 
         def extract(tasks):

@@ -4,7 +4,8 @@ Five algorithms: naive_bayes (Gaussian, or multinomial on pure tf-idf
 content), knn, tree (gain-ratio binary splits), forest (bagged trees with
 per-split feature subsets), and svm_smo (linear SVM, one-vs-rest, each
 machine trained by SMO with maximal-violating-pair selection until its KKT
-gap is below svm_tol). All are deterministic given the seed.
+gap is below svm_tol). All are deterministic given the seed. Models live in
+memory only; the CLI refits them for every fold.
 """
 
 from .base import (
@@ -15,7 +16,6 @@ from .base import (
     predict_batch,
     train,
 )
-from .io import load_model, save_model
 
 __all__ = [
     "ALGORITHMS",
@@ -24,6 +24,4 @@ __all__ = [
     "train",
     "predict",
     "predict_batch",
-    "save_model",
-    "load_model",
 ]

@@ -50,7 +50,6 @@ class TrainedModel:
     algorithm: str
     classes: tuple[str, ...]
     parameters: dict
-    seed: int
 
 
 def _as_rows(X) -> tuple[np.ndarray, frozenset]:
@@ -99,7 +98,7 @@ def train(
     if algorithm not in trainers:
         raise ValueError(f"unknown algorithm '{algorithm}' (choose from {ALGORITHMS})")
     parameters = trainers[algorithm]()
-    return TrainedModel(algorithm=algorithm, classes=classes, parameters=parameters, seed=seed)
+    return TrainedModel(algorithm=algorithm, classes=classes, parameters=parameters)
 
 
 def predict_batch(model: TrainedModel, X) -> tuple[list[str], np.ndarray]:

@@ -18,17 +18,10 @@ def _combo_label(combination: tuple[str, ...]) -> str:
     return "+".join(combination)
 
 
-def render_grid_text(grid: GridResult, *, precision: int = 3) -> str:
-    """Aligned grid of weighted F1 scores: one row per feature-set
-    combination, one column per algorithm."""
-    header = ["feature_sets"] + list(grid.algorithms)
-    rows = [header]
-    for combo in grid.combinations:
-        cells = [_combo_label(combo)]
-        for algorithm in grid.algorithms:
-            cells.append(f"{grid.weighted_f1(combo, algorithm):.{precision}f}")
-        rows.append(cells)
-    widths = [max(len(row[c]) for row in rows) for c in range(len(header))]
+def _aligned(rows: list[list[str]]) -> str:
+    """Rows as an aligned table: first column left-aligned, the rest
+    right-aligned, two spaces apart, trailing blanks stripped."""
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
     lines = []
     for row in rows:
         first = row[0].ljust(widths[0])
@@ -37,14 +30,9 @@ def render_grid_text(grid: GridResult, *, precision: int = 3) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_grid_csv(grid: GridResult) -> str:
-    """One CSV row per grid cell with the per-class metric block appended.
-
-    All cells share the corpus, so the class columns are identical across
-    rows.
-    """
-    any_report = next(iter(grid.reports.values()))
-    classes = any_report.classes
+def _cells_csv(cells, classes: tuple[str, ...]) -> str:
+    """CSV with one row per (feature sets, algorithm, report) cell: the
+    weighted F1, then precision, recall, F1 and support for each class."""
     header = ["feature_sets", "algorithm", "weighted_f1"]
     for name in classes:
         header += [
@@ -56,54 +44,55 @@ def render_grid_csv(grid: GridResult) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for combo in grid.combinations:
-        for algorithm in grid.algorithms:
-            report = grid.reports[(combo, algorithm)]
-            row: list[str] = [
-                _combo_label(combo),
-                algorithm,
-                f"{report.weighted_f1:.6f}",
+    for sets, algorithm, report in cells:
+        row = [sets, algorithm, f"{report.weighted_f1:.6f}"]
+        for name in classes:
+            metrics = report.per_class[name]
+            row += [
+                f"{metrics.precision:.6f}",
+                f"{metrics.recall:.6f}",
+                f"{metrics.f1:.6f}",
+                str(metrics.support),
             ]
-            for name in classes:
-                metrics = report.per_class[name]
-                row += [
-                    f"{metrics.precision:.6f}",
-                    f"{metrics.recall:.6f}",
-                    f"{metrics.f1:.6f}",
-                    str(metrics.support),
-                ]
-            writer.writerow(row)
+        writer.writerow(row)
     return out.getvalue()
+
+
+def render_grid_text(grid: GridResult) -> str:
+    """Aligned grid of weighted F1 scores: one row per feature-set
+    combination, one column per algorithm."""
+    rows = [["feature_sets"] + list(grid.algorithms)]
+    for combo in grid.combinations:
+        rows.append(
+            [_combo_label(combo)]
+            + [f"{grid.weighted_f1(combo, a):.3f}" for a in grid.algorithms]
+        )
+    return _aligned(rows)
+
+
+def render_grid_csv(grid: GridResult) -> str:
+    """One CSV row per grid cell with the per-class metric block appended.
+
+    All cells share the corpus, so the class columns are identical across
+    rows.
+    """
+    cells = [
+        (_combo_label(combo), algorithm, grid.reports[(combo, algorithm)])
+        for combo in grid.combinations
+        for algorithm in grid.algorithms
+    ]
+    return _cells_csv(cells, cells[0][2].classes)
 
 
 def render_report_csv(report: EvaluationReport) -> str:
     """Single evaluation cell in the grid-CSV column scheme, one data row."""
     echo = report.config_echo
-    header = ["feature_sets", "algorithm", "weighted_f1"]
-    row = [
-        "+".join(echo.get("feature_sets", ())) or "-",
+    cell = (
+        _combo_label(echo.get("feature_sets", ())) or "-",
         echo.get("algorithm") or "-",
-        f"{report.weighted_f1:.6f}",
-    ]
-    for name in report.classes:
-        header += [
-            f"precision[{name}]",
-            f"recall[{name}]",
-            f"f1[{name}]",
-            f"support[{name}]",
-        ]
-        metrics = report.per_class[name]
-        row += [
-            f"{metrics.precision:.6f}",
-            f"{metrics.recall:.6f}",
-            f"{metrics.f1:.6f}",
-            str(metrics.support),
-        ]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerow(row)
-    return out.getvalue()
+        report,
+    )
+    return _cells_csv([cell], report.classes)
 
 
 def render_matrix_csv(matrix: SimilarityMatrix) -> str:
@@ -111,29 +100,18 @@ def render_matrix_csv(matrix: SimilarityMatrix) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["id"] + list(matrix.task_ids))
-    for i, task_id in enumerate(matrix.task_ids):
-        writer.writerow(
-            [task_id] + [f"{v:.6f}" for v in matrix.values[i]]
-        )
+    for task_id, values in zip(matrix.task_ids, matrix.values):
+        writer.writerow([task_id] + ["%.6f" % v for v in values.tolist()])
     return out.getvalue()
 
 
-def render_matrix_text(matrix: SimilarityMatrix, *, precision: int = 3) -> str:
+def render_matrix_text(matrix: SimilarityMatrix) -> str:
     """Aligned similarity table; readable only for small corpora, the CSV
     twin carries the full precision."""
-    header = ["id"] + list(matrix.task_ids)
-    rows = [header]
-    for i, task_id in enumerate(matrix.task_ids):
-        rows.append(
-            [task_id] + [f"{v:.{precision}f}" for v in matrix.values[i]]
-        )
-    widths = [max(len(row[c]) for row in rows) for c in range(len(header))]
-    lines = []
-    for row in rows:
-        first = row[0].ljust(widths[0])
-        rest = [cell.rjust(widths[c + 1]) for c, cell in enumerate(row[1:])]
-        lines.append("  ".join([first] + rest).rstrip())
-    return "\n".join(lines) + "\n"
+    rows = [["id"] + list(matrix.task_ids)]
+    for task_id, values in zip(matrix.task_ids, matrix.values):
+        rows.append([task_id] + ["%.3f" % v for v in values.tolist()])
+    return _aligned(rows)
 
 
 def render_report_text(report: EvaluationReport) -> str:
@@ -191,9 +169,7 @@ def _distribution_cells(clustering: Clustering, corpus):
     return table, categories, sizes
 
 
-def render_distribution_text(
-    clustering: Clustering, corpus, *, precision: int = 2
-) -> str:
+def render_distribution_text(clustering: Clustering, corpus) -> str:
     """Aligned category-distribution table: one row per cluster, one column
     per category, '-' where a category has no members in the cluster."""
     table, categories, sizes = _distribution_cells(clustering, corpus)
@@ -203,7 +179,7 @@ def render_distribution_text(
         cells = [str(cluster), str(sizes[cluster])]
         for category in categories:
             value = table[cluster].get(category)
-            cells.append("-" if value is None else f"{value:.{precision}f}")
+            cells.append("-" if value is None else f"{value:.2f}")
         rows.append(cells)
     widths = [max(len(row[c]) for row in rows) for c in range(len(header))]
     lines = []

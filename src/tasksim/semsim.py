@@ -133,8 +133,6 @@ def phrase_similarity(
     p: VerbPhrase,
     q: VerbPhrase,
     wn: WordNetGraph,
-    *,
-    verb_weight: float = _VERB_WEIGHT,
 ) -> float:
     """Verb similarity, blended with the best argument pair when both
     phrases carry arguments; verb-only (full weight) otherwise."""
@@ -145,7 +143,7 @@ def phrase_similarity(
             for a in p.argument_lemmas
             for b in q.argument_lemmas
         )
-        return verb_weight * verbs + (1.0 - verb_weight) * nouns
+        return _VERB_WEIGHT * verbs + (1.0 - _VERB_WEIGHT) * nouns
     return verbs
 
 
@@ -153,8 +151,6 @@ def required_action_similarity(
     A: Sequence[VerbPhrase],
     B: Sequence[VerbPhrase],
     wn: WordNetGraph,
-    *,
-    verb_weight: float = _VERB_WEIGHT,
 ) -> float:
     """Mean best-match phrase similarity, averaged over both directions.
     Zero when either side has no phrases."""
@@ -162,9 +158,7 @@ def required_action_similarity(
         return 0.0
 
     def best(p, side):
-        return max(
-            phrase_similarity(p, q, wn, verb_weight=verb_weight) for q in side
-        )
+        return max(phrase_similarity(p, q, wn) for q in side)
 
     forward = sum(best(p, B) for p in A) / len(A)
     backward = sum(best(q, A) for q in B) / len(B)

@@ -42,8 +42,8 @@ class Token:
 class TokenStream:
     """Ordered tokens with per-token sentence indices.
 
-    With the default options the normalized forms are lowercase, and sentence
-    indices are non-decreasing in stream order.
+    Normalized forms are lowercase, and sentence indices are non-decreasing
+    in stream order.
     """
 
     tokens: tuple[Token, ...]
@@ -129,30 +129,26 @@ def word_tokens(text: str) -> list[str]:
 def tokenize(
     text: str,
     *,
-    lowercase: bool = True,
-    strip_punct: bool = True,
     drop_stopwords: bool = False,
     stem_tokens: bool = False,
 ) -> TokenStream:
-    """Tokenize markup-free text into a TokenStream.
+    """Tokenize markup-free text into a TokenStream of lowercased words.
 
-    Word tokens are maximal runs of letters/digits/apostrophes/hyphens (runs
-    without any letter or digit count as punctuation); remaining non-space
-    characters become single-character punctuation tokens. Options are applied
-    in order: lowercase, strip_punct, drop_stopwords, stem.
+    Word tokens are maximal runs of letters/digits/apostrophes/hyphens with
+    at least one letter or digit; punctuation is dropped. Options are applied
+    in order: drop_stopwords, stem.
     """
     stops = stopwords() if drop_stopwords else None
     out: list[Token] = []
     for s_idx, sentence in enumerate(split_sentences(text)):
         for surface in _WORDISH_RE.findall(sentence):
-            is_word = _ALNUM_RE.search(surface) is not None
-            normalized = surface.lower() if lowercase else surface
-            if strip_punct and not is_word:
+            if _ALNUM_RE.search(surface) is None:
                 continue
-            if stops is not None and is_word and normalized.lower() in stops:
+            normalized = surface.lower()
+            if stops is not None and normalized in stops:
                 continue
-            if stem_tokens and is_word:
-                normalized = stem(normalized.lower())
+            if stem_tokens:
+                normalized = stem(normalized)
             out.append(Token(surface, normalized, s_idx))
     return TokenStream(tuple(out))
 

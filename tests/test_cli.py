@@ -7,19 +7,12 @@ import os
 
 import pytest
 
-from tasksim.cli import (
-    _NOISE_POOL,
-    _SIGNATURES,
-    CliError,
-    RunConfig,
-    _parse_sets,
-    dispatch,
-    generate_synthetic_corpus,
-    synthetic_corpus_text,
-)
+from tasksim.cli import CliError, _parse_sets, dispatch, generate_synthetic_corpus
 from tasksim.corpus import load_corpus
 from tasksim import semsim
+from tasksim.learn import svm
 from tasksim.semsim import extract_verb_phrases
+from tasksim.synth import _NOISE_POOL, _SIGNATURES, synthetic_corpus_text
 from tasksim.wordnet import bundled_mini_wordnet_dir, load_wordnet
 
 WORDNET_DIR = str(bundled_mini_wordnet_dir())
@@ -111,18 +104,8 @@ def test_every_synthetic_task_has_a_verb_phrase(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# RunConfig and parsing helpers
+# Parsing helpers
 # ---------------------------------------------------------------------------
-
-def test_runconfig_checks_paths(tmp_path):
-    with pytest.raises(CliError, match="--corpus file not found"):
-        RunConfig(corpus_path=str(tmp_path / "nope.jsonl")).validate()
-    with pytest.raises(CliError, match="--wordnet directory not found"):
-        RunConfig(wordnet_dir=str(tmp_path / "nowhere")).validate()
-    with pytest.raises(CliError, match="--wordnet is required"):
-        RunConfig(measure="required_action").validate()
-    RunConfig(measure="comprehensibility").validate()
-
 
 def test_parse_sets_accepts_both_joiners():
     assert _parse_sets("content") == ("content",)
@@ -260,22 +243,54 @@ def test_sim_refuses_oversized_corpus(small_corpus, monkeypatch, capsys):
     )
 
 
-def test_cluster_without_wordnet_is_a_resource_error(small_corpus, capsys):
-    code = dispatch([
-        "cluster", "--corpus", small_corpus, "--measure", "required_action",
-    ])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: resource error:")
-    assert err.count("\n") == 1
+def test_cluster_without_wordnet_is_a_resource_error(small_corpus, tmp_path,
+                                                    capsys):
+    out_dir = tmp_path / "rep"
+    for argv in (
+        ["cluster", "--corpus", small_corpus, "--measure", "required_action"],
+        # the report's required_action clustering always needs WordNet
+        ["report", "--corpus", small_corpus, "--out", str(out_dir)],
+    ):
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: resource error: --wordnet is required for measure "
+            "'required_action'\n"
+        )
+    assert not out_dir.exists()
 
 
-def test_missing_corpus_file_fails_cleanly(tmp_path, capsys):
+def test_missing_corpus_file_fails_cleanly(small_corpus, tmp_path, capsys):
     code = dispatch(
         ["ingest", "--corpus", str(tmp_path / "missing.jsonl")]
     )
     assert code == 1
     assert "file not found" in capsys.readouterr().err
+    missing = str(tmp_path / "missing")
+    sim = ["sim", "--corpus", small_corpus, "--measure", "comprehensibility"]
+    for argv, message in (
+        (sim + ["--wordnet", missing], "--wordnet directory not found"),
+        (sim + ["--wordlist", missing], "--wordlist file not found"),
+        (["cv", "--corpus", small_corpus, "--sets", "semantic",
+          "--algo", "knn", "--sentiment-lexicon", missing],
+         "--sentiment-lexicon file not found"),
+    ):
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: resource error: {message}: {missing}\n"
+
+
+def test_solver_step_cap_is_a_fold_error(small_corpus, monkeypatch, capsys):
+    monkeypatch.setattr(svm, "_MAX_STEPS", 1)
+    code = dispatch([
+        "cv", "--corpus", small_corpus, "--sets", "structural",
+        "--algo", "svm_smo", "--folds", "2",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: fold 0 failed: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_unknown_flag_and_bad_algo_exit_nonzero(small_corpus, capsys):
@@ -292,6 +307,15 @@ def test_unknown_feature_set_exits_one(small_corpus, capsys):
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    for fmt in ("text", "csv"):
+        code = dispatch([
+            "grid", "--corpus", small_corpus, "--sets", "structural",
+            "--algo", ",", "--format", fmt,
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: empty algorithm list: ','\n"
 
 
 def test_version_flag(capsys):

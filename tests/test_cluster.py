@@ -1,5 +1,5 @@
-"""Partitioning around medoids, the agglomerative variant, and cluster
-summaries (purity, category distribution, rendered tables)."""
+"""Partitioning around medoids and cluster summaries (purity, category
+distribution, rendered tables)."""
 
 import csv
 import io
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from conftest import make_task
 from tasksim.cluster import (
     Clustering,
-    average_linkage,
     category_distribution,
     k_medoids,
     purity,
@@ -222,8 +221,6 @@ def test_k_bounds_and_duplicate_ids_rejected():
     dup = sim_from(np.where(np.eye(3) == 1, 1.0, 0.5), ids=("a", "a", "b"))
     with pytest.raises(ValueError, match="duplicate task ids"):
         k_medoids(dup, 2)
-    with pytest.raises(ValueError, match="between 2"):
-        average_linkage(sim, 1)
 
 
 def test_clustering_rejects_malformed_partitions():
@@ -307,39 +304,6 @@ def test_category_distribution_checks_ids():
     extra = corpus + [make_task(id="t9", category="watch")]
     with pytest.raises(ValueError, match="id mismatch"):
         category_distribution(category_split(), extra)
-
-
-def test_average_linkage_recovers_blocks():
-    result = average_linkage(block_sim([3, 3]), 2)
-    assert isinstance(result, Clustering)
-    assert sorted(result.members(0)) == ["t0", "t1", "t2"]
-    assert sorted(result.members(1)) == ["t3", "t4", "t5"]
-    assert result.medoids == {0: "t0", 1: "t3"}
-
-
-def test_average_linkage_chain_hand_example():
-    # Points 0, 1, 2, 10 on a line, dissimilarity |x - y| / 10. The pair
-    # (t0, t1) merges first at 0.1, then t2 joins at average 0.15; t3 stays
-    # alone. Medoid of the triple is the middle point t1, so the total is
-    # d(t0, t1) + d(t2, t1) = 0.2.
-    xs = [0.0, 1.0, 2.0, 10.0]
-    d = np.abs(np.subtract.outer(xs, xs)) / 10.0
-    result = average_linkage(sim_from(1.0 - d), 2)
-    assert result.medoids == {0: "t1", 1: "t3"}
-    assert result.assignments == {"t0": 0, "t1": 0, "t2": 0, "t3": 1}
-    assert result.total_dissimilarity == pytest.approx(0.2, abs=1e-12)
-
-
-def test_average_linkage_is_deterministic_and_partitions():
-    sim = random_sim(11, 8)
-    first = average_linkage(sim, 3)
-    second = average_linkage(sim, 3)
-    assert first.assignments == second.assignments
-    assert first.medoids == second.medoids
-    seen = sorted(
-        tid for c in range(first.k) for tid in first.members(c)
-    )
-    assert seen == sorted(sim.task_ids)
 
 
 def test_distribution_text_layout():

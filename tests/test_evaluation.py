@@ -21,7 +21,6 @@ from tasksim.evaluation import (
     ordered_feature_sets,
     stratified_folds,
 )
-from tasksim.learn import LearnerConfig
 from tasksim.reports import render_grid_csv, render_grid_text, render_report_text
 
 
@@ -205,11 +204,14 @@ def test_constant_features_hit_majority_baseline():
         assert report.weighted_f1 == pytest.approx(expected, abs=1e-9)
 
 
-def test_fold_failure_carries_fold_index():
+def test_fold_failure_carries_fold_index(monkeypatch):
+    def failing_train(*args, **kwargs):
+        raise ValueError("knn_k must be >= 1")
+
+    monkeypatch.setattr(evaluation, "train", failing_train)
     tasks = vocab_corpus(n_per=4)
-    bad = LearnerConfig(knn_k=0)
-    with pytest.raises(EvaluationError, match="fold 0"):
-        cross_validate(tasks, {"structural"}, "knn", 3, seed=0, config=bad)
+    with pytest.raises(EvaluationError, match="fold 0 failed: knn_k"):
+        cross_validate(tasks, {"structural"}, "knn", 3, seed=0)
 
 
 def test_unknown_algorithm_rejected_before_any_fold():

@@ -1,5 +1,5 @@
 """Tests for the five native classifiers: closed-form oracles, brute-force
-agreement, convergence conditions, determinism, and persistence."""
+agreement, convergence conditions, and determinism."""
 
 import math
 
@@ -12,10 +12,8 @@ from tasksim.features import FeatureMatrix
 from tasksim.learn import (
     ALGORITHMS,
     LearnerConfig,
-    load_model,
     predict,
     predict_batch,
-    save_model,
     train,
 )
 from tasksim.learn import svm
@@ -348,32 +346,3 @@ class TestTrainValidation:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         model = train("knn", X, ["zeta", "alpha", "zeta", "alpha"])
         assert model.classes == ("alpha", "zeta")
-
-
-class TestPersistence:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_roundtrip_identical_predictions(self, algorithm, tmp_path):
-        X, y = blobs(seed=31, n_per=8)
-        model = train(algorithm, X, y, LearnerConfig(forest_trees=5), seed=11)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.algorithm == model.algorithm
-        assert loaded.classes == model.classes
-        assert loaded.seed == model.seed
-        Q = np.random.default_rng(2).normal(size=(12, 2)) * 5
-        _, sa = predict_batch(model, Q)
-        _, sb = predict_batch(loaded, Q)
-        np.testing.assert_array_equal(sa, sb)
-
-    def test_wrong_format_rejected(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text('{"format": "something-else"}', encoding="utf-8")
-        with pytest.raises(ValueError, match="not a"):
-            load_model(path)
-
-    def test_wrong_version_rejected(self, tmp_path):
-        path = tmp_path / "v9.json"
-        path.write_text('{"format": "tasksim-model", "version": 9}', encoding="utf-8")
-        with pytest.raises(ValueError, match="version"):
-            load_model(path)

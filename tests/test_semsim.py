@@ -112,10 +112,6 @@ def test_argument_blending(wn):
     # One side without arguments falls back to the verb alone.
     bare = VerbPhrase("download", (), "download")
     assert phrase_similarity(p, bare, wn) == pytest.approx(1 / 3, abs=1e-12)
-    # Full verb weight ignores the arguments.
-    assert phrase_similarity(p, q, wn, verb_weight=1.0) == pytest.approx(
-        1 / 3, abs=1e-12
-    )
 
 
 def test_identical_phrase_lists_score_one(wn):

@@ -147,19 +147,12 @@ class TestTokenize:
     def test_hyphenated_is_single_token(self):
         assert tokenize("sign-up").normalized == ("sign-up",)
 
-    def test_punctuation_kept_when_not_stripped(self):
-        stream = tokenize("Go, now!", strip_punct=False)
-        assert stream.normalized == ("go", ",", "now", "!")
-
     def test_apostrophe_stays_inside_word(self):
         assert tokenize("don't stop").normalized == ("don't", "stop")
 
     def test_sentence_indices(self):
         stream = tokenize("One two. Three.")
         assert [t.sentence_index for t in stream] == [0, 0, 1]
-
-    def test_case_preserved_when_lowercase_off(self):
-        assert tokenize("Hello World", lowercase=False).normalized == ("Hello", "World")
 
     def test_word_tokens_helper(self):
         assert word_tokens("a b-c, d!") == ["a", "b-c", "d"]
