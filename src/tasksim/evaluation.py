@@ -250,15 +250,19 @@ def grid_run(
     algorithms, each with the default hyperparameters. Cell seeds are
     seed + cell index (row-major over combinations, then algorithms), so
     any cell reproduces exactly as a standalone cross_validate call with
-    that derived seed.
+    that derived seed. An empty combination or algorithm list is refused.
     """
     if feature_set_combinations is None:
         combos = all_feature_set_combinations()
     else:
         combos = [ordered_feature_sets(c) for c in feature_set_combinations]
+    if not combos:
+        raise ValueError("empty feature-set combination list")
     if len(set(combos)) != len(combos):
         raise ValueError("duplicate feature-set combinations in grid")
     algorithms = tuple(algorithms)
+    if not algorithms:
+        raise ValueError("empty algorithm list")
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm '{algorithm}'")

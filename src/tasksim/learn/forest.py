@@ -1,6 +1,13 @@
 """Random forest: bootstrapped gain-ratio trees with per-split feature
-subsets. Tree t draws from default_rng(seed + t), so any evaluation order
-reproduces the same forest."""
+subsets, all grown together level by level (see tree.grow).
+
+Tree t uses the generator default_rng(seed + t): first its bootstrap
+sample, integers(0, n, size=n); then, at each depth, random((open nodes of
+t, n_features)) keys, one row per open node in breadth-first order. Each
+node's candidate columns are those with its m smallest keys, in column
+order. The draws depend only on t and the tree's own growth, so any
+evaluation order reproduces the same forest.
+"""
 
 from __future__ import annotations
 
@@ -20,18 +27,16 @@ def _subset_size(n_features: int, fraction: float | None) -> int:
 def fit(rows: np.ndarray, y_idx: np.ndarray, n_classes: int, config, seed: int) -> dict:
     n, n_features = rows.shape
     m = min(_subset_size(n_features, config.forest_feature_fraction), n_features)
-    trees = []
-    for t in range(config.forest_trees):
-        rng = np.random.default_rng(seed + t)
-        sample = rng.integers(0, n, size=n)
+    rngs = [np.random.default_rng(seed + t) for t in range(config.forest_trees)]
+    samples = [rng.integers(0, n, size=n) for rng in rngs]
 
-        def pick_columns(rng=rng):
-            # sorted so split ties still resolve by global feature index
-            return np.sort(rng.choice(n_features, size=m, replace=False))
+    def draw_columns(node_tree: np.ndarray) -> np.ndarray:
+        per_tree = np.bincount(node_tree, minlength=len(rngs))
+        keys = np.vstack([rngs[t].random((c, n_features)) for t, c in enumerate(per_tree) if c])
+        # sorted so split ties still resolve by global feature index
+        return np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
 
-        trees.append(
-            tree.build_tree(rows[sample], y_idx[sample], n_classes, config.tree_min_leaf, pick_columns)
-        )
+    trees = tree.grow(rows, y_idx, n_classes, config.tree_min_leaf, samples, draw_columns)
     return {"trees": trees, "n_features": n_features, "n_classes": n_classes}
 
 

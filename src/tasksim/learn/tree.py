@@ -8,13 +8,30 @@ lowest threshold. Thresholds are midpoints of adjacent distinct values and
 rows go left when value <= threshold; if rounding collapses a midpoint onto
 the right value it falls back to the left value, keeping partitions
 float-exact.
+
+Trees grow level by level, as in SLIQ (Mehta, Agrawal & Rissanen, 1996) and
+SPRINT (Shafer, Agrawal & Mehta, 1996) but exact, with no binning: `grow`
+splits every open node of one depth, across all the trees it is given, with
+array code. A node is open when it is impure and holds at least 2 * min_leaf
+rows. Each column's values are ranked once; at each depth the rows of every
+(open node, candidate column) pair are sorted by rank with one stable
+argsort, and class counts come from one cumulative sum. Candidate columns
+come from a column rule: `tree` offers every column, `forest` draws a
+subset. Columns constant over a node's rows are dropped before scoring. The
+result is the tree a depth-first build makes, bit for bit, numbered in
+depth-first preorder (left subtree first).
 """
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
-_FEATURE_CHUNK = 512  # bound the (rows x features x classes) scratch tensor
+# Upper bound on the elements of a block's (rows x columns x classes)
+# scratch tensor; a level is cut into blocks of (node, column) pairs under
+# it, and a block holds at least one pair.
+_BLOCK = 1 << 14
 
 
 def _xlog2x(a: np.ndarray) -> np.ndarray:
@@ -23,122 +40,226 @@ def _xlog2x(a: np.ndarray) -> np.ndarray:
     return a * out
 
 
-def best_split(
-    X: np.ndarray,
-    onehot: np.ndarray,
-    rows: np.ndarray,
-    min_leaf: int,
-    columns: np.ndarray,
-) -> tuple[int, float] | None:
-    """Best (feature, threshold) over `columns` for the node's `rows`, or
-    None when no split leaves min_leaf rows on both sides."""
-    n = rows.size
-    if n < 2 * min_leaf:
-        return None
-    hot = onehot[rows]
-    sizes = np.arange(1, n, dtype=float)
-    parent_counts = hot.sum(axis=0)
-    parent_entropy = np.log2(float(n)) - _xlog2x(parent_counts).sum() / n
+def _runs(weights: np.ndarray):
+    """(start, stop) runs of consecutive items whose weights sum to at most
+    _BLOCK, or a single item that alone exceeds it."""
+    ends = np.cumsum(weights)
+    start = 0
+    while start < weights.size:
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + _BLOCK, side="right")), start + 1)
+        yield start, stop
+        start = stop
 
-    best: tuple[float, int, float] | None = None  # (ratio, feature, threshold)
-    for start in range(0, columns.size, _FEATURE_CHUNK):
-        cols = columns[start : start + _FEATURE_CHUNK]
-        values = X[np.ix_(rows, cols)]
-        order = np.argsort(values, axis=0, kind="stable")
-        sorted_values = np.take_along_axis(values, order, axis=0)
-        # cumulative class counts along each feature's sort order
-        cum = np.cumsum(hot[order], axis=0)  # (n, m, k)
 
-        left_counts = cum[:-1]  # cut p: left = first p+1... use sizes below
-        right_counts = parent_counts[None, None, :] - left_counts
-        left_sizes = sizes[:, None]
-        right_sizes = n - left_sizes
-        h_left = np.log2(left_sizes) - _xlog2x(left_counts).sum(axis=2) / left_sizes
-        h_right = np.log2(right_sizes) - _xlog2x(right_counts).sum(axis=2) / right_sizes
-        gain = parent_entropy - (left_sizes * h_left + right_sizes * h_right) / n
-        np.maximum(gain, 0.0, out=gain)
-        q = left_sizes / n
-        split_info = -(_xlog2x(q) + _xlog2x(1.0 - q))
-        ratio = gain / split_info
+def _gather(rank, rows, node_start, size, pair_node, pair_col):
+    """Each pair's node rows, flattened pair after pair in node order, with
+    sort keys that order them by pair, then by value in the pair's column;
+    plus each pair's first and past-the-end element."""
+    seg = size[pair_node]
+    ends = np.cumsum(seg)
+    starts = ends - seg
+    elem_row = rows[np.arange(ends[-1]) + np.repeat(node_start[pair_node] - starts, seg)]
+    n_rows = rank.shape[1]
+    key = rank.reshape(-1)[np.repeat(pair_col * n_rows, seg) + elem_row]
+    key += np.repeat(np.arange(seg.size) * n_rows, seg)
+    return elem_row, key, starts, ends
 
-        valid = (sorted_values[1:] > sorted_values[:-1]) & (
-            (left_sizes >= min_leaf) & (right_sizes >= min_leaf)
+
+def _varying(rank, rows, node_start, size, pair_node, pair_col) -> np.ndarray:
+    """Mask of pairs whose column is not constant over the node's rows;
+    a constant column has no valid split."""
+    _, key, starts, _ = _gather(rank, rows, node_start, size, pair_node, pair_col)
+    return np.minimum.reduceat(key, starts) < np.maximum.reduceat(key, starts)
+
+
+def _score_block(rank, onehot, xlog2x, rows, node_start, size, counts, pair_node, pair_col,
+                 min_leaf):
+    """Gain ratio of every valid cut of a block of (node, column) pairs.
+
+    A cut after a pair's p-th smallest value is valid when the values at p
+    and p + 1 differ and both sides keep at least min_leaf rows. Returns, in
+    (pair, position) order, each valid cut's ratio, its pair (index into the
+    block) and the rows holding the values either side of it.
+    """
+    elem_row, key, starts, ends = _gather(rank, rows, node_start, size, pair_node, pair_col)
+    order = np.argsort(key, kind="stable")
+    elem_row, key = elem_row[order], key[order]
+    n_int = size[pair_node]
+    left_int = np.arange(1, key.size + 1) - np.repeat(starts, n_int)
+    right_int = np.repeat(ends, n_int) - np.arange(1, key.size + 1)
+    e = np.flatnonzero(
+        (key[1:] > key[:-1]) & (left_int[:-1] >= min_leaf) & (right_int[:-1] >= min_leaf)
+    )
+    cut_pair = key[e] // rank.shape[1]
+    cum = np.zeros((key.size + 1, onehot.shape[1]), dtype=np.intp)
+    np.cumsum(onehot[elem_row], axis=0, out=cum[1:])
+    left_counts = cum[e + 1] - cum[starts[cut_pair]]
+    right_counts = counts[pair_node[cut_pair]] - left_counts
+
+    # the gain ratio, element by element, with the float operations (and
+    # their order) of the depth-first reference in the tests: splits must
+    # match it bit for bit
+    n = n_int[cut_pair].astype(float)
+    parent_entropy = np.log2(n_int.astype(float)) - xlog2x[counts[pair_node]].sum(axis=1) / n_int
+    left_sizes = left_int[e].astype(float)
+    right_sizes = n - left_sizes
+    h_left = np.log2(left_sizes) - xlog2x[left_counts].sum(axis=1) / left_sizes
+    h_right = np.log2(right_sizes) - xlog2x[right_counts].sum(axis=1) / right_sizes
+    gain = parent_entropy[cut_pair] - (left_sizes * h_left + right_sizes * h_right) / n
+    np.maximum(gain, 0.0, out=gain)
+    q = left_sizes / n
+    split_info = -(_xlog2x(q) + _xlog2x(1.0 - q))
+    return gain / split_info, cut_pair, elem_row[e], elem_row[e + 1]
+
+
+def _dense_rank(X: np.ndarray) -> np.ndarray:
+    """(columns, rows) array: each value's rank among its column's distinct
+    values."""
+    order = np.argsort(X.T, axis=1)
+    ordered = np.take_along_axis(X.T, order, axis=1)
+    step = np.zeros(order.shape, dtype=np.intp)
+    np.cumsum(ordered[:, 1:] > ordered[:, :-1], axis=1, out=step[:, 1:])
+    rank = np.empty_like(step)
+    np.put_along_axis(rank, order, step, axis=1)
+    return rank
+
+
+def _best_splits(X, rank, onehot, xlog2x, rows, node_start, size, counts, open_nodes, columns,
+                 min_leaf):
+    """(nodes, features, thresholds) of the open nodes that have a valid
+    split; `columns` holds each open node's sorted candidate columns."""
+    pair_node = np.repeat(open_nodes, columns.shape[1])
+    pair_col = columns.ravel()
+    keep = np.concatenate([
+        _varying(rank, rows, node_start, size, pair_node[a:b], pair_col[a:b])
+        for a, b in _runs(size[pair_node])
+    ])
+    pair_node, pair_col = pair_node[keep], pair_col[keep]
+    none = np.zeros(0, dtype=np.intp)
+    parts = [(np.zeros(0), none, none, none)]
+    for a, b in _runs(size[pair_node] * onehot.shape[1]):
+        ratio, cut_pair, left_row, right_row = _score_block(
+            rank, onehot, xlog2x, rows, node_start, size, counts,
+            pair_node[a:b], pair_col[a:b], min_leaf,
         )
-        ratio[~valid] = -np.inf
-        if not np.any(valid):
-            continue
-        # transpose so the flat argmax breaks ties by feature then threshold
-        flat = np.argmax(ratio.T)
-        ci, pi = divmod(flat, n - 1)
-        left_value = float(sorted_values[pi, ci])
-        right_value = float(sorted_values[pi + 1, ci])
-        midpoint = (left_value + right_value) / 2.0
-        if not left_value <= midpoint < right_value:
-            midpoint = left_value
-        cand = (float(ratio[pi, ci]), int(cols[ci]), midpoint)
-        if best is None or (cand[0], -cand[1], -cand[2]) > (best[0], -best[1], -best[2]):
-            best = cand
-    if best is None:
-        return None
-    return best[1], best[2]
+        parts.append((ratio, cut_pair + a, left_row, right_row))
+    ratio, cut_pair, left_row, right_row = (np.concatenate(x) for x in zip(*parts))
+    if not ratio.size:
+        return none, none, np.zeros(0)
+    # cuts run node by node, then by column, then by value, so each node's
+    # first cut at its maximum ratio has the lowest feature and threshold
+    cut_node = pair_node[cut_pair]
+    node_starts = np.flatnonzero(np.r_[True, cut_node[1:] != cut_node[:-1]])
+    best = np.maximum.reduceat(ratio, node_starts)
+    lengths = np.diff(np.r_[node_starts, ratio.size])
+    hits = np.where(ratio == np.repeat(best, lengths), np.arange(ratio.size), ratio.size)
+    win = np.minimum.reduceat(hits, node_starts)
+    feature = pair_col[cut_pair[win]]
+    left_value, right_value = X[left_row[win], feature], X[right_row[win], feature]
+    midpoint = (left_value + right_value) / 2.0
+    collapsed = ~((left_value <= midpoint) & (midpoint < right_value))
+    midpoint[collapsed] = left_value[collapsed]
+    return cut_node[win], feature, midpoint
 
 
-class _Builder:
-    def __init__(self, X, y_idx, n_classes, min_leaf, column_picker=None):
-        self.X = X
-        self.onehot = np.zeros((X.shape[0], n_classes))
-        self.onehot[np.arange(X.shape[0]), y_idx] = 1.0
-        self.min_leaf = min_leaf
-        self.column_picker = column_picker
-        self.all_columns = np.arange(X.shape[1])
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.dist: list[np.ndarray] = []
+def grow(
+    X: np.ndarray,
+    y_idx: np.ndarray,
+    n_classes: int,
+    min_leaf: int,
+    roots: Sequence[np.ndarray],
+    columns: Callable[[np.ndarray], np.ndarray],
+) -> list[dict]:
+    """Grow one tree per root row set (indices into X; repeats allowed) and
+    return their parameter dicts.
 
-    def build(self, rows: np.ndarray) -> int:
-        counts = self.onehot[rows].sum(axis=0)
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.dist.append(counts / rows.size)
-        if counts.max() == rows.size:  # pure
-            return node
-        columns = self.all_columns if self.column_picker is None else self.column_picker()
-        found = best_split(self.X, self.onehot, rows, self.min_leaf, columns)
-        if found is None:
-            return node
-        j, thr = found
-        mask = self.X[rows, j] <= thr
-        self.feature[node] = j
-        self.threshold[node] = thr
-        self.left[node] = self.build(rows[mask])
-        self.right[node] = self.build(rows[~mask])
-        return node
+    `columns(node_tree)` is called once per depth with the tree index of
+    each open node, in breadth-first order (trees in order), and returns a
+    (len(node_tree), m) array of each node's candidate columns, sorted.
+    """
+    onehot = np.zeros((X.shape[0], n_classes), dtype=np.intp)
+    onehot[np.arange(X.shape[0]), y_idx] = 1
+    rank = _dense_rank(X)
+    rows = np.concatenate(roots)
+    # x log2 x of every class count a node can hold
+    xlog2x = _xlog2x(np.arange(max(root.size for root in roots) + 1, dtype=float))
+    size = np.array([root.size for root in roots], dtype=np.intp)
+    node_tree = np.arange(len(roots))
+    levels = []  # per depth: tree, feature, threshold, dist, split nodes
+    while size.size:
+        n_nodes = size.size
+        node_start = np.cumsum(size) - size
+        elem_node = np.repeat(np.arange(n_nodes), size)
+        counts = np.bincount(
+            elem_node * n_classes + y_idx[rows], minlength=n_nodes * n_classes
+        ).reshape(n_nodes, n_classes)
+        open_nodes = np.flatnonzero((counts.max(axis=1) < size) & (size >= 2 * min_leaf))
+        split, feature_at, threshold_at = open_nodes[:0], open_nodes[:0], np.zeros(0)
+        if open_nodes.size:
+            split, feature_at, threshold_at = _best_splits(
+                X, rank, onehot, xlog2x, rows, node_start, size, counts, open_nodes,
+                columns(node_tree[open_nodes]), min_leaf,
+            )
+        feature = np.full(n_nodes, -1, dtype=np.intp)
+        threshold = np.zeros(n_nodes)
+        feature[split] = feature_at
+        threshold[split] = threshold_at
+        levels.append((node_tree, feature, threshold, counts / size[:, None], split))
 
-    def params(self) -> dict:
-        return {
-            "feature": np.array(self.feature, dtype=np.intp),
-            "threshold": np.array(self.threshold),
-            "left": np.array(self.left, dtype=np.intp),
-            "right": np.array(self.right, dtype=np.intp),
-            "dist": np.vstack(self.dist),
-        }
+        # stable partition: each split node's rows go to its left child
+        # (value <= threshold), then its right child, in node order
+        child_of = np.full(n_nodes, -1)
+        child_of[split] = np.arange(0, 2 * split.size, 2)
+        member = child_of[elem_node] >= 0
+        split_rows, split_node = rows[member], elem_node[member]
+        go_right = ~(X[split_rows, feature[split_node]] <= threshold[split_node])
+        child = child_of[split_node] + go_right
+        rows = split_rows[np.argsort(child, kind="stable")]
+        size = np.bincount(child, minlength=2 * split.size)
+        node_tree = np.repeat(node_tree[split], 2)
+    return _preorder(levels, len(roots), X.shape[1])
 
 
-def build_tree(X, y_idx, n_classes, min_leaf, column_picker=None) -> dict:
-    builder = _Builder(X, y_idx, n_classes, min_leaf, column_picker)
-    builder.build(np.arange(X.shape[0]))
-    params = builder.params()
-    params["n_features"] = X.shape[1]
-    return params
+def _preorder(levels, n_trees: int, n_features: int) -> list[dict]:
+    """Per-tree parameter dicts from breadth-first levels, renumbered to
+    depth-first preorder."""
+    offsets = np.cumsum([0] + [level[0].size for level in levels])
+    tree_of, feature, threshold, dist, _ = (np.concatenate(x) for x in zip(*levels))
+    left = np.full(tree_of.size, -1, dtype=np.intp)
+    links = []  # per depth: split nodes and their left children (global ids)
+    for depth, level in enumerate(levels):
+        split = offsets[depth] + level[4]
+        left[split] = offsets[depth + 1] + 2 * np.arange(split.size)
+        links.append((split, left[split]))
+    subtree = np.ones(tree_of.size, dtype=np.intp)
+    for split, child in reversed(links):
+        subtree[split] += subtree[child] + subtree[child + 1]
+    pre = np.zeros(tree_of.size, dtype=np.intp)
+    for split, child in links:
+        pre[child] = pre[split] + 1
+        pre[child + 1] = pre[split] + 1 + subtree[child]
+
+    order = np.lexsort((pre, tree_of))
+    has_children = left >= 0
+    left_pre = np.where(has_children, pre[left], -1)
+    right_pre = np.where(has_children, pre[left + 1], -1)
+    cuts = np.cumsum(np.bincount(tree_of, minlength=n_trees))[:-1]
+    parts = [np.split(a[order], cuts) for a in (feature, threshold, left_pre, right_pre, dist)]
+    return [
+        {"feature": f, "threshold": t, "left": lo, "right": hi, "dist": d,
+         "n_features": n_features}
+        for f, t, lo, hi, d in zip(*parts)
+    ]
 
 
 def fit(rows: np.ndarray, y_idx: np.ndarray, n_classes: int, config) -> dict:
-    return build_tree(rows, y_idx, n_classes, config.tree_min_leaf)
+    n, n_features = rows.shape
+    every = np.arange(n_features)
+    return grow(
+        rows, y_idx, n_classes, config.tree_min_leaf, [np.arange(n)],
+        lambda node_tree: np.broadcast_to(every, (node_tree.size, n_features)),
+    )[0]
 
 
 def leaf_distributions(params: dict, rows: np.ndarray) -> np.ndarray:

@@ -297,6 +297,19 @@ def test_grid_rejects_bad_inputs():
         grid_run(tasks, [("content",)], ("boosting",), k=2, seed=0)
 
 
+def test_grid_rejects_empty_algorithm_list():
+    # an empty grid once rendered a table with no scores, and its CSV raised
+    tasks = vocab_corpus(n_per=4)
+    with pytest.raises(ValueError, match="empty algorithm list"):
+        grid_run(tasks, [["structural"]], (), k=2)
+
+
+def test_grid_rejects_empty_combination_list():
+    tasks = vocab_corpus(n_per=4)
+    with pytest.raises(ValueError, match="empty feature-set combination list"):
+        grid_run(tasks, [], ("tree",), k=2)
+
+
 # ---------------------------------------------------------------- rendering
 
 

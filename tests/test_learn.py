@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tasksim.features import FeatureMatrix
+from tasksim.cli import generate_synthetic_corpus
+from tasksim.corpus import load_corpus
+from tasksim.evaluation import stratified_folds
+from tasksim.features import FeatureMatrix, combine_features, fit_extractor
 from tasksim.learn import (
     ALGORITHMS,
     LearnerConfig,
@@ -16,7 +19,7 @@ from tasksim.learn import (
     predict_batch,
     train,
 )
-from tasksim.learn import svm
+from tasksim.learn import svm, tree
 
 
 def blobs(seed=0, n_per=20, centers=((0.0, 0.0), (8.0, 8.0), (-8.0, 8.0))):
@@ -31,6 +34,158 @@ def blobs(seed=0, n_per=20, centers=((0.0, 0.0), (8.0, 8.0), (-8.0, 8.0))):
 def training_accuracy(model, X, y):
     labels, _ = predict_batch(model, X)
     return sum(a == b for a, b in zip(labels, y)) / len(y)
+
+
+# The depth-first builder that the level-wise grower replaced, kept as the
+# reference `tree` must reproduce bit for bit: one node at a time, every
+# column, candidate splits scored in chunks of columns.
+
+_ORACLE_CHUNK = 512
+
+
+def _oracle_xlog2x(a):
+    out = np.zeros_like(a, dtype=float)
+    np.log2(a, out=out, where=a > 0)
+    return a * out
+
+
+def oracle_best_split(X, onehot, rows, min_leaf, columns):
+    n = rows.size
+    if n < 2 * min_leaf:
+        return None
+    hot = onehot[rows]
+    sizes = np.arange(1, n, dtype=float)
+    parent_counts = hot.sum(axis=0)
+    parent_entropy = np.log2(float(n)) - _oracle_xlog2x(parent_counts).sum() / n
+
+    best = None  # (ratio, feature, threshold)
+    for start in range(0, columns.size, _ORACLE_CHUNK):
+        cols = columns[start : start + _ORACLE_CHUNK]
+        values = X[np.ix_(rows, cols)]
+        order = np.argsort(values, axis=0, kind="stable")
+        sorted_values = np.take_along_axis(values, order, axis=0)
+        cum = np.cumsum(hot[order], axis=0)  # (n, m, k)
+
+        left_counts = cum[:-1]
+        right_counts = parent_counts[None, None, :] - left_counts
+        left_sizes = sizes[:, None]
+        right_sizes = n - left_sizes
+        h_left = np.log2(left_sizes) - _oracle_xlog2x(left_counts).sum(axis=2) / left_sizes
+        h_right = np.log2(right_sizes) - _oracle_xlog2x(right_counts).sum(axis=2) / right_sizes
+        gain = parent_entropy - (left_sizes * h_left + right_sizes * h_right) / n
+        np.maximum(gain, 0.0, out=gain)
+        q = left_sizes / n
+        split_info = -(_oracle_xlog2x(q) + _oracle_xlog2x(1.0 - q))
+        ratio = gain / split_info
+
+        valid = (sorted_values[1:] > sorted_values[:-1]) & (
+            (left_sizes >= min_leaf) & (right_sizes >= min_leaf)
+        )
+        ratio[~valid] = -np.inf
+        if not np.any(valid):
+            continue
+        flat = np.argmax(ratio.T)
+        ci, pi = divmod(flat, n - 1)
+        left_value = float(sorted_values[pi, ci])
+        right_value = float(sorted_values[pi + 1, ci])
+        midpoint = (left_value + right_value) / 2.0
+        if not left_value <= midpoint < right_value:
+            midpoint = left_value
+        cand = (float(ratio[pi, ci]), int(cols[ci]), midpoint)
+        if best is None or (cand[0], -cand[1], -cand[2]) > (best[0], -best[1], -best[2]):
+            best = cand
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+class _OracleBuilder:
+    def __init__(self, X, y_idx, n_classes, min_leaf):
+        self.X = X
+        self.onehot = np.zeros((X.shape[0], n_classes))
+        self.onehot[np.arange(X.shape[0]), y_idx] = 1.0
+        self.min_leaf = min_leaf
+        self.all_columns = np.arange(X.shape[1])
+        self.feature, self.threshold, self.left, self.right, self.dist = [], [], [], [], []
+
+    def build(self, rows):
+        counts = self.onehot[rows].sum(axis=0)
+        node = len(self.feature)
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.dist.append(counts / rows.size)
+        if counts.max() == rows.size:  # pure
+            return node
+        found = oracle_best_split(self.X, self.onehot, rows, self.min_leaf, self.all_columns)
+        if found is None:
+            return node
+        j, thr = found
+        mask = self.X[rows, j] <= thr
+        self.feature[node] = j
+        self.threshold[node] = thr
+        self.left[node] = self.build(rows[mask])
+        self.right[node] = self.build(rows[~mask])
+        return node
+
+
+def oracle_tree(X, y_idx, n_classes, min_leaf):
+    builder = _OracleBuilder(X, y_idx, n_classes, min_leaf)
+    builder.build(np.arange(X.shape[0]))
+    return {
+        "feature": np.array(builder.feature, dtype=np.intp),
+        "threshold": np.array(builder.threshold),
+        "left": np.array(builder.left, dtype=np.intp),
+        "right": np.array(builder.right, dtype=np.intp),
+        "dist": np.vstack(builder.dist),
+        "n_features": X.shape[1],
+    }
+
+
+def assert_same_tree(params, expected):
+    assert params.keys() == expected.keys()
+    for key in ("feature", "threshold", "left", "right", "dist"):
+        assert params[key].dtype == expected[key].dtype, key
+        assert np.array_equal(params[key], expected[key]), key
+    assert params["n_features"] == expected["n_features"]
+
+
+def leaf_counts(params, X):
+    """Training rows reaching each node, replayed one row at a time."""
+    reached = np.zeros(len(params["feature"]), dtype=int)
+    for row in X:
+        node = 0
+        while params["feature"][node] >= 0:
+            go_left = row[params["feature"][node]] <= params["threshold"][node]
+            node = params["left"][node] if go_left else params["right"][node]
+        reached[node] += 1
+    return reached
+
+
+FEATURE_SET_CASES = [
+    ("factual",), ("content",), ("structural",), ("semantic",),
+    ("factual", "content", "structural", "semantic"),
+]
+
+
+@pytest.fixture(scope="module")
+def seeded_folds(tmp_path_factory):
+    """Training rows of fold 0 of a seeded 100-task corpus, per feature set."""
+    path = tmp_path_factory.mktemp("learn") / "synthetic100.jsonl"
+    generate_synthetic_corpus(path, 7, categories=5, per_category=20)
+    tasks = list(load_corpus(path))
+    labels = [task.category for task in tasks]
+    classes = sorted(set(labels))
+    held_out = set(stratified_folds(labels, 5, 7)[0])
+    train_tasks = [t for i, t in enumerate(tasks) if i not in held_out]
+    y_idx = np.array([classes.index(t.category) for t in train_tasks])
+    folds = {}
+    for sets in FEATURE_SET_CASES:
+        extractors = [fit_extractor(name, train_tasks) for name in sets]
+        X = combine_features([ext.matrix(train_tasks) for ext in extractors]).rows
+        folds[sets] = (X, y_idx, len(classes))
+    return folds
 
 
 class TestNaiveBayes:
@@ -161,6 +316,22 @@ class TestTree:
         # count rows reaching each leaf by replaying the training data
         labels, _ = predict_batch(model, X)
         assert set(labels) == {"a", "b"}
+        reached = leaf_counts(model.parameters, X)
+        leaves = feature < 0
+        assert np.all(reached[leaves] >= 3)
+        assert reached.sum() == len(y)
+        assert np.array_equal(left[~leaves] >= 0, right[~leaves] >= 0)
+        np.testing.assert_allclose(dist.sum(axis=1), 1.0)
+
+    def test_min_leaf_respected_on_tied_data(self):
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 3, size=(60, 3)).astype(float)
+        y = [f"c{v}" for v in rng.integers(0, 3, size=60)]
+        for min_leaf in (2, 3, 5):
+            params = train("tree", X, y, LearnerConfig(tree_min_leaf=min_leaf)).parameters
+            reached = leaf_counts(params, X)
+            assert np.all(reached[params["feature"] < 0] >= min_leaf)
+            assert np.all(reached[params["feature"] >= 0] == 0)
 
     def test_leaf_distribution_scores(self):
         X = np.array([[0.0], [0.0], [0.0], [5.0]])
@@ -186,6 +357,39 @@ class TestTree:
         a = train("tree", X, y)
         b = train("tree", X, y)
         np.testing.assert_array_equal(a.parameters["threshold"], b.parameters["threshold"])
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(2, 40),
+        n_cols=st.integers(1, 6),
+        n_classes=st.integers(2, 4),
+        min_leaf=st.integers(1, 3),
+        levels=st.integers(1, 5),
+        duplicated=st.booleans(),
+        adjacent=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_depth_first_oracle(
+        self, seed, n_rows, n_cols, n_classes, min_leaf, levels, duplicated, adjacent
+    ):
+        # few distinct integer values: many tied values and tied gain ratios
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, levels, size=(n_rows, n_cols)).astype(float)
+        if duplicated:
+            X[n_rows // 2 :] = X[: n_rows - n_rows // 2]
+        if adjacent:
+            # consecutive floats, whose midpoints can round onto the right value
+            X = 1.0 + X * np.finfo(float).eps
+        y_idx = rng.integers(0, n_classes, size=n_rows)
+        params = tree.fit(X, y_idx, n_classes, LearnerConfig(tree_min_leaf=min_leaf))
+        assert_same_tree(params, oracle_tree(X, y_idx, n_classes, min_leaf))
+
+    @pytest.mark.parametrize("sets", FEATURE_SET_CASES, ids="+".join)
+    @pytest.mark.parametrize("min_leaf", [1, 2])
+    def test_feature_set_fold_matches_oracle(self, seeded_folds, sets, min_leaf):
+        X, y_idx, n_classes = seeded_folds[sets]
+        params = tree.fit(X, y_idx, n_classes, LearnerConfig(tree_min_leaf=min_leaf))
+        assert_same_tree(params, oracle_tree(X, y_idx, n_classes, min_leaf))
 
 
 class TestForest:
@@ -231,6 +435,40 @@ class TestForest:
             "forest", X, y, LearnerConfig(forest_trees=5, forest_feature_fraction=1.0), seed=0
         )
         assert len(model.parameters["trees"]) == 5
+
+    def test_full_fraction_trees_are_bootstrap_trees(self):
+        # with every column a candidate, tree t is the tree grown on its
+        # bootstrap rows, which is also what the depth-first build made
+        rng = np.random.default_rng(21)
+        X = rng.integers(0, 4, size=(30, 4)).astype(float)
+        y_idx = rng.integers(0, 3, size=30)
+        y = [f"c{i}" for i in y_idx]
+        config = LearnerConfig(forest_trees=12, forest_feature_fraction=1.0)
+        model = train("forest", X, y, config, seed=40)
+        assert len(model.parameters["trees"]) == 12
+        for t, params in enumerate(model.parameters["trees"]):
+            sample = np.random.default_rng(40 + t).integers(0, 30, size=30)
+            expected = tree.fit(X[sample], y_idx[sample], 3, config)
+            assert_same_tree(params, expected)
+            assert_same_tree(params, oracle_tree(X[sample], y_idx[sample], 3, 2))
+
+    def test_forest_grows_in_blocks_not_nodes(self, monkeypatch):
+        # per-node work would call the block kernel about once per split node
+        calls = []
+        kernel = tree._score_block
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(tree, "_score_block", counted)
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 6, size=(40, 9)).astype(float)
+        y = [f"c{i}" for i in rng.integers(0, 5, size=40)]
+        model = train("forest", X, y, LearnerConfig(forest_trees=100), seed=0)
+        split_nodes = sum(int((t["feature"] >= 0).sum()) for t in model.parameters["trees"])
+        assert split_nodes > 500
+        assert 0 < len(calls) < split_nodes / 10
 
 
 class TestSvmSmo:
