@@ -94,15 +94,13 @@ def _swap_passes(d: np.ndarray, medoids: list, max_iter: int, trace):
         others = np.array(sorted(set(range(n)) - set(medoids)), dtype=int)
         if others.size == 0:
             break
+        # distances to the candidates, copied once per step; k >= 2, so a
+        # medoid always leaves at least one other behind
+        to_others = d[:, others]
         best = None
         for p, m in enumerate(medoids):
-            without = np.delete(medoid_cols, p, axis=1)
-            rest_min = (
-                without.min(axis=1)
-                if without.shape[1]
-                else np.full(n, np.inf)
-            )
-            swap_costs = np.minimum(rest_min[:, None], d[:, others]).sum(axis=0)
+            rest_min = np.delete(medoid_cols, p, axis=1).min(axis=1)
+            swap_costs = np.minimum(rest_min[:, None], to_others).sum(axis=0)
             c = int(np.argmin(swap_costs))
             candidate = (float(swap_costs[c]), m, int(others[c]), p)
             if best is None or candidate[:3] < best[:3]:

@@ -250,7 +250,8 @@ def grid_run(
     algorithms, each with the default hyperparameters. Cell seeds are
     seed + cell index (row-major over combinations, then algorithms), so
     any cell reproduces exactly as a standalone cross_validate call with
-    that derived seed. An empty combination or algorithm list is refused.
+    that derived seed. An empty combination or algorithm list, or one that
+    repeats an entry, is refused.
     """
     if feature_set_combinations is None:
         combos = all_feature_set_combinations()
@@ -263,6 +264,8 @@ def grid_run(
     algorithms = tuple(algorithms)
     if not algorithms:
         raise ValueError("empty algorithm list")
+    if len(set(algorithms)) != len(algorithms):
+        raise ValueError("duplicate algorithms in grid")
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm '{algorithm}'")

@@ -16,13 +16,13 @@ import math
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
+from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .corpus import MicroTask
-from .text import count_syllables, split_sentences, stem, stopwords, tokenize, word_tokens
+from .text import count_syllables, stem, stopwords, tokenize
 
 __all__ = [
     "FEATURE_SET_NAMES",
@@ -177,11 +177,11 @@ def structural_features(task: MicroTask) -> np.ndarray:
     return analyse(task).structural.copy()
 
 
-def _structural_row(task: MicroTask, stream, sentences: tuple[str, ...]) -> np.ndarray:
+def _structural_row(task: MicroTask, stream) -> np.ndarray:
     text = task.description_text
     words = stream.surfaces
     n_words = len(words)
-    n_sents = len(sentences)
+    n_sents = len(stream.sentences)
     complex_words = sum(1 for w in words if count_syllables(w) >= 3)
     struct = task.structure
 
@@ -230,30 +230,14 @@ def load_sentiment_lexicon(path) -> dict[str, int]:
 
 
 def default_sentiment_lexicon() -> dict[str, int]:
-    data = resources.files("tasksim.resources").joinpath("sentiment.tsv").read_text("utf-8")
-    lexicon: dict[str, int] = {}
-    for line in data.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        word, polarity = line.split("\t")
-        lexicon[word.lower()] = int(polarity)
-    return lexicon
+    return load_sentiment_lexicon(
+        Path(__file__).resolve().parent / "resources" / "sentiment.tsv"
+    )
 
 
 def semantic_feature_names(host_vocab: Mapping[str, int]) -> tuple[str, ...]:
     hosts = sorted(host_vocab, key=host_vocab.__getitem__)
     return (*(f"host={h}" for h in hosts), "host=<other>", "named_entity_count", "sentiment")
-
-
-def _named_entity_count(sentences: Iterable[str]) -> int:
-    stops = stopwords()
-    count = 0
-    for sentence in sentences:
-        for word in word_tokens(sentence)[1:]:
-            if word[0].isupper() and word.lower() not in stops:
-                count += 1
-    return count
 
 
 def semantic_features(
@@ -345,17 +329,19 @@ def content_vector(model: ContentModel, task: MicroTask) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class TaskAnalysis:
     """What the feature sets and the comprehensibility measure read from one
-    task's text. Built once per task by `analyse`; treat it as read-only
-    (`structural` is a read-only array, `terms` Counters are shared)."""
+    task's text. Built once per task by `analyse` from one `tokenize` of the
+    title and one of the description; treat it as read-only (`structural` is
+    a read-only array, `terms` Counters are shared)."""
 
     # title and description tokens, stopwords dropped, stemmed
     title_stems: tuple[str, ...]
     description_stems: tuple[str, ...]
-    # description word tokens as written and lowercased, and its sentences
-    words: tuple[str, ...]
+    # description word tokens, lowercased
     lower_words: tuple[str, ...]
-    sentences: tuple[str, ...]
+    # the nine structural features of the description
     structural: np.ndarray
+    # description word tokens that start with a capital, are no stopword
+    # and are not the first word token of their sentence
     named_entities: int
     _terms: dict = field(default_factory=dict, repr=False)
 
@@ -392,20 +378,24 @@ def analyse(task: MicroTask) -> TaskAnalysis:
 def _build_analysis(task: MicroTask) -> TaskAnalysis:
     stops = stopwords()
     stream = tokenize(task.description_text)
+    tokens = stream.tokens
     lower_words = stream.normalized
-    sentences = tuple(split_sentences(task.description_text))
-    structural = _structural_row(task, stream, sentences)
+    structural = _structural_row(task, stream)
     structural.setflags(write=False)
     return TaskAnalysis(
         title_stems=tuple(
             stem(t) for t in tokenize(task.title).normalized if t not in stops
         ),
         description_stems=tuple(stem(t) for t in lower_words if t not in stops),
-        words=stream.surfaces,
         lower_words=lower_words,
-        sentences=sentences,
         structural=structural,
-        named_entities=_named_entity_count(sentences),
+        named_entities=sum(
+            1
+            for prev, tok in zip(tokens, tokens[1:])
+            if tok.sentence_index == prev.sentence_index
+            and tok.surface[0].isupper()
+            and tok.normalized not in stops
+        ),
     )
 
 

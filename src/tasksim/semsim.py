@@ -23,7 +23,6 @@ made. Corpora of more than `MAX_MATRIX_TASKS` tasks are refused up front.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from collections import Counter
@@ -33,7 +32,7 @@ import numpy as np
 
 from .corpus import MicroTask
 from .features import STRUCTURAL_FEATURE_NAMES, analyse
-from .text import split_sentences
+from .text import sentence_items, split_sentences
 from .wordnet import NOUN, VERB, WordNetGraph, lemmatize, word_similarity
 
 SIMILARITY_MEASURES = ("required_action", "comprehensibility")
@@ -47,8 +46,6 @@ _DF_THRESHOLD = 5
 
 _TRIGGER_PRECEDERS = frozenset({"to", "and", "or", "then", ",", "please"})
 _PHRASE_SPAN_CAP = 6
-
-_STREAM_RE = re.compile(r"[A-Za-z0-9'-]+|,")
 
 # Share of a phrase similarity that comes from the verbs when both phrases
 # carry arguments.
@@ -71,17 +68,6 @@ class VerbPhrase:
     surface: str
 
 
-def _sentence_stream(sentence: str):
-    """Word tokens and commas with character spans, in order."""
-    items = []
-    for match in _STREAM_RE.finditer(sentence):
-        text = match.group(0)
-        if text != "," and not any(ch.isalnum() for ch in text):
-            continue
-        items.append((text, match.start(), match.end()))
-    return items
-
-
 def extract_verb_phrases(task: MicroTask, wn: WordNetGraph) -> list[VerbPhrase]:
     """Verb phrases from every sentence of title plus description.
 
@@ -95,7 +81,7 @@ def extract_verb_phrases(task: MicroTask, wn: WordNetGraph) -> list[VerbPhrase]:
         task.description_text
     )
     for sentence in sentences:
-        items = _sentence_stream(sentence)
+        items = sentence_items(sentence)
         triggers = []
         for i, (text, _, _) in enumerate(items):
             if text == ",":

@@ -2,6 +2,7 @@
 
 Everything in this module is a pure function over plain (markup-free) strings;
 the corpus module is responsible for producing such strings from raw HTML.
+This is the only module that defines what a word token and a sentence are.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ __all__ = [
     "TokenStream",
     "stopwords",
     "split_sentences",
+    "sentence_items",
     "tokenize",
     "word_tokens",
     "stem",
@@ -40,13 +42,15 @@ class Token:
 
 @dataclass(frozen=True)
 class TokenStream:
-    """Ordered tokens with per-token sentence indices.
+    """Ordered tokens of a text, and the sentences of that text.
 
-    Normalized forms are lowercase, and sentence indices are non-decreasing
-    in stream order.
+    Normalized forms are lowercase. Each token's sentence index points into
+    `sentences`; indices are non-decreasing in stream order, and a sentence
+    with no word token has no token pointing at it.
     """
 
     tokens: tuple[Token, ...]
+    sentences: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -120,10 +124,22 @@ def split_sentences(text: str) -> list[str]:
     return [s for s in (s.strip() for s in sentences) if s]
 
 
+def sentence_items(sentence: str) -> list[tuple[str, int, int]]:
+    """The word tokens and commas of `sentence` in order, each as
+    (text, start, end) with its character span. Word tokens are maximal runs
+    of letters, digits, apostrophes and hyphens that contain at least one
+    letter or digit; every other character is dropped."""
+    items = []
+    for match in _WORDISH_RE.finditer(sentence):
+        item = match.group()
+        if item == "," or _ALNUM_RE.search(item):
+            items.append((item, match.start(), match.end()))
+    return items
+
+
 def word_tokens(text: str) -> list[str]:
-    """Word tokens of `text`: maximal runs of letters, digits, apostrophes and
-    hyphens that contain at least one letter or digit."""
-    return [t for t in _WORDISH_RE.findall(text) if _ALNUM_RE.search(t)]
+    """The word tokens of `text`, as `sentence_items` finds them."""
+    return [item for item, _, _ in sentence_items(text) if item != ","]
 
 
 def tokenize(
@@ -132,25 +148,21 @@ def tokenize(
     drop_stopwords: bool = False,
     stem_tokens: bool = False,
 ) -> TokenStream:
-    """Tokenize markup-free text into a TokenStream of lowercased words.
-
-    Word tokens are maximal runs of letters/digits/apostrophes/hyphens with
-    at least one letter or digit; punctuation is dropped. Options are applied
-    in order: drop_stopwords, stem.
-    """
+    """Split markup-free text into sentences once and tokenize each into
+    lowercased words (the word tokens of `sentence_items`; punctuation is
+    dropped). Options are applied in order: drop_stopwords, stem."""
     stops = stopwords() if drop_stopwords else None
+    sentences = tuple(split_sentences(text))
     out: list[Token] = []
-    for s_idx, sentence in enumerate(split_sentences(text)):
-        for surface in _WORDISH_RE.findall(sentence):
-            if _ALNUM_RE.search(surface) is None:
-                continue
+    for s_idx, sentence in enumerate(sentences):
+        for surface in word_tokens(sentence):
             normalized = surface.lower()
             if stops is not None and normalized in stops:
                 continue
             if stem_tokens:
                 normalized = stem(normalized)
             out.append(Token(surface, normalized, s_idx))
-    return TokenStream(tuple(out))
+    return TokenStream(tuple(out), sentences)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import strategies as st
 
 from tasksim.corpus import DocStructure, MicroTask, strip_html
 
@@ -57,3 +58,21 @@ def jsonl_writer(tmp_path):
         return path
 
     return write
+
+
+# Texts built from what matters to word tokens and sentence boundaries:
+# commas, apostrophes, hyphens, digits, terminator runs, newlines,
+# non-ASCII letters, capitalized words and capitalized stopwords.
+TOKEN_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from([
+            "Click", "Paris", "The", "And", "the", "don't", "'tis", "e-mail",
+            "--", "'", "-", "3", "42nd", "café", "Ünited", "ß", "Ωmega",
+            "naïve", "J", "e.g", "x,y",
+        ]),
+        st.sampled_from([".", "..", "...", "?", "!", "?!", ",", ", ", ",,"]),
+        st.sampled_from([" ", "  ", "\n", "\n\n", "\t", "\u00a0"]),
+        st.text(alphabet="aZ3'-,.!? \néÜß", max_size=8),
+    ),
+    max_size=40,
+).map("".join)

@@ -316,6 +316,14 @@ def test_unknown_feature_set_exits_one(small_corpus, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: empty algorithm list: ','\n"
+    code = dispatch([
+        "grid", "--corpus", small_corpus, "--sets", "structural",
+        "--algo", "tree,tree",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: duplicate algorithms in grid\n"
 
 
 def test_version_flag(capsys):

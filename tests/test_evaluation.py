@@ -295,6 +295,9 @@ def test_grid_rejects_bad_inputs():
         grid_run(tasks, [("content",), ("content",)], ("tree",), k=2, seed=0)
     with pytest.raises(ValueError):
         grid_run(tasks, [("content",)], ("boosting",), k=2, seed=0)
+    # a repeated algorithm's second cell once overwrote its first
+    with pytest.raises(ValueError, match="duplicate algorithms"):
+        grid_run(tasks, [("content",)], ("tree", "tree"), k=2, seed=0)
 
 
 def test_grid_rejects_empty_algorithm_list():

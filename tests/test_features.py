@@ -1,7 +1,12 @@
 """Tests for the four feature sets and their combination."""
 
+import dataclasses
 import gc
 import math
+import re
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,13 +31,31 @@ from tasksim.features import (
     gunning_fog,
     lexical_diversity,
     analyse,
+    default_sentiment_lexicon,
     load_sentiment_lexicon,
     semantic_features,
     structural_features,
 )
-from tasksim.text import tokenize
+from tasksim import text as text_module
+from tasksim.text import split_sentences, stopwords, tokenize
 
-from conftest import make_task
+from conftest import TOKEN_TEXT, make_task
+
+
+def _oracle_named_entity_count(description: str) -> int:
+    """The count as it was made before the analysis read it off its token
+    stream: split the description again, re-tokenize every sentence and
+    skip each sentence's first word token."""
+    count = 0
+    for sentence in split_sentences(description):
+        words = [
+            w for w in re.findall(r"[A-Za-z0-9'-]+", sentence)
+            if re.search(r"[A-Za-z0-9]", w)
+        ]
+        for word in words[1:]:
+            if word[0].isupper() and word.lower() not in stopwords():
+                count += 1
+    return count
 
 
 def names_of(vocab):
@@ -197,6 +220,12 @@ class TestSemantic:
         vec = semantic_features(task, {}, {"a.com": 0})
         assert list(vec[:2]) == [0.0, 1.0]
 
+    @given(TOKEN_TEXT)
+    @settings(max_examples=300)
+    def test_named_entities_match_per_sentence_count(self, description):
+        task = dataclasses.replace(make_task(), description_text=description)
+        assert analyse(task).named_entities == _oracle_named_entity_count(description)
+
     def test_fit_host_vocab(self):
         tasks = [make_task(html='<a href="http://z.com">l</a>'), make_task(id="t2")]
         assert names_of(fit_host_vocab(tasks)) == ["z.com"]
@@ -221,6 +250,12 @@ class TestSemantic:
         bad.write_text("good\t2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
             load_sentiment_lexicon(bad)
+
+    def test_default_lexicon_is_the_bundled_file(self):
+        bundled = Path(features.__file__).resolve().parent / "resources" / "sentiment.tsv"
+        lexicon = default_sentiment_lexicon()
+        assert lexicon
+        assert lexicon == load_sentiment_lexicon(bundled)
 
 
 class TestContentModel:
@@ -439,6 +474,27 @@ class TestTaskAnalysis:
             before = ext.matrix(tasks).rows.copy()
             ext.matrix(tasks).rows[:] = -1.0
             assert np.array_equal(ext.matrix(tasks).rows, before)
+
+    def test_fresh_analysis_splits_each_field_once(self, monkeypatch):
+        original = text_module.split_sentences
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            return original(s)
+
+        holders = [
+            module for name, module in list(sys.modules.items())
+            if name.startswith("tasksim")
+            and getattr(module, "split_sentences", None) is original
+        ]
+        assert text_module in holders
+        for module in holders:
+            monkeypatch.setattr(module, "split_sentences", counting)
+        monkeypatch.setattr(features, "_ANALYSES", weakref.WeakKeyDictionary())
+        task = make_task(title="Rate it. Then go", html="<p>One here. Two there!</p>")
+        analyse(task)
+        assert sorted(calls) == sorted([task.title, task.description_text])
 
     def test_entries_die_with_their_tasks(self, tasks):
         features._ANALYSES.clear()

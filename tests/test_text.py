@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from tasksim.text import (
     TokenStream,
     count_syllables,
+    sentence_items,
     split_sentences,
     stem,
     stopwords,
     tokenize,
     word_tokens,
 )
+
+from conftest import TOKEN_TEXT
 
 
 def _oracle_is_abbreviation(prefix: str) -> bool:
@@ -57,6 +60,19 @@ def _oracle_split_sentences(text: str) -> list[str]:
         i += 1
     sentences.append(text[start:])
     return [s for s in (s.strip() for s in sentences) if s]
+
+
+def _oracle_sentence_stream(sentence: str):
+    """The verb-phrase scanner semsim once had of its own, kept as the
+    reference for sentence_items: word tokens and commas with character
+    spans, in order."""
+    items = []
+    for match in re.finditer(r"[A-Za-z0-9'-]+|,", sentence):
+        text = match.group(0)
+        if text != "," and not any(ch.isalnum() for ch in text):
+            continue
+        items.append((text, match.start(), match.end()))
+    return items
 
 
 # Texts built from the pieces that matter to sentence boundaries: initials,
@@ -153,6 +169,26 @@ class TestTokenize:
     def test_sentence_indices(self):
         stream = tokenize("One two. Three.")
         assert [t.sentence_index for t in stream] == [0, 0, 1]
+
+    def test_sentence_items_hand_example(self):
+        assert sentence_items("Go, e-mail it!") == [
+            ("Go", 0, 2), (",", 2, 3), ("e-mail", 4, 10), ("it", 11, 13),
+        ]
+
+    @given(TOKEN_TEXT)
+    @settings(max_examples=300)
+    def test_sentence_items_match_old_stream(self, text):
+        assert sentence_items(text) == _oracle_sentence_stream(text)
+        for sentence in split_sentences(text):
+            assert sentence_items(sentence) == _oracle_sentence_stream(sentence)
+
+    @given(TOKEN_TEXT)
+    @settings(max_examples=200)
+    def test_stream_keeps_its_sentences(self, text):
+        stream = tokenize(text)
+        assert stream.sentences == tuple(split_sentences(text))
+        for tok in stream:
+            assert tok.surface in word_tokens(stream.sentences[tok.sentence_index])
 
     def test_word_tokens_helper(self):
         assert word_tokens("a b-c, d!") == ["a", "b-c", "d"]
