@@ -25,6 +25,7 @@ from .evaluation import EvaluationError, cross_validate, grid_run
 from .features import load_sentiment_lexicon
 from .learn import ALGORITHMS
 from .reports import (
+    csv_text,
     render_distribution_csv,
     render_distribution_text,
     render_grid_csv,
@@ -34,7 +35,7 @@ from .reports import (
     render_report_csv,
     render_report_text,
 )
-from .cluster import k_medoids, purity
+from .cluster import check_k, k_medoids, purity
 from .semsim import SIMILARITY_MEASURES, load_wordlist, similarity_matrix
 from .synth import synthetic_corpus_text
 from .wordnet import WordNetError, load_wordnet
@@ -57,16 +58,14 @@ def generate_synthetic_corpus(
 # Input checks and output plumbing
 # ---------------------------------------------------------------------------
 
-def _check_resources(args, needs_wordnet: bool) -> None:
-    """Fail before any work if a given input path is missing, or if the
-    run needs WordNet and --wordnet was not given."""
-    for flag, dest in (
-        ("--corpus", "corpus"),
-        ("--wordlist", "wordlist"),
-        ("--sentiment-lexicon", "sentiment_lexicon"),
-    ):
+def _load(args, needs_wordnet: bool):
+    """Check the inputs, then load the corpus. Fails before any work if a
+    given input path is missing, if the run needs WordNet and --wordnet was
+    not given, or if --k does not fit the corpus."""
+    for dest in ("corpus", "wordlist", "sentiment_lexicon"):
         value = getattr(args, dest, None)
         if value is not None and not Path(value).is_file():
+            flag = "--" + dest.replace("_", "-")
             raise CliError(f"resource error: {flag} file not found: {value}")
     wordnet = getattr(args, "wordnet", None)
     if wordnet is not None and not Path(wordnet).is_dir():
@@ -77,6 +76,10 @@ def _check_resources(args, needs_wordnet: bool) -> None:
             "resource error: --wordnet is required for measure "
             "'required_action'"
         )
+    corpus = load_corpus(args.corpus, strict=getattr(args, "strict", False))
+    if getattr(args, "k", None) is not None:
+        check_k(args.k, len(corpus))
+    return corpus
 
 
 def _atomic_write(path, text: str) -> None:
@@ -94,196 +97,156 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def _header(command: str, seed: int, echo: dict) -> str:
+def _header(args, **extra) -> str:
+    """The '#' lines every report starts with: command, seed, and the
+    config echo (corpus, the subcommand's keys, format, then `extra`)."""
+    echo = {"corpus": args.corpus}
+    echo.update((key, getattr(args, key)) for key in args.echo)
+    echo.update(format=args.format, **extra)
     pairs = " ".join(f"{key}={value}" for key, value in echo.items())
     return (
-        f"# tasksim {__version__} {command}\n"
-        f"# seed: {seed}\n"
+        f"# tasksim {__version__} {args.command}\n"
+        f"# seed: {args.seed}\n"
         f"# config: {pairs}\n"
     )
 
 
-def _emit(out_path, text: str) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        _atomic_write(out_path, text)
+def _pick(args, text_renderer, csv_renderer):
+    return csv_renderer if args.format == "csv" else text_renderer
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
+# Each handler returns the text for --out (stdout by default), or None
+# when it wrote its own files.
+
 def _load_lexicon(args):
-    if getattr(args, "sentiment_lexicon", None) is None:
+    if args.sentiment_lexicon is None:
         return None
     return load_sentiment_lexicon(args.sentiment_lexicon)
 
 
-def cmd_ingest(args) -> int:
-    _check_resources(args, needs_wordnet=False)
-    corpus = load_corpus(args.corpus, strict=args.strict)
-    echo = {"corpus": args.corpus, "strict": args.strict,
-            "format": args.format}
+def _similarities(args, corpus, measures) -> list:
+    wn = load_wordnet(args.wordnet) if args.wordnet else None
+    wordlist = load_wordlist(args.wordlist) if args.wordlist else None
+    return [similarity_matrix(corpus, m, wn=wn, wordlist=wordlist) for m in measures]
+
+
+def _grid(args, corpus, combos, algos) -> str:
+    grid = grid_run(
+        corpus, combos, algos, k=args.folds, seed=args.seed,
+        sentiment_lexicon=_load_lexicon(args),
+    )
+    return _header(args) + _pick(args, render_grid_text, render_grid_csv)(grid)
+
+
+def _clusters(args, corpus, matrix, **extra) -> str:
+    clustering = k_medoids(matrix, args.k, seed=args.seed)
+    labels = {task.id: task.category for task in corpus}
+    render = _pick(args, render_distribution_text, render_distribution_csv)
+    return (
+        _header(args, **extra)
+        + f"# total_dissimilarity: {clustering.total_dissimilarity:.6f}\n"
+        + f"# purity: {purity(clustering, labels):.6f}\n"
+        + render(clustering, corpus)
+    )
+
+
+def cmd_ingest(args) -> str:
+    corpus = _load(args, needs_wordnet=False)
     counts = sorted(corpus.category_counts.items())
     if args.format == "csv":
-        body_lines = ["category,count"]
-        body_lines += [f"{category},{n}" for category, n in counts]
         quality = "".join(
             f"# {line}\n" for line in corpus.report.render().splitlines()
         )
-        body = quality + "\n".join(body_lines) + "\n"
+        body = quality + csv_text(("category", "count"), counts)
     else:
         width = max([len("category")] + [len(c) for c, _ in counts])
         table = [f"{'category'.ljust(width)}  count"]
         table += [f"{c.ljust(width)}  {n}" for c, n in counts]
         body = corpus.report.render() + "\n\n" + "\n".join(table) + "\n"
-    _emit(args.out, _header("ingest", args.seed, echo) + body)
-    return 0
+    return _header(args) + body
 
 
-def cmd_synth(args) -> int:
-    generate_synthetic_corpus(
-        args.out, args.seed, args.categories, args.per_category
-    )
-    return 0
+def cmd_synth(args) -> str:
+    return synthetic_corpus_text(args.seed, args.categories, args.per_category)
+
+
+def _split(spec: str, what: str, sep: str = ",") -> tuple[str, ...]:
+    parts = tuple(part.strip() for part in spec.split(sep) if part.strip())
+    if not parts:
+        raise CliError(f"empty {what} list: {spec!r}")
+    return parts
 
 
 def _parse_sets(spec: str) -> tuple[str, ...]:
     # one cell's worth of feature sets; ',' and '+' both join
-    parts = tuple(
-        part.strip()
-        for part in spec.replace(",", "+").split("+")
-        if part.strip()
-    )
-    if not parts:
-        raise CliError(f"empty feature-set list: {spec!r}")
-    return parts
+    return _split(spec.replace(",", "+"), "feature-set", "+")
 
 
-def cmd_cv(args) -> int:
+def cmd_cv(args) -> str:
     sets = _parse_sets(args.sets)
-    _check_resources(args, needs_wordnet=False)
-    corpus = load_corpus(args.corpus)
+    corpus = _load(args, needs_wordnet=False)
     report = cross_validate(
         corpus, sets, args.algo, args.folds, args.seed,
         sentiment_lexicon=_load_lexicon(args),
     )
-    echo = {"corpus": args.corpus, "sets": args.sets, "algo": args.algo,
-            "folds": args.folds, "format": args.format}
-    render = render_report_csv if args.format == "csv" else render_report_text
-    _emit(args.out, _header("cv", args.seed, echo) + render(report))
-    return 0
+    render = _pick(args, render_report_text, render_report_csv)
+    return _header(args) + render(report)
 
 
-def cmd_grid(args) -> int:
-    if args.sets == "all-combos":
-        combos = None
-    else:
-        combos = tuple(
-            _parse_sets(part) for part in args.sets.split(",") if part.strip()
-        )
-        if not combos:
-            raise CliError(f"empty feature-set list: {args.sets!r}")
-    algos = ALGORITHMS if args.algo == "all" else tuple(
-        part.strip() for part in args.algo.split(",") if part.strip()
+def cmd_grid(args) -> str:
+    combos = None if args.sets == "all-combos" else tuple(
+        _parse_sets(part) for part in _split(args.sets, "feature-set")
     )
-    if not algos:
-        raise CliError(f"empty algorithm list: {args.algo!r}")
-    _check_resources(args, needs_wordnet=False)
-    corpus = load_corpus(args.corpus)
-    grid = grid_run(
-        corpus, combos, algos, k=args.folds, seed=args.seed,
-        sentiment_lexicon=_load_lexicon(args),
-    )
-    echo = {"corpus": args.corpus, "sets": args.sets, "algo": args.algo,
-            "folds": args.folds, "format": args.format}
-    render = render_grid_csv if args.format == "csv" else render_grid_text
-    _emit(args.out, _header("grid", args.seed, echo) + render(grid))
-    return 0
+    algos = ALGORITHMS if args.algo == "all" else _split(args.algo, "algorithm")
+    return _grid(args, _load(args, needs_wordnet=False), combos, algos)
 
 
-def _similarity_inputs(args):
-    wn = load_wordnet(args.wordnet) if args.wordnet else None
-    wordlist = load_wordlist(args.wordlist) if args.wordlist else None
-    return wn, wordlist
+def cmd_sim(args) -> str:
+    corpus = _load(args, needs_wordnet=args.measure == "required_action")
+    (matrix,) = _similarities(args, corpus, [args.measure])
+    render = _pick(args, render_matrix_text, render_matrix_csv)
+    return _header(args) + render(matrix)
 
 
-def cmd_sim(args) -> int:
-    _check_resources(args, needs_wordnet=args.measure == "required_action")
-    corpus = load_corpus(args.corpus)
-    wn, wordlist = _similarity_inputs(args)
-    matrix = similarity_matrix(corpus, args.measure, wn=wn, wordlist=wordlist)
-    echo = {"corpus": args.corpus, "measure": args.measure,
-            "format": args.format}
-    render = render_matrix_csv if args.format == "csv" else render_matrix_text
-    _emit(args.out, _header("sim", args.seed, echo) + render(matrix))
-    return 0
+def cmd_cluster(args) -> str:
+    corpus = _load(args, needs_wordnet=args.measure == "required_action")
+    (matrix,) = _similarities(args, corpus, [args.measure])
+    return _clusters(args, corpus, matrix)
 
 
-def cmd_cluster(args) -> int:
-    _check_resources(args, needs_wordnet=args.measure == "required_action")
-    corpus = load_corpus(args.corpus)
-    wn, wordlist = _similarity_inputs(args)
-    matrix = similarity_matrix(corpus, args.measure, wn=wn, wordlist=wordlist)
-    clustering = k_medoids(matrix, args.k, seed=args.seed)
-    labels = {task.id: task.category for task in corpus}
-    echo = {"corpus": args.corpus, "measure": args.measure, "k": args.k,
-            "format": args.format}
-    render = (render_distribution_csv if args.format == "csv"
-              else render_distribution_text)
-    stats = (
-        f"# total_dissimilarity: {clustering.total_dissimilarity:.6f}\n"
-        f"# purity: {purity(clustering, labels):.6f}\n"
-    )
-    _emit(args.out, _header("cluster", args.seed, echo) + stats
-          + render(clustering, corpus))
-    return 0
-
-
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     # the required_action clustering always needs WordNet
-    _check_resources(args, needs_wordnet=True)
-    corpus = load_corpus(args.corpus)
+    corpus = _load(args, needs_wordnet=True)
+    matrices = _similarities(args, corpus, SIMILARITY_MEASURES)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ext = "csv" if args.format == "csv" else "txt"
-    echo_base = {"corpus": args.corpus, "folds": args.folds, "k": args.k,
-                 "format": args.format}
-
-    grid = grid_run(
-        corpus, None, ALGORITHMS, k=args.folds, seed=args.seed,
-        sentiment_lexicon=_load_lexicon(args),
-    )
-    render = render_grid_csv if args.format == "csv" else render_grid_text
-    _atomic_write(
-        out_dir / f"grid.{ext}",
-        _header("report", args.seed, echo_base) + render(grid),
-    )
-
-    wn, wordlist = _similarity_inputs(args)
-    labels = {task.id: task.category for task in corpus}
-    for measure in SIMILARITY_MEASURES:
-        matrix = similarity_matrix(corpus, measure, wn=wn, wordlist=wordlist)
-        clustering = k_medoids(matrix, args.k, seed=args.seed)
-        body = (
-            f"# total_dissimilarity: {clustering.total_dissimilarity:.6f}\n"
-            f"# purity: {purity(clustering, labels):.6f}\n"
-        )
-        dist_render = (render_distribution_csv if args.format == "csv"
-                       else render_distribution_text)
-        echo = dict(echo_base, measure=measure)
+    ext = _pick(args, "txt", "csv")
+    _atomic_write(out_dir / f"grid.{ext}", _grid(args, corpus, None, ALGORITHMS))
+    for measure, matrix in zip(SIMILARITY_MEASURES, matrices):
         _atomic_write(
             out_dir / f"clusters_{measure}.{ext}",
-            _header("report", args.seed, echo) + body
-            + dist_render(clustering, corpus),
+            _clusters(args, corpus, matrix, measure=measure),
         )
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+# Flags that several subcommands take, each with one definition.
+_SHARED_FLAGS = {
+    "folds": dict(type=int, default=10),
+    "k": dict(type=int, default=15),
+    "measure": dict(required=True, choices=SIMILARITY_MEASURES),
+    "wordnet": dict(help="directory with WordNet index/data files"),
+    "wordlist": dict(help="common-word list, one per line"),
+    "sentiment_lexicon": dict(help="word\\tpolarity file for the semantic set"),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -304,11 +267,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output path (default: stdout)")
         p.add_argument("--format", choices=("text", "csv"), default="text")
 
+    def shared(p, *names):
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), **_SHARED_FLAGS[name])
+
     p = sub.add_parser("ingest", help="load a corpus and report quality")
     common(p)
     p.add_argument("--strict", action="store_true",
                    help="abort on the first invalid record")
-    p.set_defaults(handler=cmd_ingest)
+    p.set_defaults(handler=cmd_ingest, echo=("strict",))
 
     p = sub.add_parser("synth", help="generate a labeled synthetic corpus")
     common(p, corpus=False, out_required=True)
@@ -322,10 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="feature sets for this one cell, joined with ',' "
                         "or '+', e.g. content+structural")
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--sentiment-lexicon",
-                   help="word\\tpolarity file for the semantic set")
-    p.set_defaults(handler=cmd_cv)
+    shared(p, "folds", "sentiment_lexicon")
+    p.set_defaults(handler=cmd_cv, echo=("sets", "algo", "folds"))
 
     p = sub.add_parser("grid", help="cross-validate many cells at once")
     common(p)
@@ -334,36 +299,25 @@ def _build_parser() -> argparse.ArgumentParser:
                         "combinations")
     p.add_argument("--algo", default="all",
                    help="'all' or comma-separated algorithm names")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--sentiment-lexicon")
-    p.set_defaults(handler=cmd_grid)
+    shared(p, "folds", "sentiment_lexicon")
+    p.set_defaults(handler=cmd_grid, echo=("sets", "algo", "folds"))
 
     p = sub.add_parser("sim", help="pairwise task similarity matrix")
     common(p)
-    p.add_argument("--measure", required=True, choices=SIMILARITY_MEASURES)
-    p.add_argument("--wordnet", help="directory with WordNet index/data "
-                                     "files")
-    p.add_argument("--wordlist", help="common-word list, one per line")
-    p.set_defaults(handler=cmd_sim)
+    shared(p, "measure", "wordnet", "wordlist")
+    p.set_defaults(handler=cmd_sim, echo=("measure",))
 
     p = sub.add_parser("cluster",
                        help="k-medoids clustering and category table")
     common(p)
-    p.add_argument("--measure", required=True, choices=SIMILARITY_MEASURES)
-    p.add_argument("--wordnet")
-    p.add_argument("--wordlist")
-    p.add_argument("--k", type=int, default=15)
-    p.set_defaults(handler=cmd_cluster)
+    shared(p, "measure", "wordnet", "wordlist", "k")
+    p.set_defaults(handler=cmd_cluster, echo=("measure", "k"))
 
     p = sub.add_parser("report",
                        help="full grid plus both clusterings, one directory")
     common(p, out_required=True)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--wordnet")
-    p.add_argument("--wordlist")
-    p.add_argument("--sentiment-lexicon")
-    p.add_argument("--k", type=int, default=15)
-    p.set_defaults(handler=cmd_report)
+    shared(p, "folds", "wordnet", "wordlist", "sentiment_lexicon", "k")
+    p.set_defaults(handler=cmd_report, echo=("folds", "k"))
 
     return parser
 
@@ -376,11 +330,16 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed its diagnostic
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        text = args.handler(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        elif text is not None:
+            _atomic_write(args.out, text)
     except (CliError, CorpusError, WordNetError, EvaluationError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -51,12 +51,17 @@ class Clustering:
         return [tid for tid, c in self.assignments.items() if c == cluster]
 
 
+def check_k(k: int, n: int) -> None:
+    """Raise ValueError unless k_medoids accepts k clusters of n tasks."""
+    if not 2 <= k <= n:
+        raise ValueError(f"k must be between 2 and {n}, got {k}")
+
+
 def _check_matrix(sim: SimilarityMatrix, k: int) -> np.ndarray:
     n = len(sim.task_ids)
     if len(set(sim.task_ids)) != n:
         raise ValueError("similarity matrix has duplicate task ids")
-    if not 2 <= k <= n:
-        raise ValueError(f"k must be between 2 and {n}, got {k}")
+    check_k(k, n)
     return 1.0 - sim.values
 
 

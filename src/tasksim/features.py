@@ -111,6 +111,15 @@ def factual_feature_names(
     )
 
 
+def _hot(vocab: Mapping[str, int], values) -> np.ndarray:
+    """Multi-hot over vocab's columns plus a last "other" column that any
+    value missing from vocab sets."""
+    out = np.zeros(len(vocab) + 1)
+    for value in values:
+        out[vocab.get(value, len(vocab))] = 1.0
+    return out
+
+
 def factual_features(
     task: MicroTask,
     employer_vocab: Mapping[str, int],
@@ -124,18 +133,13 @@ def factual_features(
         ppm, undefined = task.payment / task.time_to_finish, 0.0
     else:
         ppm, undefined = 0.0, 1.0
-    emp = np.zeros(len(employer_vocab) + 1)
-    if task.employer:
-        idx = employer_vocab.get(task.employer)
-        emp[len(employer_vocab) if idx is None else idx] = 1.0
-    ctry = np.zeros(len(country_vocab) + 1)
-    for code in task.countries:
-        idx = country_vocab.get(code)
-        ctry[len(country_vocab) if idx is None else idx] = 1.0
     head = np.array(
         [task.payment, task.time_to_rate, task.time_to_finish, task.positions, ppm, undefined]
     )
-    return np.concatenate([head, emp, ctry])
+    employer = (task.employer,) if task.employer else ()
+    return np.concatenate(
+        [head, _hot(employer_vocab, employer), _hot(country_vocab, task.countries)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +251,6 @@ def semantic_features(
 ) -> np.ndarray:
     """Link-host multi-hot plus "other", mid-sentence capitalized token count,
     and lexicon sentiment (pos-neg)/max(1, pos+neg)."""
-    hosts = np.zeros(len(host_vocab) + 1)
-    for host in task.structure.url_hosts:
-        idx = host_vocab.get(host)
-        hosts[len(host_vocab) if idx is None else idx] = 1.0
     analysis = analyse(task)
     pos = neg = 0
     for tok in analysis.lower_words:
@@ -261,7 +261,7 @@ def semantic_features(
             neg += 1
     sentiment = (pos - neg) / max(1, pos + neg)
     tail = np.array([float(analysis.named_entities), sentiment])
-    return np.concatenate([hosts, tail])
+    return np.concatenate([_hot(host_vocab, task.structure.url_hosts), tail])
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +429,16 @@ def combine_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
 @dataclass(frozen=True)
 class FittedExtractor:
     """One feature set fitted on training tasks; maps any task list to a
-    FeatureMatrix with stable columns."""
+    FeatureMatrix with stable columns, one `row(task)` per task."""
 
     set_name: str
-    _extract: Callable
+    column_names: tuple[str, ...]
+    row: Callable[[MicroTask], np.ndarray]
 
     def matrix(self, tasks: Iterable[MicroTask]) -> FeatureMatrix:
-        return self._extract(tuple(tasks))
-
-
-def _stack(rows: list[np.ndarray], width: int) -> np.ndarray:
-    if rows:
-        return np.vstack(rows)
-    return np.zeros((0, width))
+        rows = [self.row(task) for task in tasks]
+        stacked = np.vstack(rows) if rows else np.zeros((0, len(self.column_names)))
+        return FeatureMatrix(self.column_names, stacked, frozenset({self.set_name}))
 
 
 def fit_extractor(
@@ -457,37 +454,26 @@ def fit_extractor(
     if set_name == "factual":
         employer_vocab = fit_employer_vocab(train)
         country_vocab = fit_country_vocab(train)
-        names = factual_feature_names(employer_vocab, country_vocab)
-
-        def extract(tasks):
-            rows = [factual_features(t, employer_vocab, country_vocab) for t in tasks]
-            return FeatureMatrix(names, _stack(rows, len(names)), frozenset({"factual"}))
-
-    elif set_name == "structural":
-        names = STRUCTURAL_FEATURE_NAMES
-
-        def extract(tasks):
-            rows = [structural_features(t) for t in tasks]
-            return FeatureMatrix(names, _stack(rows, len(names)), frozenset({"structural"}))
-
-    elif set_name == "semantic":
+        return FittedExtractor(
+            set_name,
+            factual_feature_names(employer_vocab, country_vocab),
+            lambda task: factual_features(task, employer_vocab, country_vocab),
+        )
+    if set_name == "structural":
+        return FittedExtractor(set_name, STRUCTURAL_FEATURE_NAMES, structural_features)
+    if set_name == "semantic":
         lexicon = dict(sentiment_lexicon) if sentiment_lexicon is not None else default_sentiment_lexicon()
         host_vocab = fit_host_vocab(train)
-        names = semantic_feature_names(host_vocab)
-
-        def extract(tasks):
-            rows = [semantic_features(t, lexicon, host_vocab) for t in tasks]
-            return FeatureMatrix(names, _stack(rows, len(names)), frozenset({"semantic"}))
-
-    elif set_name == "content":
+        return FittedExtractor(
+            set_name,
+            semantic_feature_names(host_vocab),
+            lambda task: semantic_features(task, lexicon, host_vocab),
+        )
+    if set_name == "content":
         model = fit_content_model(train)
-        names = tuple(sorted(model.vocabulary, key=model.vocabulary.__getitem__))
-
-        def extract(tasks):
-            rows = [content_vector(model, t) for t in tasks]
-            return FeatureMatrix(names, _stack(rows, len(names)), frozenset({"content"}))
-
-    else:
-        raise ValueError(f"unknown feature set '{set_name}'")
-
-    return FittedExtractor(set_name, extract)
+        return FittedExtractor(
+            set_name,
+            tuple(sorted(model.vocabulary, key=model.vocabulary.__getitem__)),
+            lambda task: content_vector(model, task),
+        )
+    raise ValueError(f"unknown feature set '{set_name}'")

@@ -8,8 +8,10 @@ from typing import Sequence
 import numpy as np
 
 from ..features import FeatureMatrix
+from . import forest, knn, naive_bayes, svm, tree
 
 ALGORITHMS = ("naive_bayes", "knn", "tree", "forest", "svm_smo")
+_MODULES = dict(zip(ALGORITHMS, (naive_bayes, knn, tree, forest, svm)))
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,6 @@ def train(
 ) -> TrainedModel:
     """Fit `algorithm` on feature rows X (FeatureMatrix or 2-D array) and
     labels y. Training is single-threaded and fully determined by the seed."""
-    from . import forest, knn, naive_bayes, svm, tree
-
     config = config or LearnerConfig()
     config.validate()
     rows, provenance = _as_rows(X)
@@ -102,19 +102,14 @@ def train(
 
 
 def predict_batch(model: TrainedModel, X) -> tuple[list[str], np.ndarray]:
-    """Labels and per-class score rows for every row of X. The label is the
-    argmax score; exact ties go to the earlier class in model.classes."""
-    from . import forest, knn, naive_bayes, svm, tree
-
+    """Labels and per-class score rows for every row of X (as wide as the
+    training rows). The label is the argmax score; exact ties go to the
+    earlier class in model.classes."""
     rows, _ = _as_rows(X)
-    scorers = {
-        "naive_bayes": naive_bayes.scores,
-        "knn": knn.scores,
-        "tree": tree.scores,
-        "forest": forest.scores,
-        "svm_smo": svm.scores,
-    }
-    score_rows = scorers[model.algorithm](model.parameters, rows)
+    width = model.parameters["n_features"]
+    if rows.shape[1] != width:
+        raise ValueError(f"expected {width} features, got {rows.shape[1]}")
+    score_rows = _MODULES[model.algorithm].scores(model.parameters, rows)
     if not np.all(np.isfinite(score_rows)):
         raise AssertionError("non-finite prediction scores")
     picks = np.argmax(score_rows, axis=1)

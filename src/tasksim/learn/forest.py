@@ -42,9 +42,6 @@ def fit(rows: np.ndarray, y_idx: np.ndarray, n_classes: int, config, seed: int) 
 
 def scores(params: dict, rows: np.ndarray) -> np.ndarray:
     """Fraction of trees voting for each class."""
-    votes = np.zeros((rows.shape[0], params["n_classes"]))
-    for tree_params in params["trees"]:
-        dist = tree.leaf_distributions(tree_params, rows)
-        picks = np.argmax(dist, axis=1)
-        votes[np.arange(rows.shape[0]), picks] += 1.0
+    picks = np.argmax(tree.leaf_distributions(params["trees"], rows), axis=2)
+    votes = (picks[:, :, None] == np.arange(params["n_classes"])).sum(axis=0)
     return votes / len(params["trees"])

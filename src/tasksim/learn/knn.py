@@ -22,8 +22,6 @@ def fit(rows: np.ndarray, y_idx: np.ndarray, config) -> dict:
 
 def scores(params: dict, rows: np.ndarray) -> np.ndarray:
     """Per-class vote fractions among the k nearest training rows."""
-    if rows.shape[1] != params["n_features"]:
-        raise ValueError(f"expected {params['n_features']} features, got {rows.shape[1]}")
     train = params["X"]
     k = params["k"]
     # squared distances suffice for ranking

@@ -39,10 +39,6 @@ def fit(rows: np.ndarray, y_idx: np.ndarray, n_classes: int, config, provenance)
 
 def scores(params: dict, rows: np.ndarray) -> np.ndarray:
     """Posterior probabilities per class; each row sums to 1."""
-    if rows.shape[1] != params["n_features"]:
-        raise ValueError(
-            f"expected {params['n_features']} features, got {rows.shape[1]}"
-        )
     if params["event_model"] == "multinomial":
         joint = params["log_prior"] + rows @ params["feature_log_prob"].T
     else:

@@ -85,8 +85,6 @@ def fit(rows: np.ndarray, y_idx: np.ndarray, n_classes: int, config) -> dict:
 
 def scores(params: dict, rows: np.ndarray) -> np.ndarray:
     """Per-class decision values of the one-vs-rest machines."""
-    if rows.shape[1] != params["n_features"]:
-        raise ValueError(f"expected {params['n_features']} features, got {rows.shape[1]}")
     standardized = (rows - params["mean"]) / params["std"]
     out = np.empty((rows.shape[0], len(params["machines"])))
     for c, machine in enumerate(params["machines"]):

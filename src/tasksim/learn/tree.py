@@ -262,24 +262,30 @@ def fit(rows: np.ndarray, y_idx: np.ndarray, n_classes: int, config) -> dict:
     )[0]
 
 
-def leaf_distributions(params: dict, rows: np.ndarray) -> np.ndarray:
-    """Route rows to leaves iteratively; returns each row's leaf class
-    distribution."""
-    if rows.shape[1] != params["n_features"]:
-        raise ValueError(f"expected {params['n_features']} features, got {rows.shape[1]}")
-    feature, threshold = params["feature"], params["threshold"]
-    left, right = params["left"], params["right"]
-    node = np.zeros(rows.shape[0], dtype=np.intp)
-    while True:
-        feat = feature[node]
-        active = feat >= 0
-        if not np.any(active):
-            break
-        value = rows[np.arange(rows.shape[0]), np.maximum(feat, 0)]
-        go_left = value <= threshold[node]
-        node = np.where(active, np.where(go_left, left[node], right[node]), node)
-    return params["dist"][node]
+def leaf_distributions(trees: Sequence[dict], rows: np.ndarray) -> np.ndarray:
+    """Each tree's leaf class distribution for each row, shaped (trees,
+    rows, classes). The trees' node tables are joined into one, so every
+    (tree, row) pair is routed at once, one depth per step."""
+    sizes = [t["feature"].size for t in trees]
+    start = np.cumsum(sizes) - sizes
+    feature, threshold, left, right, dist = (
+        np.concatenate([t[key] for t in trees])
+        for key in ("feature", "threshold", "left", "right", "dist")
+    )
+    # leaves hold -1 children, which are never followed
+    shift = np.repeat(start, sizes)
+    left, right = left + shift, right + shift
+    node = np.repeat(start, rows.shape[0])
+    row = np.tile(np.arange(rows.shape[0]), len(trees))
+    live = np.arange(node.size)
+    while live.size:
+        at = node[live]
+        inner = feature[at] >= 0
+        live, at = live[inner], at[inner]
+        go_left = rows[row[live], feature[at]] <= threshold[at]
+        node[live] = np.where(go_left, left[at], right[at])
+    return dist[node].reshape(len(trees), rows.shape[0], dist.shape[1])
 
 
 def scores(params: dict, rows: np.ndarray) -> np.ndarray:
-    return leaf_distributions(params, rows)
+    return leaf_distributions([params], rows)[0]

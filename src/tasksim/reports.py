@@ -14,6 +14,15 @@ from .evaluation import EvaluationReport, GridResult
 from .semsim import SimilarityMatrix
 
 
+def csv_text(header, rows) -> str:
+    """A header row, then the rows (any iterable), as '\\n'-ended CSV lines."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def _combo_label(combination: tuple[str, ...]) -> str:
     return "+".join(combination)
 
@@ -41,9 +50,7 @@ def _cells_csv(cells, classes: tuple[str, ...]) -> str:
             f"f1[{name}]",
             f"support[{name}]",
         ]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
+    rows = []
     for sets, algorithm, report in cells:
         row = [sets, algorithm, f"{report.weighted_f1:.6f}"]
         for name in classes:
@@ -54,8 +61,8 @@ def _cells_csv(cells, classes: tuple[str, ...]) -> str:
                 f"{metrics.f1:.6f}",
                 str(metrics.support),
             ]
-        writer.writerow(row)
-    return out.getvalue()
+        rows.append(row)
+    return csv_text(header, rows)
 
 
 def render_grid_text(grid: GridResult) -> str:
@@ -97,12 +104,10 @@ def render_report_csv(report: EvaluationReport) -> str:
 
 def render_matrix_csv(matrix: SimilarityMatrix) -> str:
     """Pairwise similarities, ids on both axes, six decimal places."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id"] + list(matrix.task_ids))
-    for task_id, values in zip(matrix.task_ids, matrix.values):
-        writer.writerow([task_id] + ["%.6f" % v for v in values.tolist()])
-    return out.getvalue()
+    return csv_text(["id", *matrix.task_ids], (
+        [task_id] + ["%.6f" % v for v in values.tolist()]
+        for task_id, values in zip(matrix.task_ids, matrix.values)
+    ))
 
 
 def render_matrix_text(matrix: SimilarityMatrix) -> str:
@@ -193,13 +198,11 @@ def render_distribution_text(clustering: Clustering, corpus) -> str:
 def render_distribution_csv(clustering: Clustering, corpus) -> str:
     """CSV twin of the distribution table, same '-' convention."""
     table, categories, sizes = _distribution_cells(clustering, corpus)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["cluster", "size", "medoid"] + categories)
+    rows = []
     for cluster in sorted(table):
         row = [str(cluster), str(sizes[cluster]), clustering.medoids[cluster]]
         for category in categories:
             value = table[cluster].get(category)
             row.append("-" if value is None else f"{value:.6f}")
-        writer.writerow(row)
-    return out.getvalue()
+        rows.append(row)
+    return csv_text(["cluster", "size", "medoid"] + categories, rows)

@@ -145,12 +145,28 @@ def load_wordnet(directory) -> WordNetGraph:
                 raise WordNetError(f"{path.name}:{line_no}: duplicate offset")
             synsets[sid] = synset
             edges[sid] = parents
+    children: dict = {}
     for sid, parents in edges.items():
         for parent in parents:
             if parent not in synsets:
                 raise WordNetError(
                     f"hypernym pointer from {sid} to missing synset {parent}"
                 )
+            children.setdefault(parent, []).append(sid)
+    # path lengths run through roots, so every synset must reach one; a
+    # hypernym cycle with no pointer out of it does not
+    frontier = [sid for sid, parents in edges.items() if not parents]
+    rooted = set(frontier)
+    while frontier:
+        frontier = [c for sid in frontier for c in children.get(sid, ()) if c not in rooted]
+        rooted.update(frontier)
+    for sid in edges:
+        if sid not in rooted:
+            raise WordNetError(
+                f"data.{_POS_FILE[sid[0]]}: synset {sid[1]:08d} "
+                f"('{synsets[sid].lemmas[0]}') has no hypernym path to a "
+                f"root (hypernym cycle)"
+            )
 
     lemma_index: dict = {}
     for pos, name in _POS_FILE.items():

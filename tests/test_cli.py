@@ -9,7 +9,7 @@ import pytest
 
 from tasksim.cli import CliError, _parse_sets, dispatch, generate_synthetic_corpus
 from tasksim.corpus import load_corpus
-from tasksim import semsim
+from tasksim import __version__, semsim
 from tasksim.learn import svm
 from tasksim.semsim import extract_verb_phrases
 from tasksim.synth import _NOISE_POOL, _SIGNATURES, synthetic_corpus_text
@@ -351,3 +351,80 @@ def test_report_writes_three_files(tmp_path):
     # all 15 combinations plus the header
     assert len([l for l in grid_text.splitlines()
                 if l and not l.startswith("#")]) == 16
+
+
+def test_report_checks_k_before_any_work(small_corpus, tmp_path, capsys):
+    out_dir = tmp_path / "rep"
+    code = dispatch([
+        "report", "--corpus", small_corpus, "--wordnet", WORDNET_DIR,
+        "--k", "1000", "--out", str(out_dir),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k must be between 2 and 18, got 1000\n"
+    assert not out_dir.exists()
+
+
+def test_ingest_csv_quotes_category_names(tmp_path):
+    source = tmp_path / "plain.jsonl"
+    generate_synthetic_corpus(source, 3, categories=2, per_category=2)
+    renamed = {"signup": "sign up, fast", "install": 'say "hi"'}
+    records = [json.loads(line) for line in source.read_text().splitlines()]
+    for record in records:
+        record["category"] = renamed[record["category"]]
+    corpus = tmp_path / "odd.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out_path = tmp_path / "ingest.csv"
+    assert dispatch([
+        "ingest", "--corpus", str(corpus), "--format", "csv",
+        "--out", str(out_path),
+    ]) == 0
+    data = [l for l in out_path.read_text().splitlines()
+            if not l.startswith("#")]
+    assert list(csv.reader(data)) == [
+        ["category", "count"], ['say "hi"', "2"], ["sign up, fast", "2"],
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_report_headers_are_pinned(small_corpus, tmp_path, capsys, fmt):
+    """Command, seed and the `# config:` key order of every subcommand."""
+    corpus = f"corpus={small_corpus}"
+    common = ["--corpus", small_corpus, "--seed", "5", "--format", fmt]
+    runs = [
+        (["ingest"], "ingest", "strict=False"),
+        (["cv", "--sets", "structural", "--algo", "knn", "--folds", "2"],
+         "cv", "sets=structural algo=knn folds=2"),
+        (["grid", "--sets", "structural", "--algo", "knn", "--folds", "2"],
+         "grid", "sets=structural algo=knn folds=2"),
+        (["sim", "--measure", "comprehensibility"],
+         "sim", "measure=comprehensibility"),
+        (["cluster", "--measure", "required_action", "--wordnet", WORDNET_DIR,
+          "--k", "3"],
+         "cluster", "measure=required_action k=3"),
+    ]
+    for argv, command, keys in runs:
+        assert dispatch(argv + common) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [
+            f"# tasksim {__version__} {command}",
+            "# seed: 5",
+            f"# config: {corpus} {keys} format={fmt}",
+        ]
+
+    out_dir = tmp_path / "rep"
+    assert dispatch(["report", "--wordnet", WORDNET_DIR, "--folds", "2",
+                     "--k", "3", "--out", str(out_dir)] + common) == 0
+    ext = "csv" if fmt == "csv" else "txt"
+    for name, tail in (
+        ("grid", ""),
+        ("clusters_required_action", " measure=required_action"),
+        ("clusters_comprehensibility", " measure=comprehensibility"),
+    ):
+        lines = (out_dir / f"{name}.{ext}").read_text().splitlines()
+        assert lines[:3] == [
+            f"# tasksim {__version__} report",
+            "# seed: 5",
+            f"# config: {corpus} folds=2 k=3 format={fmt}{tail}",
+        ]

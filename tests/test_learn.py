@@ -19,7 +19,7 @@ from tasksim.learn import (
     predict_batch,
     train,
 )
-from tasksim.learn import svm, tree
+from tasksim.learn import forest, svm, tree
 
 
 def blobs(seed=0, n_per=20, centers=((0.0, 0.0), (8.0, 8.0), (-8.0, 8.0))):
@@ -469,6 +469,58 @@ class TestForest:
         split_nodes = sum(int((t["feature"] >= 0).sum()) for t in model.parameters["trees"])
         assert split_nodes > 500
         assert 0 < len(calls) < split_nodes / 10
+
+
+# The per-tree router that `tree.leaf_distributions` replaced, and the
+# forest vote built on it, kept as the reference prediction must match
+# exactly.
+
+def oracle_leaf_distributions(params, rows):
+    feature, threshold = params["feature"], params["threshold"]
+    left, right = params["left"], params["right"]
+    node = np.zeros(rows.shape[0], dtype=np.intp)
+    while True:
+        feat = feature[node]
+        active = feat >= 0
+        if not np.any(active):
+            break
+        value = rows[np.arange(rows.shape[0]), np.maximum(feat, 0)]
+        go_left = value <= threshold[node]
+        node = np.where(active, np.where(go_left, left[node], right[node]), node)
+    return params["dist"][node]
+
+
+def oracle_forest_scores(params, rows):
+    votes = np.zeros((rows.shape[0], params["n_classes"]))
+    for tree_params in params["trees"]:
+        picks = np.argmax(oracle_leaf_distributions(tree_params, rows), axis=1)
+        votes[np.arange(rows.shape[0]), picks] += 1.0
+    return votes / len(params["trees"])
+
+
+class TestRouting:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scores_match_per_tree_router(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 5, size=(40, 6)).astype(float)
+        X = np.vstack([X, X[:8]])  # duplicated training rows
+        y_idx = rng.integers(0, 3, size=X.shape[0])
+        y = [f"c{i}" for i in y_idx]
+        config = LearnerConfig(forest_trees=25, tree_min_leaf=1 + seed % 3)
+        params = train("forest", X, y, config, seed=seed).parameters
+        # a tree grown on one class is a single leaf
+        pure = tree.fit(X[y_idx == 0], np.zeros((y_idx == 0).sum(), dtype=np.intp), 3, config)
+        assert pure["feature"].tolist() == [-1]
+        params = dict(params, trees=params["trees"][:10] + [pure] + params["trees"][10:])
+        queries = rng.integers(-1, 6, size=(30, 6)) + rng.choice([0.0, 0.5], size=(30, 6))
+        rows = np.vstack([queries, queries[:5], X])  # duplicated query rows
+        assert np.array_equal(forest.scores(params, rows), oracle_forest_scores(params, rows))
+        for tree_params in params["trees"][8:12]:
+            assert np.array_equal(
+                tree.scores(tree_params, rows), oracle_leaf_distributions(tree_params, rows)
+            )
+        single = train("tree", X, y, config).parameters
+        assert np.array_equal(tree.scores(single, rows), oracle_leaf_distributions(single, rows))
 
 
 class TestSvmSmo:

@@ -84,6 +84,25 @@ def test_gloss_separator_required(tmp_path):
         load_wordnet(broken)
 
 
+def test_hypernym_cycle_without_root_is_rejected(tmp_path):
+    # act and register are each other's only hypernym: neither reaches a root
+    for name in ("noun", "adj", "adv"):
+        (tmp_path / f"index.{name}").write_text("")
+        (tmp_path / f"data.{name}").write_text("")
+    (tmp_path / "index.verb").write_text(
+        "act v 1 1 @ 1 0 00000001\nregister v 1 1 @ 1 0 00000002\n"
+    )
+    (tmp_path / "data.verb").write_text(
+        "00000001 30 v 01 act 0 001 @ 00000002 v 0000 00 | do\n"
+        "00000002 30 v 01 register 0 001 @ 00000001 v 0000 00 | sign on\n"
+    )
+    with pytest.raises(
+        WordNetError,
+        match=r"^data\.verb: synset 00000001 \('act'\) has no hypernym path",
+    ):
+        load_wordnet(tmp_path)
+
+
 # ---------------------------------------------------------------- lemmatize
 
 
