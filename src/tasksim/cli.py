@@ -61,7 +61,7 @@ def generate_synthetic_corpus(
 def _load(args, needs_wordnet: bool):
     """Check the inputs, then load the corpus. Fails before any work if a
     given input path is missing, if the run needs WordNet and --wordnet was
-    not given, or if --k does not fit the corpus."""
+    not given, or if --k or --folds does not fit the corpus."""
     for dest in ("corpus", "wordlist", "sentiment_lexicon"):
         value = getattr(args, dest, None)
         if value is not None and not Path(value).is_file():
@@ -79,14 +79,23 @@ def _load(args, needs_wordnet: bool):
     corpus = load_corpus(args.corpus, strict=getattr(args, "strict", False))
     if getattr(args, "k", None) is not None:
         check_k(args.k, len(corpus))
+    folds = getattr(args, "folds", None)
+    if folds is not None and not 2 <= folds <= len(corpus):
+        raise CliError(
+            f"--folds must be between 2 and {len(corpus)}, got {folds}"
+        )
     return corpus
 
 
 def _atomic_write(path, text: str) -> None:
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(target.parent) or ".", prefix=f".{target.name}."
-    )
+    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=str(target.parent) or ".", prefix=f".{target.name}."
+        )
+    except OSError as exc:
+        # the error would name the random temp file, not the target
+        raise CliError(f"cannot write {target}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -144,6 +153,9 @@ def _grid(args, corpus, combos, algos) -> str:
 
 def _clusters(args, corpus, matrix, **extra) -> str:
     clustering = k_medoids(matrix, args.k, seed=args.seed)
+    if not clustering.converged:
+        print(f"warning: k-medoids on {matrix.measure} stopped at its step "
+              "limit with an improving swap left", file=sys.stderr)
     labels = {task.id: task.category for task in corpus}
     render = _pick(args, render_distribution_text, render_distribution_csv)
     return (

@@ -17,17 +17,22 @@ import numpy as np
 
 from .semsim import SimilarityMatrix
 
+# Rows of the dissimilarity matrix scored per block in the swap search.
+_SWAP_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class Clustering:
     """A hard partition: task id -> cluster id, one medoid per cluster,
-    cluster ids dense 0..k-1."""
+    cluster ids dense 0..k-1. `converged` is False when the search stopped
+    at its step limit with an improving swap left."""
 
     assignments: dict
     medoids: dict
     k: int
     total_dissimilarity: float
     seed: int
+    converged: bool = True
 
     def __post_init__(self):
         if self.k < 1:
@@ -73,12 +78,13 @@ def _greedy_build(d: np.ndarray, k: int) -> list:
     """Classic PAM seeding: first the point with minimum total distance,
     then whichever point reduces the cost most. Ties go to the lowest
     index."""
-    n = d.shape[0]
     totals = d.sum(axis=0)
     medoids = [int(np.argmin(totals))]
     nearest = d[:, medoids[0]].copy()
+    work = np.empty_like(d)
     while len(medoids) < k:
-        gains = np.maximum(nearest[:, None] - d, 0.0).sum(axis=0)
+        np.subtract(nearest[:, None], d, out=work)
+        gains = np.maximum(work, 0.0, out=work).sum(axis=0)
         gains[medoids] = -1.0
         best = int(np.argmax(gains))
         medoids.append(best)
@@ -86,41 +92,107 @@ def _greedy_build(d: np.ndarray, k: int) -> list:
     return medoids
 
 
+def _swap_deltas(d: np.ndarray, medoid_cols: np.ndarray) -> np.ndarray:
+    """The cost change of every swap, as a k x n array: entry (p, c) is the
+    cost after medoid position p moves to point c, minus the current cost.
+
+    FastPAM1 (Schubert & Rousseeuw, "Faster k-Medoids Clustering: Improving
+    the PAM, CLARA, and CLARANS Algorithms", SISAP 2019): from each point's
+    nearest (dn) and second-nearest (ds) medoid distance, the change is the
+    removal loss of p, plus the gain of every point that c is closer to
+    than its nearest medoid, plus, for the points of p, c competing with
+    their second-nearest medoid. d is read once per step, in blocks of
+    whole rows taken cluster by cluster, so that the last term is one
+    segmented sum per block."""
+    n, k = medoid_cols.shape
+    near = np.argmin(medoid_cols, axis=1)
+    dn = medoid_cols[np.arange(n), near]
+    ds = np.partition(medoid_cols, 1, axis=1)[:, 1]
+    removal = np.bincount(near, weights=ds - dn, minlength=k)
+    order = np.argsort(near, kind="stable")
+    shared = np.zeros(n)
+    scatter = np.zeros((k, n))
+    work = np.empty((min(_SWAP_BLOCK, n), n))
+    for lo in range(0, n, _SWAP_BLOCK):
+        pick = order[lo : lo + _SWAP_BLOCK]
+        r, w = d[pick], work[: len(pick)]
+        dn_b, ds_b = dn[pick, None], ds[pick, None]
+        np.subtract(r, dn_b, out=w)
+        shared += np.minimum(w, 0.0, out=w).sum(axis=0)
+        np.maximum(r, dn_b, out=w)
+        np.minimum(w, ds_b, out=w)
+        np.subtract(w, ds_b, out=w)
+        owners = near[pick]
+        starts = np.flatnonzero(np.diff(owners, prepend=-1))
+        scatter[owners[starts]] += np.add.reduceat(w, starts, axis=0)
+    scatter += shared
+    scatter += removal[:, None]
+    return scatter
+
+
+def _best_swap(d: np.ndarray, medoids: list, cost: float):
+    """The swap PAM accepts next, as (cost, medoid position, candidate), or
+    None when no swap lowers the cost.
+
+    The accepted swap is the lowest (cost, medoid index, candidate index)
+    triple, each cost summed as min(rest, d[:, candidate]).sum(axis=0). The
+    FastPAM1 deltas sum in another order, so every swap within `tol` of the
+    lowest delta is re-scored that way; with d in [0, 1] their rounding
+    error is far below `tol`, so the winner is always among them."""
+    n = d.shape[0]
+    if len(medoids) == n:
+        return None
+    medoid_cols = d[:, medoids]
+    delta = _swap_deltas(d, medoid_cols)
+    delta[:, medoids] = np.inf
+    tol = 1e-9 * (1.0 + cost)
+    low = delta.min()
+    if low > tol:
+        return None
+    tied = delta <= low + tol
+    cols = np.flatnonzero(tied.any(axis=0))
+    # gathered columns are column-major, so each one sums on its own, in
+    # the same order as in PAM's full candidate block
+    to_cols = d[:, cols]
+    # medoids whose removal moves no point (duplicates, zero-cost
+    # clusterings) leave the same distances behind and share one scoring
+    scored = {}
+    best = None
+    for p in np.flatnonzero(tied.any(axis=1)):
+        rest_min = np.delete(medoid_cols, p, axis=1).min(axis=1)
+        key = rest_min.tobytes()
+        if key not in scored:
+            scored[key] = np.minimum(rest_min[:, None], to_cols).sum(axis=0)
+        swap_costs = scored[key]
+        c = int(np.argmin(swap_costs))
+        candidate = (float(swap_costs[c]), medoids[p], int(cols[c]), int(p))
+        if best is None or candidate[:3] < best[:3]:
+            best = candidate
+    if best is None or best[0] >= cost:
+        return None
+    return best[0], best[3], best[2]
+
+
 def _swap_passes(d: np.ndarray, medoids: list, max_iter: int, trace):
     """Best-improvement SWAP until no swap lowers the cost (or max_iter).
-    The accepted swap is the lowest (cost, medoid index, candidate index)
-    triple; cost is strictly decreasing so the loop terminates."""
-    n = d.shape[0]
+    Cost is strictly decreasing so the loop terminates. Returns the
+    medoids, their cost, and whether no improving swap was left."""
     cost = _cost(d, medoids)
     if trace is not None:
         trace.append(cost)
     for _ in range(max_iter):
-        medoid_cols = d[:, medoids]
-        others = np.array(sorted(set(range(n)) - set(medoids)), dtype=int)
-        if others.size == 0:
-            break
-        # distances to the candidates, copied once per step; k >= 2, so a
-        # medoid always leaves at least one other behind
-        to_others = d[:, others]
-        best = None
-        for p, m in enumerate(medoids):
-            rest_min = np.delete(medoid_cols, p, axis=1).min(axis=1)
-            swap_costs = np.minimum(rest_min[:, None], to_others).sum(axis=0)
-            c = int(np.argmin(swap_costs))
-            candidate = (float(swap_costs[c]), m, int(others[c]), p)
-            if best is None or candidate[:3] < best[:3]:
-                best = candidate
-        if best is None or best[0] >= cost:
-            break
-        cost = best[0]
-        medoids[best[3]] = best[2]
+        best = _best_swap(d, medoids, cost)
+        if best is None:
+            return medoids, cost, True
+        cost, p, candidate = best
+        medoids[p] = candidate
         if trace is not None:
             trace.append(cost)
-    return medoids, cost
+    return medoids, cost, _best_swap(d, medoids, cost) is None
 
 
 def _as_clustering(
-    d: np.ndarray, medoids: list, task_ids, seed: int
+    d: np.ndarray, medoids: list, task_ids, seed: int, converged: bool
 ) -> Clustering:
     order = sorted(medoids)
     nearest = np.argmin(d[:, order], axis=1)
@@ -136,7 +208,9 @@ def _as_clustering(
         for i in range(len(task_ids))
     )
     medoid_map = {cluster: task_ids[m] for cluster, m in enumerate(order)}
-    return Clustering(assignments, medoid_map, len(order), total, seed)
+    return Clustering(
+        assignments, medoid_map, len(order), total, seed, converged
+    )
 
 
 def k_medoids(
@@ -148,11 +222,13 @@ def k_medoids(
     trace: list | None = None,
 ) -> Clustering:
     """PAM on 1 - similarity. Deterministic; pass a list as `trace` to
-    record the cost after seeding and after each accepted swap."""
+    record the cost after seeding and after each accepted swap. The
+    result's `converged` is False when `max_iter` swaps ran and an
+    improving swap was still left."""
     d = _check_matrix(sim, k)
     medoids = _greedy_build(d, k)
-    medoids, _ = _swap_passes(d, medoids, max_iter, trace)
-    return _as_clustering(d, medoids, sim.task_ids, seed)
+    medoids, _, converged = _swap_passes(d, medoids, max_iter, trace)
+    return _as_clustering(d, medoids, sim.task_ids, seed, converged)
 
 
 def purity(clustering: Clustering, labels: Mapping[str, str]) -> float:

@@ -1,6 +1,7 @@
 """Synthetic corpus generator and command-line dispatch."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 from tasksim.cli import CliError, _parse_sets, dispatch, generate_synthetic_corpus
 from tasksim.corpus import load_corpus
-from tasksim import __version__, semsim
+from tasksim import __version__, cli, cluster, semsim
 from tasksim.learn import svm
 from tasksim.semsim import extract_verb_phrases
 from tasksim.synth import _NOISE_POOL, _SIGNATURES, synthetic_corpus_text
@@ -364,6 +365,58 @@ def test_report_checks_k_before_any_work(small_corpus, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: k must be between 2 and 18, got 1000\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, folds", [
+    (["report", "--wordnet", WORDNET_DIR], "1000"),
+    (["cv", "--sets", "structural", "--algo", "knn"], "1"),
+])
+def test_folds_are_checked_before_any_work(small_corpus, tmp_path, capsys,
+                                           argv, folds):
+    out_dir = tmp_path / "rep"
+    code = dispatch(argv + [
+        "--corpus", small_corpus, "--folds", folds, "--out", str(out_dir),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --folds must be between 2 and 18, got {folds}\n"
+    )
+    assert not out_dir.exists()
+
+
+def test_missing_output_directory_names_the_target(small_corpus, tmp_path,
+                                                   capsys):
+    target = tmp_path / "missing" / "dir" / "x.txt"
+    code = dispatch(["ingest", "--corpus", small_corpus, "--out", str(target)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {target}: No such file or directory\n"
+    )
+
+
+def test_cluster_warns_when_pam_stops_unconverged(small_corpus, monkeypatch,
+                                                  capsys):
+    argv = ["cluster", "--corpus", small_corpus, "--k", "3",
+            "--measure", "comprehensibility"]
+    assert dispatch(argv) == 0
+    converged = capsys.readouterr()
+    assert converged.err == ""
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(
+            cluster.k_medoids(*args, **kwargs), converged=False
+        )
+
+    monkeypatch.setattr(cli, "k_medoids", unconverged)
+    assert dispatch(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == converged.out
+    assert captured.err == (
+        "warning: k-medoids on comprehensibility stopped at its step limit "
+        "with an improving swap left\n"
+    )
 
 
 def test_ingest_csv_quotes_category_names(tmp_path):

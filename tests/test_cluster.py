@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from conftest import make_task
 from tasksim.cluster import (
     Clustering,
+    _greedy_build,
+    _swap_passes,
     category_distribution,
     k_medoids,
     purity,
@@ -184,6 +186,114 @@ def test_max_iter_zero_keeps_the_seeding():
     bare = k_medoids(random_sim(3, 7), 3, max_iter=0, trace=bare_trace)
     assert bare_trace == full_trace[:1]
     assert bare.total_dissimilarity > full.total_dissimilarity
+
+
+def test_converged_flags_a_search_cut_short():
+    assert not k_medoids(random_sim(3, 7), 3, max_iter=0).converged
+    assert k_medoids(random_sim(3, 7), 3).converged
+
+
+# PAM's seeding and swap search in their plain form, kept as the oracle:
+# the library scores swaps another way (FastPAM1) but must make exactly
+# these choices.
+
+def pam_greedy_build(d, k):
+    totals = d.sum(axis=0)
+    medoids = [int(np.argmin(totals))]
+    nearest = d[:, medoids[0]].copy()
+    while len(medoids) < k:
+        gains = np.maximum(nearest[:, None] - d, 0.0).sum(axis=0)
+        gains[medoids] = -1.0
+        best = int(np.argmax(gains))
+        medoids.append(best)
+        nearest = np.minimum(nearest, d[:, best])
+    return medoids
+
+
+def pam_swap_passes(d, medoids, max_iter, trace):
+    n = d.shape[0]
+    cost = float(d[:, medoids].min(axis=1).sum())
+    trace.append(cost)
+    for _ in range(max_iter):
+        medoid_cols = d[:, medoids]
+        others = np.array(sorted(set(range(n)) - set(medoids)), dtype=int)
+        if others.size == 0:
+            break
+        to_others = d[:, others]
+        best = None
+        for p, m in enumerate(medoids):
+            rest_min = np.delete(medoid_cols, p, axis=1).min(axis=1)
+            swap_costs = np.minimum(rest_min[:, None], to_others).sum(axis=0)
+            c = int(np.argmin(swap_costs))
+            candidate = (float(swap_costs[c]), m, int(others[c]), p)
+            if best is None or candidate[:3] < best[:3]:
+                best = candidate
+        if best is None or best[0] >= cost:
+            break
+        cost = best[0]
+        medoids[best[3]] = best[2]
+        trace.append(cost)
+    return medoids, cost
+
+
+def dissimilarity(kind, rng, n):
+    if kind == "thirds":  # massive ties
+        m = rng.integers(0, 4, size=(n, n)) / 3
+    else:
+        m = rng.uniform(size=(n, n))
+    if kind == "duplicates":  # repeated rows and columns
+        pick = rng.integers(0, max(2, n // 3), size=n)
+        m = m[np.ix_(pick, pick)]
+    m = (m + m.T) / 2
+    if kind == "rounded":
+        m = np.round(m, 2)
+    if kind == "near_symmetric":
+        m = np.clip(m + rng.uniform(-5e-10, 5e-10, size=(n, n)), 0.0, 1.0)
+    np.fill_diagonal(m, 1.0)
+    return 1.0 - sim_from(m).values
+
+
+@pytest.mark.parametrize("block_rows", [None, 5])
+@pytest.mark.parametrize(
+    "kind", ["uniform", "thirds", "duplicates", "rounded", "near_symmetric"]
+)
+def test_swap_search_makes_pams_exact_choices(kind, block_rows, monkeypatch):
+    if block_rows is not None:  # many row blocks per step, not one
+        monkeypatch.setattr("tasksim.cluster._SWAP_BLOCK", block_rows)
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for _ in range(40):
+        n = int(rng.integers(4, 81))
+        k = int(rng.integers(2, min(n, 20) + 1))
+        d = dissimilarity(kind, rng, n)
+        seeded = pam_greedy_build(d, k)
+        assert _greedy_build(d, k) == seeded
+        expected, got = [], []
+        medoids, cost = pam_swap_passes(d, list(seeded), 100, expected)
+        assert _swap_passes(d, list(seeded), 100, got) == (medoids, cost, True)
+        assert got == expected
+
+
+def test_a_swap_only_rounding_favours_is_taken_as_pam_takes_it():
+    # From the seeding {1, 2}, swapping 1 for 4 keeps the cost at 1/2, but
+    # PAM's sum reads it one rounding step lower, so PAM takes it and then
+    # reaches cost 1/3. That swap's FastPAM1 delta is not negative: only
+    # re-scoring the swaps within tolerance of the best finds it.
+    sixths = np.array([
+        [6, 6, 5, 4, 0],
+        [6, 6, 3, 4, 5],
+        [5, 3, 6, 3, 2],
+        [4, 4, 3, 6, 5],
+        [0, 5, 2, 5, 6],
+    ]) / 6
+    d = 1.0 - sim_from(sixths).values
+    expected = []
+    medoids, _ = pam_swap_passes(d, pam_greedy_build(d, 2), 100, expected)
+    assert medoids == [4, 0]
+    assert expected == [0.5, 0.4999999999999999, 0.33333333333333326]
+    trace = []
+    result = k_medoids(sim_from(sixths), 2, trace=trace)
+    assert trace == expected
+    assert result.medoids == {0: "t0", 1: "t4"}
 
 
 def test_partition_survives_task_reordering():
