@@ -8,6 +8,15 @@ Text is analysed once per task: `analyse` tokenizes, stems and measures a
 task on first request and keeps the `TaskAnalysis` while the task lives, so
 folds, grid cells and feature sets share it. The analysis depends on the
 task alone, never on a training split.
+
+The content set reads a term table. Each distinct n-gram term gets an
+integer id the first time any task's analysis asks for it, from one table
+shared by all tasks; ids are never reused or renumbered. Once per task and
+n-gram range, the analysis keeps its distinct term ids and their counts as
+two arrays. A fold's fit is then one `np.bincount` over the training tasks'
+ids for the document frequencies, and a fold's matrix is one scatter of
+`tf * idf` into the kept columns. The sentiment score is likewise counted
+once per task and lexicon.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ __all__ = [
     "TaskAnalysis",
     "analyse",
     "combine_features",
+    "content_matrix",
     "content_vector",
     "factual_features",
     "fit_content_model",
@@ -244,6 +254,17 @@ def semantic_feature_names(host_vocab: Mapping[str, int]) -> tuple[str, ...]:
     return (*(f"host={h}" for h in hosts), "host=<other>", "named_entity_count", "sentiment")
 
 
+# Every lexicon seen, as its (word, polarity) pairs, interned by content: a
+# task's sentiment is cached under the interned key, so that each fold's
+# copy of the same lexicon finds it by identity.
+_LEXICONS: dict[frozenset, frozenset] = {}
+
+
+def _lexicon_key(lexicon: Mapping[str, int]) -> frozenset:
+    key = frozenset(lexicon.items())
+    return _LEXICONS.setdefault(key, key)
+
+
 def semantic_features(
     task: MicroTask,
     sentiment_lexicon: Mapping[str, int],
@@ -251,16 +272,14 @@ def semantic_features(
 ) -> np.ndarray:
     """Link-host multi-hot plus "other", mid-sentence capitalized token count,
     and lexicon sentiment (pos-neg)/max(1, pos+neg)."""
+    return _semantic_row(task, _lexicon_key(sentiment_lexicon), host_vocab)
+
+
+def _semantic_row(
+    task: MicroTask, lexicon: frozenset, host_vocab: Mapping[str, int]
+) -> np.ndarray:
     analysis = analyse(task)
-    pos = neg = 0
-    for tok in analysis.lower_words:
-        polarity = sentiment_lexicon.get(tok)
-        if polarity == 1:
-            pos += 1
-        elif polarity == -1:
-            neg += 1
-    sentiment = (pos - neg) / max(1, pos + neg)
-    tail = np.array([float(analysis.named_entities), sentiment])
+    tail = np.array([float(analysis.named_entities), analysis.sentiment(lexicon)])
     return np.concatenate([_hot(host_vocab, task.structure.url_hosts), tail])
 
 
@@ -275,12 +294,49 @@ class ContentConfig:
     max_features: int = 10000
 
 
+# The term table: every n-gram term an analysis has asked for, at its id.
+# It only grows, so an id stays valid for the life of the process.
+_TERM_IDS: dict[str, int] = {}
+_TERMS: list[str] = []
+
+
+def _term_id(term: str) -> int:
+    term_id = _TERM_IDS.get(term)
+    if term_id is None:
+        term_id = _TERM_IDS[term] = len(_TERMS)
+        _TERMS.append(term)
+    return term_id
+
+
 @dataclass(frozen=True)
 class ContentModel:
+    """A fitted tf-idf vocabulary: `vocabulary` maps each kept term to its
+    column (columns in lexicographic term order), `doc_freq` gives its
+    document frequency among the `n_docs` training tasks.
+
+    These four fields are the whole model. From them the model derives, once
+    per fit, `columns` (term-table id -> column, -1 where the term has no
+    column) and `idf` (ln(n_docs/df) per column); a term that entered the
+    term table after the fit lies past the end of `columns` and so has no
+    column either."""
+
     vocabulary: dict[str, int]
     doc_freq: dict[str, int]
     n_docs: int
     ngram_range: tuple[int, int]
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
+    idf: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ids = [_term_id(term) for term in self.vocabulary]
+        cols = list(self.vocabulary.values())
+        columns = np.full(len(_TERMS), -1, dtype=np.intp)
+        columns[ids] = cols
+        idf = np.zeros(len(cols))
+        # math.log, not np.log: their last bits can differ
+        idf[cols] = [math.log(self.n_docs / self.doc_freq[term]) for term in self.vocabulary]
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "idf", idf)
 
 
 def fit_content_model(
@@ -294,32 +350,48 @@ def fit_content_model(
     tasks = list(training_tasks)
     if not tasks:
         raise ValueError("cannot fit a content model on an empty training set")
-    df: Counter = Counter()
-    for task in tasks:
-        df.update(analyse(task).terms(config.ngram_range).keys())
-    eligible = [t for t, c in df.items() if c >= config.min_df]
-    eligible.sort(key=lambda t: (-df[t], t))
-    kept = sorted(eligible[: config.max_features])
+    ids = [analyse(task).term_ids(config.ngram_range)[0] for task in tasks]
+    df = np.bincount(np.concatenate(ids), minlength=len(_TERMS))
+    eligible = np.flatnonzero(df >= max(config.min_df, 1)).tolist()
+    kept = sorted(eligible, key=_TERMS.__getitem__)
+    if len(kept) > config.max_features:
+        # a stable sort by -df over lexicographic order ranks by (-df, term)
+        ranked = np.argsort(-df[kept], kind="stable")[: config.max_features]
+        kept = [kept[i] for i in sorted(ranked.tolist())]
+    terms = [_TERMS[i] for i in kept]
     return ContentModel(
-        vocabulary={t: i for i, t in enumerate(kept)},
-        doc_freq={t: df[t] for t in kept},
+        vocabulary=dict(zip(terms, range(len(terms)))),
+        doc_freq=dict(zip(terms, df[kept].tolist())),
         n_docs=len(tasks),
         ngram_range=config.ngram_range,
     )
 
 
+def content_matrix(model: ContentModel, tasks: Iterable[MicroTask]) -> np.ndarray:
+    """One content_vector row per task, scattered into one matrix."""
+    tables = [analyse(task).term_ids(model.ngram_range) for task in tasks]
+    out = np.zeros((len(tables), len(model.vocabulary)))
+    if not tables:
+        return out
+    ids = np.concatenate([ids for ids, _ in tables])
+    tf = np.concatenate([tf for _, tf in tables])
+    rows = np.repeat(np.arange(len(tables)), [len(ids) for ids, _ in tables])
+    known = ids < len(model.columns)
+    cols = model.columns[ids[known]]
+    hit = cols >= 0
+    cols = cols[hit]
+    out[rows[known][hit], cols] = tf[known][hit] * model.idf[cols]
+    # the norm of each dense row, as content_vector always took it; a zero
+    # row is divided by 1 and so stays as it is
+    norms = np.array([np.linalg.norm(row) for row in out])
+    out /= np.where(norms > 0, norms, 1.0)[:, None]
+    return out
+
+
 def content_vector(model: ContentModel, task: MicroTask) -> np.ndarray:
     """tf * ln(n_docs/df) over vocabulary terms, L2-normalized when nonzero;
     out-of-vocabulary terms are ignored."""
-    vec = np.zeros(len(model.vocabulary))
-    for term, tf in analyse(task).terms(model.ngram_range).items():
-        idx = model.vocabulary.get(term)
-        if idx is not None:
-            vec[idx] = tf * math.log(model.n_docs / model.doc_freq[term])
-    norm = np.linalg.norm(vec)
-    if norm > 0:
-        vec /= norm
-    return vec
+    return content_matrix(model, [task])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +402,8 @@ def content_vector(model: ContentModel, task: MicroTask) -> np.ndarray:
 class TaskAnalysis:
     """What the feature sets and the comprehensibility measure read from one
     task's text. Built once per task by `analyse` from one `tokenize` of the
-    title and one of the description; treat it as read-only (`structural` is
-    a read-only array, `terms` Counters are shared)."""
+    title and one of the description; treat it as read-only (`structural` and
+    the `term_ids` arrays are read-only arrays)."""
 
     # title and description tokens, stopwords dropped, stemmed
     title_stems: tuple[str, ...]
@@ -343,23 +415,49 @@ class TaskAnalysis:
     # description word tokens that start with a capital, are no stopword
     # and are not the first word token of their sentence
     named_entities: int
-    _terms: dict = field(default_factory=dict, repr=False)
+    _term_ids: dict = field(default_factory=dict, repr=False)
+    _sentiment: dict = field(default_factory=dict, repr=False)
 
     def terms(self, ngram_range: tuple[int, int]) -> Counter:
         """Counts of the title and description n-grams of stems for each n
         in ngram_range; n-grams never cross the title/description boundary."""
+        lo, hi = ngram_range
+        terms: list[str] = []
+        for toks in (self.title_stems, self.description_stems):
+            for n in range(lo, hi + 1):
+                terms.extend(" ".join(toks[i : i + n]) for i in range(len(toks) - n + 1))
+        return Counter(terms)
+
+    def term_ids(self, ngram_range: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct `terms(ngram_range)` as term-table ids, and their
+        counts as floats, in the same order; made once per range."""
         key = tuple(ngram_range)
-        counts = self._terms.get(key)
-        if counts is None:
-            lo, hi = key
-            terms: list[str] = []
-            for toks in (self.title_stems, self.description_stems):
-                for n in range(lo, hi + 1):
-                    terms.extend(
-                        " ".join(toks[i : i + n]) for i in range(len(toks) - n + 1)
-                    )
-            counts = self._terms[key] = Counter(terms)
-        return counts
+        table = self._term_ids.get(key)
+        if table is None:
+            counts = self.terms(key)
+            ids = np.fromiter(map(_term_id, counts), dtype=np.intp, count=len(counts))
+            tf = np.fromiter(counts.values(), dtype=float, count=len(counts))
+            ids.setflags(write=False)
+            tf.setflags(write=False)
+            table = self._term_ids[key] = (ids, tf)
+        return table
+
+    def sentiment(self, lexicon: frozenset) -> float:
+        """(pos - neg) / max(1, pos + neg) over the lowercased description
+        words, for a lexicon interned by `_lexicon_key`; counted once per
+        lexicon."""
+        score = self._sentiment.get(lexicon)
+        if score is None:
+            polarities = dict(lexicon)
+            pos = neg = 0
+            for tok in self.lower_words:
+                polarity = polarities.get(tok)
+                if polarity == 1:
+                    pos += 1
+                elif polarity == -1:
+                    neg += 1
+            score = self._sentiment[lexicon] = (pos - neg) / max(1, pos + neg)
+        return score
 
 
 # Entries go when their task is garbage-collected.
@@ -429,16 +527,21 @@ def combine_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
 @dataclass(frozen=True)
 class FittedExtractor:
     """One feature set fitted on training tasks; maps any task list to a
-    FeatureMatrix with stable columns, one `row(task)` per task."""
+    FeatureMatrix with stable columns, `rows(tasks)` giving one row per task
+    for a nonempty task list."""
 
     set_name: str
     column_names: tuple[str, ...]
-    row: Callable[[MicroTask], np.ndarray]
+    rows: Callable[[list[MicroTask]], np.ndarray]
 
     def matrix(self, tasks: Iterable[MicroTask]) -> FeatureMatrix:
-        rows = [self.row(task) for task in tasks]
-        stacked = np.vstack(rows) if rows else np.zeros((0, len(self.column_names)))
-        return FeatureMatrix(self.column_names, stacked, frozenset({self.set_name}))
+        tasks = list(tasks)
+        rows = self.rows(tasks) if tasks else np.zeros((0, len(self.column_names)))
+        return FeatureMatrix(self.column_names, rows, frozenset({self.set_name}))
+
+
+def _each(row: Callable[[MicroTask], np.ndarray]) -> Callable[[list[MicroTask]], np.ndarray]:
+    return lambda tasks: np.vstack([row(task) for task in tasks])
 
 
 def fit_extractor(
@@ -457,23 +560,25 @@ def fit_extractor(
         return FittedExtractor(
             set_name,
             factual_feature_names(employer_vocab, country_vocab),
-            lambda task: factual_features(task, employer_vocab, country_vocab),
+            _each(lambda task: factual_features(task, employer_vocab, country_vocab)),
         )
     if set_name == "structural":
-        return FittedExtractor(set_name, STRUCTURAL_FEATURE_NAMES, structural_features)
+        return FittedExtractor(set_name, STRUCTURAL_FEATURE_NAMES, _each(structural_features))
     if set_name == "semantic":
-        lexicon = dict(sentiment_lexicon) if sentiment_lexicon is not None else default_sentiment_lexicon()
+        lexicon = _lexicon_key(
+            default_sentiment_lexicon() if sentiment_lexicon is None else sentiment_lexicon
+        )
         host_vocab = fit_host_vocab(train)
         return FittedExtractor(
             set_name,
             semantic_feature_names(host_vocab),
-            lambda task: semantic_features(task, lexicon, host_vocab),
+            _each(lambda task: _semantic_row(task, lexicon, host_vocab)),
         )
     if set_name == "content":
         model = fit_content_model(train)
         return FittedExtractor(
             set_name,
-            tuple(sorted(model.vocabulary, key=model.vocabulary.__getitem__)),
-            lambda task: content_vector(model, task),
+            tuple(model.vocabulary),
+            lambda tasks: content_matrix(model, tasks),
         )
     raise ValueError(f"unknown feature set '{set_name}'")

@@ -102,12 +102,19 @@ def render_report_csv(report: EvaluationReport) -> str:
     return _cells_csv([cell], report.classes)
 
 
+def _csv_field(value: str) -> str:
+    """One field as csv.writer quotes it in a row of several fields."""
+    return csv_text([value, ""], ())[:-2]
+
+
 def render_matrix_csv(matrix: SimilarityMatrix) -> str:
-    """Pairwise similarities, ids on both axes, six decimal places."""
-    return csv_text(["id", *matrix.task_ids], (
-        [task_id] + ["%.6f" % v for v in values.tolist()]
+    """Pairwise similarities, ids on both axes, six decimal places; each row
+    is one format call, as no "%.6f" cell needs quoting."""
+    row = "," + ",".join(["%.6f"] * len(matrix.task_ids)) + "\n"
+    return csv_text(["id", *matrix.task_ids], ()) + "".join(
+        _csv_field(task_id) + row % tuple(values.tolist())
         for task_id, values in zip(matrix.task_ids, matrix.values)
-    ))
+    )
 
 
 def render_matrix_text(matrix: SimilarityMatrix) -> str:

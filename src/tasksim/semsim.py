@@ -378,6 +378,10 @@ class SimilarityMatrix:
                 f"{n} task ids"
             )
         if n:
+            # NaN fails no comparison below, so it is refused first
+            low, high = values.min(), values.max()
+            if not (np.isfinite(low) and np.isfinite(high)):
+                raise ValueError("similarity values must be finite")
             if not np.all(np.diag(values) == 1.0):
                 raise ValueError("similarity diagonal must be exactly 1")
             # in row blocks, so that no n x n temporary is made
@@ -386,7 +390,7 @@ class SimilarityMatrix:
                 cols = values[:, lo : lo + _ROW_BLOCK].T
                 if np.max(np.abs(rows - cols), initial=0.0) > 1e-9:
                     raise ValueError("similarity matrix not symmetric")
-            if values.min(initial=1.0) < 0.0 or values.max(initial=0.0) > 1.0:
+            if low < 0.0 or high > 1.0:
                 raise ValueError("similarity values outside [0, 1]")
         object.__setattr__(self, "values", values)
 

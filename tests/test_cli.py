@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -196,6 +197,28 @@ def test_grid_lists_requested_cells(small_corpus, capsys):
     assert lines[0].split() == ["feature_sets", "naive_bayes", "tree"]
     assert [line.split()[0] for line in lines[1:]] == ["factual",
                                                        "structural"]
+
+
+# sha256 of the grid CSV below, header comments dropped, as the Counter-based
+# content features produced it
+_CONTENT_GRID_SHA256 = "6c2ec8e8a799b4931fc146afe9095a9159c38c040fe9ffd747c452931cf916a4"
+
+
+def test_content_grid_bytes_are_pinned(tmp_path):
+    corpus, out = tmp_path / "c.jsonl", tmp_path / "g.csv"
+    assert dispatch(["synth", "--out", str(corpus), "--seed", "11",
+                     "--categories", "3", "--per-category", "8"]) == 0
+    assert dispatch([
+        "grid", "--corpus", str(corpus), "--format", "csv",
+        "--sets", "content,content+structural+semantic",
+        "--algo", "naive_bayes,knn", "--folds", "3", "--seed", "4",
+        "--out", str(out),
+    ]) == 0
+    body = "".join(
+        line for line in out.read_text().splitlines(keepends=True)
+        if not line.startswith("#")
+    )
+    assert hashlib.sha256(body.encode()).hexdigest() == _CONTENT_GRID_SHA256
 
 
 def test_cluster_reruns_byte_identical(small_corpus, tmp_path):

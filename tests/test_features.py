@@ -2,10 +2,12 @@
 
 import dataclasses
 import gc
+import itertools
 import math
 import re
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from tasksim.features import (
     ContentConfig,
     FeatureMatrix,
     combine_features,
+    content_matrix,
     content_vector,
     factual_features,
     fit_content_model,
@@ -348,6 +351,86 @@ class TestContentModel:
         for html in ("click here", "watch the video", "unrelated"):
             vec = content_vector(model, make_task(id="q", title="", html=html))
             assert np.all(vec >= 0)
+
+
+def _oracle_fit_content_model(tasks, config):
+    """fit_content_model as it was defined before the term table: document
+    frequencies from one Counter update per task."""
+    df = Counter()
+    for task in tasks:
+        df.update(analyse(task).terms(config.ngram_range).keys())
+    eligible = [t for t, c in df.items() if c >= config.min_df]
+    eligible.sort(key=lambda t: (-df[t], t))
+    kept = sorted(eligible[: config.max_features])
+    return (
+        {t: i for i, t in enumerate(kept)},
+        {t: df[t] for t in kept},
+        len(tasks),
+    )
+
+
+def _oracle_content_vector(vocabulary, doc_freq, n_docs, ngram_range, task):
+    """content_vector as it was defined before the term table: one dict
+    lookup per term of the task."""
+    vec = np.zeros(len(vocabulary))
+    for term, tf in analyse(task).terms(ngram_range).items():
+        idx = vocabulary.get(term)
+        if idx is not None:
+            vec[idx] = tf * math.log(n_docs / doc_freq[term])
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec
+
+
+_CONTENT_WORDS = ["click", "link", "video", "watch", "app", "install", "rate",
+                  "review", "signup", "email", "the", "now"]
+_UNSEEN = itertools.count()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    train_texts=st.lists(
+        st.lists(st.sampled_from(_CONTENT_WORDS), max_size=12), min_size=1, max_size=8
+    ),
+    eval_texts=st.lists(
+        st.lists(st.sampled_from(_CONTENT_WORDS + ["outsider", "stranger"]), max_size=8),
+        max_size=4,
+    ),
+    ngram_range=st.sampled_from([(1, 1), (1, 2)]),
+    min_df=st.integers(0, 3),
+    max_features=st.sampled_from([1, 2, 3, 5, 10000]),
+)
+def test_content_model_and_matrix_match_the_counter_definition(
+    train_texts, eval_texts, ngram_range, min_df, max_features
+):
+    train = [
+        make_task(id=f"t{i}", title=" ".join(words[:2]), html=" ".join(words[2:]))
+        for i, words in enumerate(train_texts)
+    ]
+    # eval tasks: vocabulary and out-of-vocabulary words, a term no task in
+    # this process has had before, and an empty text
+    fresh = f"unheard{next(_UNSEEN)}word"
+    evaluated = [
+        make_task(id=f"e{i}", title="", html=" ".join(words + [fresh] * (i % 2)))
+        for i, words in enumerate(eval_texts)
+    ] + [make_task(id="empty", title="", html="")]
+    config = ContentConfig(ngram_range=ngram_range, min_df=min_df, max_features=max_features)
+    model = fit_content_model(train, config)
+    vocabulary, doc_freq, n_docs = _oracle_fit_content_model(train, config)
+    assert list(model.vocabulary.items()) == list(vocabulary.items())
+    assert model.doc_freq == doc_freq
+    assert model.n_docs == n_docs
+    assert fresh not in model.vocabulary
+    for tasks in (train, evaluated):
+        expected = np.array([
+            _oracle_content_vector(vocabulary, doc_freq, n_docs, ngram_range, task)
+            for task in tasks
+        ]).reshape(len(tasks), len(vocabulary))
+        assert np.array_equal(content_matrix(model, tasks), expected)
+        for task, row in zip(tasks, expected):
+            assert np.array_equal(content_vector(model, task), row)
+    assert not content_matrix(model, evaluated[-1:]).any()
 
 
 class TestCombine:

@@ -27,6 +27,7 @@ from tasksim.semsim import (
     similarity_matrix,
     unusual_word_ratio,
 )
+from tasksim.reports import csv_text, render_matrix_csv
 from tasksim.wordnet import bundled_mini_wordnet_dir, load_wordnet
 
 
@@ -424,6 +425,51 @@ def test_matrix_validation_rejects_bad_values():
         SimilarityMatrix(ids, good, "cosine")
     with pytest.raises(ValueError, match="shape"):
         SimilarityMatrix(("a",), good, "required_action")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_matrix_validation_rejects_non_finite_values(bad):
+    # NaN passes both the range check and the symmetry check by comparing
+    # False, so only an explicit finiteness check stops it from being
+    # clustered
+    values = np.full((4, 4), 0.5)
+    np.fill_diagonal(values, 1.0)
+    values[0, 1] = values[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SimilarityMatrix(("a", "b", "c", "d"), values, "required_action")
+
+
+def _oracle_render_matrix_csv(matrix):
+    """The matrix CSV as csv.writer wrote it, one quoted cell at a time."""
+    return csv_text(["id", *matrix.task_ids], (
+        [task_id] + ["%.6f" % v for v in values.tolist()]
+        for task_id, values in zip(matrix.task_ids, matrix.values)
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(
+        st.one_of(
+            st.sampled_from(["a,b", 'say "hi"', "", " pad ", "two\nlines", "t1"]),
+            st.text(alphabet='ab,"\n\r ;', max_size=5),
+        ),
+        unique=True,
+        max_size=7,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_matrix_csv_matches_csv_writer(ids, seed):
+    rng = np.random.default_rng(seed)
+    n = len(ids)
+    values = rng.choice([0.0, -0.0, 1.0, 0.1234565, 0.9999996], size=(n, n))
+    values = np.where(rng.random((n, n)) < 0.5, values, rng.random((n, n)))
+    values = np.triu(values) + np.triu(values, 1).T
+    np.fill_diagonal(values, 1.0)
+    if n > 1:
+        values[0, 1] = values[1, 0] = -0.0
+    matrix = SimilarityMatrix(tuple(ids), values, "comprehensibility")
+    assert render_matrix_csv(matrix) == _oracle_render_matrix_csv(matrix)
 
 
 _WORD_POOL = [
