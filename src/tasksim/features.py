@@ -21,6 +21,7 @@ once per task and lexicon.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from collections import Counter
@@ -263,6 +264,12 @@ _LEXICONS: dict[frozenset, frozenset] = {}
 def _lexicon_key(lexicon: Mapping[str, int]) -> frozenset:
     key = frozenset(lexicon.items())
     return _LEXICONS.setdefault(key, key)
+
+
+@functools.cache
+def _default_lexicon_key() -> frozenset:
+    """The bundled lexicon, read and interned once per process."""
+    return _lexicon_key(default_sentiment_lexicon())
 
 
 def semantic_features(
@@ -565,9 +572,10 @@ def fit_extractor(
     if set_name == "structural":
         return FittedExtractor(set_name, STRUCTURAL_FEATURE_NAMES, _each(structural_features))
     if set_name == "semantic":
-        lexicon = _lexicon_key(
-            default_sentiment_lexicon() if sentiment_lexicon is None else sentiment_lexicon
-        )
+        if sentiment_lexicon is None:
+            lexicon = _default_lexicon_key()
+        else:
+            lexicon = _lexicon_key(sentiment_lexicon)
         host_vocab = fit_host_vocab(train)
         return FittedExtractor(
             set_name,

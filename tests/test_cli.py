@@ -199,26 +199,37 @@ def test_grid_lists_requested_cells(small_corpus, capsys):
                                                        "structural"]
 
 
-# sha256 of the grid CSV below, header comments dropped, as the Counter-based
-# content features produced it
-_CONTENT_GRID_SHA256 = "6c2ec8e8a799b4931fc146afe9095a9159c38c040fe9ffd747c452931cf916a4"
-
-
-def test_content_grid_bytes_are_pinned(tmp_path):
+def _grid_body_sha256(tmp_path, sets, algo):
+    """sha256 of a seeded 3-fold grid CSV, header comments dropped."""
     corpus, out = tmp_path / "c.jsonl", tmp_path / "g.csv"
     assert dispatch(["synth", "--out", str(corpus), "--seed", "11",
                      "--categories", "3", "--per-category", "8"]) == 0
     assert dispatch([
-        "grid", "--corpus", str(corpus), "--format", "csv",
-        "--sets", "content,content+structural+semantic",
-        "--algo", "naive_bayes,knn", "--folds", "3", "--seed", "4",
-        "--out", str(out),
+        "grid", "--corpus", str(corpus), "--format", "csv", "--sets", sets,
+        "--algo", algo, "--folds", "3", "--seed", "4", "--out", str(out),
     ]) == 0
     body = "".join(
         line for line in out.read_text().splitlines(keepends=True)
         if not line.startswith("#")
     )
-    assert hashlib.sha256(body.encode()).hexdigest() == _CONTENT_GRID_SHA256
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+# as the Counter-based content features produced it
+_CONTENT_GRID_SHA256 = "6c2ec8e8a799b4931fc146afe9095a9159c38c040fe9ffd747c452931cf916a4"
+# as the SMO loop that recomputed its masks and curvature every step produced it
+_SVM_GRID_SHA256 = "2e507c1e8ae7508d75e971c03b7cc721910f71a38ae24fea27be71935c5959ef"
+
+
+def test_content_grid_bytes_are_pinned(tmp_path):
+    sets = "content,content+structural+semantic"
+    digest = _grid_body_sha256(tmp_path, sets, "naive_bayes,knn")
+    assert digest == _CONTENT_GRID_SHA256
+
+
+def test_svm_grid_bytes_are_pinned(tmp_path):
+    digest = _grid_body_sha256(tmp_path, "structural,content", "svm_smo")
+    assert digest == _SVM_GRID_SHA256
 
 
 def test_cluster_reruns_byte_identical(small_corpus, tmp_path):

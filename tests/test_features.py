@@ -260,6 +260,26 @@ class TestSemantic:
         assert lexicon
         assert lexicon == load_sentiment_lexicon(bundled)
 
+    def test_default_lexicon_is_read_once(self, monkeypatch):
+        reads = []
+
+        def counting_load(path):
+            reads.append(path)
+            return load_sentiment_lexicon(path)
+
+        monkeypatch.setattr(features, "load_sentiment_lexicon", counting_load)
+        features._default_lexicon_key.cache_clear()
+        tasks = [make_task(id="t1", html="a good day"), make_task(id="t2", html="a bad day")]
+        first = fit_extractor("semantic", tasks).matrix(tasks).rows
+        second = fit_extractor("semantic", tasks[:1]).matrix(tasks).rows
+        assert len(reads) == 1
+        assert np.array_equal(first[:, -2:], second[:, -2:])
+        # callers get a fresh copy, so changing one leaves the shared key alone
+        default_sentiment_lexicon()["good"] = -1
+        assert features._default_lexicon_key() == features._lexicon_key(
+            load_sentiment_lexicon(reads[0])
+        )
+
 
 class TestContentModel:
     def tasks(self):

@@ -523,7 +523,102 @@ class TestRouting:
         assert np.array_equal(tree.scores(single, rows), oracle_leaf_distributions(single, rows))
 
 
+# The SMO loop that rebuilt its masks, gradient view and curvature row with
+# whole-vector numpy calls at every step, kept as the reference `svm.fit`
+# must reproduce bit for bit and step for step. The step cap is left out.
+
+
+def oracle_solve(K, y, C, tol):
+    n = len(y)
+    diag = np.diag(K)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # G = Q alpha - e with Q = y y' * K
+    pos = y > 0
+    steps = 0
+    while True:
+        viol = -y * grad
+        up = np.where(pos, alpha < C, alpha > 0.0)
+        low = np.where(pos, alpha > 0.0, alpha < C)
+        i = np.argmax(np.where(up, viol, -np.inf))
+        m, M = viol[i], viol[low].min()
+        if m - M < tol:
+            break
+        steps += 1
+        gain = m - viol
+        curv = np.maximum(diag[i] + diag - 2.0 * K[i], svm._TAU)
+        j = np.argmax(np.where(low & (gain > 0.0), gain**2 / curv, -np.inf))
+        room_i = C - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else C - alpha[j]
+        lam = min(gain[j] / curv[j], room_i, room_j)
+        alpha[i] = (C if pos[i] else 0.0) if lam == room_i else alpha[i] + y[i] * lam
+        alpha[j] = (0.0 if pos[j] else C) if lam == room_j else alpha[j] - y[j] * lam
+        grad += y * (lam * (K[i] - K[j]))
+    yg = y * grad
+    free = (alpha > 0.0) & (alpha < C)
+    rho = yg[free].mean() if free.any() else -(m + M) / 2.0
+    return alpha, -rho, steps
+
+
+def assert_svm_matches_oracle(rows, y_idx, n_classes, config):
+    """Fit through svm.fit and through the oracle; every machine must agree."""
+    params = svm.fit(rows, y_idx, n_classes, config)
+    std = rows.std(axis=0)
+    standardized = (rows - rows.mean(axis=0)) / np.where(std > 0.0, std, 1.0)
+    gram = standardized @ standardized.T
+    for c, machine in enumerate(params["machines"]):
+        y = np.where(y_idx == c, 1.0, -1.0)
+        alpha, b, steps = oracle_solve(gram, y, config.svm_C, config.svm_tol)
+        assert np.array_equal(machine["alpha"], alpha)
+        assert machine["b"] == b
+        assert np.array_equal(machine["w"], (alpha * y) @ standardized)
+        assert machine["steps"] == steps
+        assert machine["kkt_gap"] < config.svm_tol
+    return params
+
+
 class TestSvmSmo:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(5, 40),
+        n_classes=st.integers(2, 5),
+        wide=st.booleans(),
+        twins=st.integers(0, 6),
+        C=st.sampled_from([0.05, 1.0, 20.0]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_oracle(self, seed, n_rows, n_classes, wide, twins, C):
+        rng = np.random.default_rng(seed)
+        if wide:
+            # tf-idf-like: many columns, most cells zero
+            X = rng.exponential(1.0, size=(n_rows, 60)) * (rng.random((n_rows, 60)) < 0.08)
+        else:
+            X = rng.normal(size=(n_rows, 3)) + rng.integers(0, 3, size=(n_rows, 1))
+        y_idx = np.resize(np.arange(n_classes), n_rows)
+        rng.shuffle(y_idx)
+        # rows repeated under another label: zero-curvature pairs, floored at _TAU
+        copies = rng.integers(0, n_rows, size=twins)
+        X = np.vstack([X, X[copies]])
+        y_idx = np.concatenate([y_idx, (y_idx[copies] + 1) % n_classes])
+        config = LearnerConfig(svm_C=C)
+        assert_svm_matches_oracle(X, y_idx, n_classes, config)
+
+    def test_matches_oracle_on_bounded_and_flat_pairs(self):
+        # three overlapping classes, each with rows repeated under another label
+        rng = np.random.default_rng(31)
+        X = np.vstack([rng.normal(c, 1.0, (12, 2)) for c in ((0, 0), (1.5, 0), (0.75, 1.2))])
+        X = np.vstack([X, X[:4], X[12:16], X[24:28]])
+        y_idx = np.array([0] * 12 + [1] * 12 + [2] * 12 + [1] * 4 + [2] * 4 + [0] * 4)
+        config = LearnerConfig()
+        params = assert_svm_matches_oracle(X, y_idx, 3, config)
+        assert all(np.any(m["alpha"] == config.svm_C) for m in params["machines"])
+        std = (X - X.mean(axis=0)) / X.std(axis=0)
+        assert np.sum(svm._curvature(std @ std.T) == svm._TAU) > len(X)
+
+    @pytest.mark.parametrize("sets", FEATURE_SET_CASES, ids="+".join)
+    def test_feature_set_fold_matches_oracle(self, seeded_folds, sets):
+        X, y_idx, n_classes = seeded_folds[sets]
+        assert_svm_matches_oracle(X, y_idx, n_classes, LearnerConfig())
+
     def test_two_separable_points(self):
         X = np.array([[0.0, 0.0], [2.0, 2.0]])
         y = ["a", "b"]
