@@ -61,7 +61,8 @@ def generate_synthetic_corpus(
 def _load(args, needs_wordnet: bool):
     """Check the inputs, then load the corpus. Fails before any work if a
     given input path is missing, if the run needs WordNet and --wordnet was
-    not given, or if --k or --folds does not fit the corpus."""
+    not given, if --k or --folds does not fit the corpus, or if --seed,
+    which seeds the fold draws, is negative."""
     for dest in ("corpus", "wordlist", "sentiment_lexicon"):
         value = getattr(args, dest, None)
         if value is not None and not Path(value).is_file():
@@ -84,6 +85,8 @@ def _load(args, needs_wordnet: bool):
         raise CliError(
             f"--folds must be between 2 and {len(corpus)}, got {folds}"
         )
+    if folds is not None and args.seed < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
     return corpus
 
 

@@ -8,6 +8,7 @@ visible text, list-item and paragraph boundaries, and link hostnames.
 from __future__ import annotations
 
 import json
+import math
 import re
 import string
 from collections import Counter
@@ -247,7 +248,10 @@ def strip_html(raw: str) -> tuple[str, DocStructure]:
                     m = _HREF_RE.search(interior)
                     if m:
                         href = _decode_entities(next(g for g in m.groups() if g is not None))
-                        host = urlsplit(href.strip()).hostname
+                        try:
+                            host = urlsplit(href.strip()).hostname
+                        except ValueError:  # e.g. an unclosed '[' IPv6 host
+                            host = None
                         if host:
                             hosts.append(host.lower())
                 elif name in _RAW_TEXT_TAGS and not interior.rstrip().endswith("/"):
@@ -322,7 +326,18 @@ def _as_number(record: dict, name: str, line_no: int) -> float:
     value = record[name]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CorpusError(f"line {line_no}: field '{name}' must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond float range
+        number = math.inf
+    # json reads NaN and Infinity, which no field may hold
+    if not math.isfinite(number):
+        raise CorpusError(f"line {line_no}: field '{name}' must be a finite number")
+    if name in _COUNT_FIELDS and not (number >= 0 and number.is_integer()):
+        raise CorpusError(
+            f"line {line_no}: field '{name}' must be a non-negative whole number"
+        )
+    return number
 
 
 def _parse_record(

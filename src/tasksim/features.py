@@ -526,7 +526,7 @@ def combine_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
             names.extend(f"{tag}:{c}" for c in part.column_names)
         else:
             names.extend(part.column_names)
-    rows = np.hstack([part.rows for part in parts]) if parts else np.zeros((0, 0))
+    rows = np.hstack([part.rows for part in parts])
     provenance = frozenset().union(*(part.provenance for part in parts))
     return FeatureMatrix(tuple(names), rows, provenance)
 

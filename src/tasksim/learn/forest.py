@@ -1,5 +1,6 @@
 """Random forest: bootstrapped gain-ratio trees with per-split feature
-subsets, all grown together level by level (see tree.grow).
+subsets, all grown together level by level into one node table whose
+roots 0..trees-1 are the trees in order (see tree.grow).
 
 Tree t uses the generator default_rng(seed + t): first its bootstrap
 sample, integers(0, n, size=n); then, at each depth, random((open nodes of
@@ -36,12 +37,12 @@ def fit(rows: np.ndarray, y_idx: np.ndarray, n_classes: int, config, seed: int) 
         # sorted so split ties still resolve by global feature index
         return np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
 
-    trees = tree.grow(rows, y_idx, n_classes, config.tree_min_leaf, samples, draw_columns)
-    return {"trees": trees, "n_features": n_features, "n_classes": n_classes}
+    grown = tree.grow(rows, y_idx, n_classes, config.tree_min_leaf, samples, draw_columns)
+    return dict(grown, n_classes=n_classes)
 
 
 def scores(params: dict, rows: np.ndarray) -> np.ndarray:
     """Fraction of trees voting for each class."""
-    picks = np.argmax(tree.leaf_distributions(params["trees"], rows), axis=2)
+    picks = np.argmax(tree.leaf_distributions(params, rows), axis=2)
     votes = (picks[:, :, None] == np.arange(params["n_classes"])).sum(axis=0)
-    return votes / len(params["trees"])
+    return votes / params["n_trees"]

@@ -17,9 +17,9 @@ rows. Each column's values are ranked once; at each depth the rows of every
 (open node, candidate column) pair are sorted by rank with one stable
 argsort, and class counts come from one cumulative sum. Candidate columns
 come from a column rule: `tree` offers every column, `forest` draws a
-subset. Columns constant over a node's rows are dropped before scoring. The
-result is the tree a depth-first build makes, bit for bit, numbered in
-depth-first preorder (left subtree first).
+subset. Columns constant over a node's rows are dropped before scoring.
+Each tree is the tree a depth-first build makes, bit for bit. All the
+trees grown together share one node table, numbered level by level.
 """
 
 from __future__ import annotations
@@ -170,13 +170,17 @@ def grow(
     min_leaf: int,
     roots: Sequence[np.ndarray],
     columns: Callable[[np.ndarray], np.ndarray],
-) -> list[dict]:
+) -> dict:
     """Grow one tree per root row set (indices into X; repeats allowed) and
-    return their parameter dicts.
+    return them as one node table, numbered level by level.
+
+    Nodes 0..len(roots)-1 are the roots, in order; each depth's nodes follow
+    the previous depth's, and a split node's children sit side by side
+    (right = left + 1). Leaves have feature, left and right -1.
 
     `columns(node_tree)` is called once per depth with the tree index of
-    each open node, in breadth-first order (trees in order), and returns a
-    (len(node_tree), m) array of each node's candidate columns, sorted.
+    each open node, in node order, and returns a (len(node_tree), m) array
+    of each node's candidate columns, sorted.
     """
     onehot = np.zeros((X.shape[0], n_classes), dtype=np.intp)
     onehot[np.arange(X.shape[0]), y_idx] = 1
@@ -186,9 +190,11 @@ def grow(
     xlog2x = _xlog2x(np.arange(max(root.size for root in roots) + 1, dtype=float))
     size = np.array([root.size for root in roots], dtype=np.intp)
     node_tree = np.arange(len(roots))
-    levels = []  # per depth: tree, feature, threshold, dist, split nodes
+    n_numbered = 0  # nodes of all depths so far, the current one included
+    levels = []  # per depth: feature, threshold, left, dist
     while size.size:
         n_nodes = size.size
+        n_numbered += n_nodes
         node_start = np.cumsum(size) - size
         elem_node = np.repeat(np.arange(n_nodes), size)
         counts = np.bincount(
@@ -205,12 +211,13 @@ def grow(
         threshold = np.zeros(n_nodes)
         feature[split] = feature_at
         threshold[split] = threshold_at
-        levels.append((node_tree, feature, threshold, counts / size[:, None], split))
+        child_of = np.full(n_nodes, -1, dtype=np.intp)
+        child_of[split] = np.arange(0, 2 * split.size, 2)
+        left = np.where(child_of >= 0, n_numbered + child_of, -1)
+        levels.append((feature, threshold, left, counts / size[:, None]))
 
         # stable partition: each split node's rows go to its left child
         # (value <= threshold), then its right child, in node order
-        child_of = np.full(n_nodes, -1)
-        child_of[split] = np.arange(0, 2 * split.size, 2)
         member = child_of[elem_node] >= 0
         split_rows, split_node = rows[member], elem_node[member]
         go_right = ~(X[split_rows, feature[split_node]] <= threshold[split_node])
@@ -218,39 +225,12 @@ def grow(
         rows = split_rows[np.argsort(child, kind="stable")]
         size = np.bincount(child, minlength=2 * split.size)
         node_tree = np.repeat(node_tree[split], 2)
-    return _preorder(levels, len(roots), X.shape[1])
-
-
-def _preorder(levels, n_trees: int, n_features: int) -> list[dict]:
-    """Per-tree parameter dicts from breadth-first levels, renumbered to
-    depth-first preorder."""
-    offsets = np.cumsum([0] + [level[0].size for level in levels])
-    tree_of, feature, threshold, dist, _ = (np.concatenate(x) for x in zip(*levels))
-    left = np.full(tree_of.size, -1, dtype=np.intp)
-    links = []  # per depth: split nodes and their left children (global ids)
-    for depth, level in enumerate(levels):
-        split = offsets[depth] + level[4]
-        left[split] = offsets[depth + 1] + 2 * np.arange(split.size)
-        links.append((split, left[split]))
-    subtree = np.ones(tree_of.size, dtype=np.intp)
-    for split, child in reversed(links):
-        subtree[split] += subtree[child] + subtree[child + 1]
-    pre = np.zeros(tree_of.size, dtype=np.intp)
-    for split, child in links:
-        pre[child] = pre[split] + 1
-        pre[child + 1] = pre[split] + 1 + subtree[child]
-
-    order = np.lexsort((pre, tree_of))
-    has_children = left >= 0
-    left_pre = np.where(has_children, pre[left], -1)
-    right_pre = np.where(has_children, pre[left + 1], -1)
-    cuts = np.cumsum(np.bincount(tree_of, minlength=n_trees))[:-1]
-    parts = [np.split(a[order], cuts) for a in (feature, threshold, left_pre, right_pre, dist)]
-    return [
-        {"feature": f, "threshold": t, "left": lo, "right": hi, "dist": d,
-         "n_features": n_features}
-        for f, t, lo, hi, d in zip(*parts)
-    ]
+    feature, threshold, left, dist = (np.concatenate(x) for x in zip(*levels))
+    return {
+        "feature": feature, "threshold": threshold, "left": left,
+        "right": np.where(left >= 0, left + 1, -1), "dist": dist,
+        "n_trees": len(roots), "n_features": X.shape[1],
+    }
 
 
 def fit(rows: np.ndarray, y_idx: np.ndarray, n_classes: int, config) -> dict:
@@ -259,24 +239,19 @@ def fit(rows: np.ndarray, y_idx: np.ndarray, n_classes: int, config) -> dict:
     return grow(
         rows, y_idx, n_classes, config.tree_min_leaf, [np.arange(n)],
         lambda node_tree: np.broadcast_to(every, (node_tree.size, n_features)),
-    )[0]
-
-
-def leaf_distributions(trees: Sequence[dict], rows: np.ndarray) -> np.ndarray:
-    """Each tree's leaf class distribution for each row, shaped (trees,
-    rows, classes). The trees' node tables are joined into one, so every
-    (tree, row) pair is routed at once, one depth per step."""
-    sizes = [t["feature"].size for t in trees]
-    start = np.cumsum(sizes) - sizes
-    feature, threshold, left, right, dist = (
-        np.concatenate([t[key] for t in trees])
-        for key in ("feature", "threshold", "left", "right", "dist")
     )
-    # leaves hold -1 children, which are never followed
-    shift = np.repeat(start, sizes)
-    left, right = left + shift, right + shift
-    node = np.repeat(start, rows.shape[0])
-    row = np.tile(np.arange(rows.shape[0]), len(trees))
+
+
+def leaf_distributions(params: dict, rows: np.ndarray) -> np.ndarray:
+    """Each tree's leaf class distribution for each row, shaped (trees,
+    rows, classes). Every (tree, row) pair starts at its tree's root, and
+    all are routed at once, one depth per step."""
+    feature, threshold, left, right, dist = (
+        params[key] for key in ("feature", "threshold", "left", "right", "dist")
+    )
+    n_trees, n_rows = params["n_trees"], rows.shape[0]
+    node = np.repeat(np.arange(n_trees), n_rows)
+    row = np.tile(np.arange(n_rows), n_trees)
     live = np.arange(node.size)
     while live.size:
         at = node[live]
@@ -284,8 +259,8 @@ def leaf_distributions(trees: Sequence[dict], rows: np.ndarray) -> np.ndarray:
         live, at = live[inner], at[inner]
         go_left = rows[row[live], feature[at]] <= threshold[at]
         node[live] = np.where(go_left, left[at], right[at])
-    return dist[node].reshape(len(trees), rows.shape[0], dist.shape[1])
+    return dist[node].reshape(n_trees, n_rows, dist.shape[1])
 
 
 def scores(params: dict, rows: np.ndarray) -> np.ndarray:
-    return leaf_distributions([params], rows)[0]
+    return leaf_distributions(params, rows)[0]

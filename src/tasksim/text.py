@@ -30,7 +30,6 @@ _ABBREVIATIONS = {"e.g.", "i.e.", "etc.", "vs.", "dr.", "mr."}
 
 _WORDISH_RE = re.compile(r"[A-Za-z0-9'-]+|[^\sA-Za-z0-9'-]")
 _ALNUM_RE = re.compile(r"[A-Za-z0-9]")
-_TERMINATOR_RE = re.compile(r"[.!?]")
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,6 @@ _POS_FILE = {NOUN: "noun", VERB: "verb", ADJ: "adj", ADV: "adv"}
 _SS_TO_POS = {"n": NOUN, "v": VERB, "a": ADJ, "s": ADJ, "r": ADV}
 _HYPERNYM_SYMBOLS = {"@", "@i"}
 
-SynsetId = tuple  # (pos, offset)
-
 
 class WordNetError(ValueError):
     """Missing database files or content violating the file grammar."""

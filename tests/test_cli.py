@@ -219,6 +219,10 @@ def _grid_body_sha256(tmp_path, sets, algo):
 _CONTENT_GRID_SHA256 = "6c2ec8e8a799b4931fc146afe9095a9159c38c040fe9ffd747c452931cf916a4"
 # as the SMO loop that recomputed its masks and curvature every step produced it
 _SVM_GRID_SHA256 = "2e507c1e8ae7508d75e971c03b7cc721910f71a38ae24fea27be71935c5959ef"
+# as the grower that renumbered each tree into depth-first preorder produced it
+_TREE_FOREST_GRID_SHA256 = (
+    "59136e4f700438b03d37d52be23be3812808090be0756df32c218b923f6ff77c"
+)
 
 
 def test_content_grid_bytes_are_pinned(tmp_path):
@@ -230,6 +234,11 @@ def test_content_grid_bytes_are_pinned(tmp_path):
 def test_svm_grid_bytes_are_pinned(tmp_path):
     digest = _grid_body_sha256(tmp_path, "structural,content", "svm_smo")
     assert digest == _SVM_GRID_SHA256
+
+
+def test_tree_forest_grid_bytes_are_pinned(tmp_path):
+    digest = _grid_body_sha256(tmp_path, "structural,content", "tree,forest")
+    assert digest == _TREE_FOREST_GRID_SHA256
 
 
 def test_cluster_reruns_byte_identical(small_corpus, tmp_path):
@@ -418,6 +427,33 @@ def test_folds_are_checked_before_any_work(small_corpus, tmp_path, capsys,
         f"error: --folds must be between 2 and 18, got {folds}\n"
     )
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--wordnet", WORDNET_DIR],
+    ["cv", "--sets", "structural", "--algo", "knn"],
+    ["grid", "--sets", "structural", "--algo", "knn"],
+])
+def test_negative_seed_is_checked_before_any_work(small_corpus, tmp_path,
+                                                  capsys, argv):
+    out_dir = tmp_path / "rep"
+    code = dispatch(argv + [
+        "--corpus", small_corpus, "--seed", "-1", "--out", str(out_dir),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --seed must be a non-negative integer, got -1\n"
+    )
+    assert not out_dir.exists()
+
+
+def test_synth_accepts_a_negative_seed(tmp_path):
+    out = tmp_path / "s.jsonl"
+    assert dispatch(["synth", "--out", str(out), "--seed", "-1",
+                     "--categories", "2", "--per-category", "2"]) == 0
+    assert len(load_corpus(out, strict=True)) == 4
 
 
 def test_missing_output_directory_names_the_target(small_corpus, tmp_path,

@@ -103,6 +103,13 @@ class TestStripHtml:
         _, structure = strip_html('<a href="/local/page">here</a>')
         assert structure.url_hosts == ()
 
+    def test_malformed_href_no_host(self):
+        text, structure = strip_html(
+            '<a href="http://[::1/x">bad</a> <a href="http://ok.org/">good</a>'
+        )
+        assert text == "bad good"
+        assert structure.url_hosts == ("ok.org",)
+
     def test_whitespace_collapsed(self):
         text, _ = strip_html("a\t \t b   c")
         assert text == "a b c"
@@ -214,6 +221,40 @@ class TestLoadCorpus:
         assert len(corpus) == 0
         write_jsonl(path, [record(time_to_finish=10)])
         assert load_corpus(path).tasks[0].time_to_finish == 10.0
+
+    @pytest.mark.parametrize("field, value, why", [
+        ("positions", float("inf"), "finite"),
+        ("positions", float("nan"), "finite"),
+        pytest.param("positions", 10**400, "finite", id="positions-1e400-finite"),
+        ("payment", float("inf"), "finite"),
+        ("time_to_finish", float("nan"), "finite"),
+        ("positions", 5.7, "non-negative whole"),
+        ("jobs_done", -3, "non-negative whole"),
+    ])
+    def test_bad_numbers_rejected(self, tmp_path, field, value, why):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [record(id="t0"), record(**{field: value}), record(id="t2")])
+        with pytest.raises(CorpusError, match=rf"line 2: field '{field}' must be a {why}"):
+            load_corpus(path, strict=True)
+        corpus = load_corpus(path)
+        assert [task.id for task in corpus] == ["t0", "t2"]
+        assert corpus.report.skipped == (
+            (2, f"field '{field}' must be a {why} number"),
+        )
+
+    def test_whole_float_counts_accepted(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [record(positions=5.0, jobs_done=0)])
+        task = load_corpus(path, strict=True).tasks[0]
+        assert (task.positions, task.jobs_done) == (5, 0)
+
+    def test_malformed_href_loads(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        html = '<p>Visit <a href="http://[::1/x">here</a>.</p>'
+        write_jsonl(path, [record(description_html=html), record(id="t2")])
+        corpus = load_corpus(path, strict=True)
+        assert len(corpus) == 2
+        assert corpus.tasks[0].structure.url_hosts == ()
 
     def test_success_rate_bounds(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -143,12 +143,43 @@ def oracle_tree(X, y_idx, n_classes, min_leaf):
     }
 
 
-def assert_same_tree(params, expected):
-    assert params.keys() == expected.keys()
+TABLE_KEYS = {"feature", "threshold", "left", "right", "dist", "n_trees", "n_features"}
+
+
+def preorder(table, root):
+    """The nodes of the tree at `root`, depth-first, left subtree first."""
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if table["feature"][node] >= 0:
+            stack.extend((table["right"][node], table["left"][node]))
+    return order
+
+
+def assert_same_tree(table, root, expected):
+    """The tree at `root` of a node table is the tree at node 0 of
+    `expected`, node for node in preorder, and every node of the table
+    hangs under one of its roots."""
+    assert table.keys() - {"n_classes"} == TABLE_KEYS
+    assert table["n_features"] == expected["n_features"]
     for key in ("feature", "threshold", "left", "right", "dist"):
-        assert params[key].dtype == expected[key].dtype, key
-        assert np.array_equal(params[key], expected[key]), key
-    assert params["n_features"] == expected["n_features"]
+        assert table[key].dtype == expected[key].dtype, key
+    nodes, ref_nodes = preorder(table, root), preorder(expected, 0)
+    assert len(nodes) == len(ref_nodes)
+    for node, ref in zip(nodes, ref_nodes):
+        assert table["feature"][node] == expected["feature"][ref]
+        assert table["threshold"][node] == expected["threshold"][ref]
+        assert np.array_equal(table["dist"][node], expected["dist"][ref])
+        if expected["feature"][ref] >= 0:
+            assert table["left"][node] >= 0
+            assert table["right"][node] == table["left"][node] + 1
+        else:
+            assert table["left"][node] == table["right"][node] == -1
+    reached = np.zeros(table["feature"].size, dtype=bool)
+    for r in range(table["n_trees"]):
+        reached[preorder(table, r)] = True
+    assert reached.all(), "unreachable nodes"
 
 
 def leaf_counts(params, X):
@@ -382,14 +413,14 @@ class TestTree:
             X = 1.0 + X * np.finfo(float).eps
         y_idx = rng.integers(0, n_classes, size=n_rows)
         params = tree.fit(X, y_idx, n_classes, LearnerConfig(tree_min_leaf=min_leaf))
-        assert_same_tree(params, oracle_tree(X, y_idx, n_classes, min_leaf))
+        assert_same_tree(params, 0, oracle_tree(X, y_idx, n_classes, min_leaf))
 
     @pytest.mark.parametrize("sets", FEATURE_SET_CASES, ids="+".join)
     @pytest.mark.parametrize("min_leaf", [1, 2])
     def test_feature_set_fold_matches_oracle(self, seeded_folds, sets, min_leaf):
         X, y_idx, n_classes = seeded_folds[sets]
         params = tree.fit(X, y_idx, n_classes, LearnerConfig(tree_min_leaf=min_leaf))
-        assert_same_tree(params, oracle_tree(X, y_idx, n_classes, min_leaf))
+        assert_same_tree(params, 0, oracle_tree(X, y_idx, n_classes, min_leaf))
 
 
 class TestForest:
@@ -423,8 +454,8 @@ class TestForest:
         X, y = blobs(seed=6, n_per=10)
         a = train("forest", X, y, LearnerConfig(forest_trees=5), seed=1)
         b = train("forest", X, y, LearnerConfig(forest_trees=5), seed=2)
-        trees_a = a.parameters["trees"][0]["threshold"]
-        trees_b = b.parameters["trees"][0]["threshold"]
+        trees_a = a.parameters["threshold"][preorder(a.parameters, 0)]
+        trees_b = b.parameters["threshold"][preorder(b.parameters, 0)]
         assert not (
             len(trees_a) == len(trees_b) and np.array_equal(trees_a, trees_b)
         )
@@ -434,7 +465,7 @@ class TestForest:
         model = train(
             "forest", X, y, LearnerConfig(forest_trees=5, forest_feature_fraction=1.0), seed=0
         )
-        assert len(model.parameters["trees"]) == 5
+        assert model.parameters["n_trees"] == 5
 
     def test_full_fraction_trees_are_bootstrap_trees(self):
         # with every column a candidate, tree t is the tree grown on its
@@ -445,12 +476,32 @@ class TestForest:
         y = [f"c{i}" for i in y_idx]
         config = LearnerConfig(forest_trees=12, forest_feature_fraction=1.0)
         model = train("forest", X, y, config, seed=40)
-        assert len(model.parameters["trees"]) == 12
-        for t, params in enumerate(model.parameters["trees"]):
+        table = model.parameters
+        assert table["n_trees"] == 12
+        for t in range(12):
             sample = np.random.default_rng(40 + t).integers(0, 30, size=30)
             expected = tree.fit(X[sample], y_idx[sample], 3, config)
-            assert_same_tree(params, expected)
-            assert_same_tree(params, oracle_tree(X[sample], y_idx[sample], 3, 2))
+            assert_same_tree(table, t, expected)
+            assert_same_tree(table, t, oracle_tree(X[sample], y_idx[sample], 3, 2))
+
+    def test_table_is_numbered_level_by_level(self):
+        rng = np.random.default_rng(4)
+        X = rng.integers(0, 4, size=(50, 5)).astype(float)
+        y = [f"c{i}" for i in rng.integers(0, 3, size=50)]
+        table = train("forest", X, y, LearnerConfig(forest_trees=7), seed=2).parameters
+        feature, left, right = table["feature"], table["left"], table["right"]
+        split = feature >= 0
+        assert np.array_equal(left < 0, ~split) and np.array_equal(right < 0, ~split)
+        # each depth's children follow it, in the order of their parents
+        level = np.arange(table["n_trees"])
+        numbered = level.size
+        while level.size:
+            inner = level[split[level]]
+            children = numbered + np.arange(2 * inner.size)
+            assert np.array_equal(left[inner], children[0::2])
+            assert np.array_equal(right[inner], children[1::2])
+            level, numbered = children, numbered + children.size
+        assert numbered == feature.size
 
     def test_forest_grows_in_blocks_not_nodes(self, monkeypatch):
         # per-node work would call the block kernel about once per split node
@@ -466,7 +517,7 @@ class TestForest:
         X = rng.integers(0, 6, size=(40, 9)).astype(float)
         y = [f"c{i}" for i in rng.integers(0, 5, size=40)]
         model = train("forest", X, y, LearnerConfig(forest_trees=100), seed=0)
-        split_nodes = sum(int((t["feature"] >= 0).sum()) for t in model.parameters["trees"])
+        split_nodes = int((model.parameters["feature"] >= 0).sum())
         assert split_nodes > 500
         assert 0 < len(calls) < split_nodes / 10
 
@@ -475,10 +526,10 @@ class TestForest:
 # forest vote built on it, kept as the reference prediction must match
 # exactly.
 
-def oracle_leaf_distributions(params, rows):
+def oracle_leaf_distributions(params, rows, root=0):
     feature, threshold = params["feature"], params["threshold"]
     left, right = params["left"], params["right"]
-    node = np.zeros(rows.shape[0], dtype=np.intp)
+    node = np.full(rows.shape[0], root, dtype=np.intp)
     while True:
         feat = feature[node]
         active = feat >= 0
@@ -492,10 +543,10 @@ def oracle_leaf_distributions(params, rows):
 
 def oracle_forest_scores(params, rows):
     votes = np.zeros((rows.shape[0], params["n_classes"]))
-    for tree_params in params["trees"]:
-        picks = np.argmax(oracle_leaf_distributions(tree_params, rows), axis=1)
+    for root in range(params["n_trees"]):
+        picks = np.argmax(oracle_leaf_distributions(params, rows, root), axis=1)
         votes[np.arange(rows.shape[0]), picks] += 1.0
-    return votes / len(params["trees"])
+    return votes / params["n_trees"]
 
 
 class TestRouting:
@@ -507,18 +558,26 @@ class TestRouting:
         y_idx = rng.integers(0, 3, size=X.shape[0])
         y = [f"c{i}" for i in y_idx]
         config = LearnerConfig(forest_trees=25, tree_min_leaf=1 + seed % 3)
-        params = train("forest", X, y, config, seed=seed).parameters
-        # a tree grown on one class is a single leaf
-        pure = tree.fit(X[y_idx == 0], np.zeros((y_idx == 0).sum(), dtype=np.intp), 3, config)
-        assert pure["feature"].tolist() == [-1]
-        params = dict(params, trees=params["trees"][:10] + [pure] + params["trees"][10:])
         queries = rng.integers(-1, 6, size=(30, 6)) + rng.choice([0.0, 0.5], size=(30, 6))
         rows = np.vstack([queries, queries[:5], X])  # duplicated query rows
+        params = train("forest", X, y, config, seed=seed).parameters
         assert np.array_equal(forest.scores(params, rows), oracle_forest_scores(params, rows))
-        for tree_params in params["trees"][8:12]:
-            assert np.array_equal(
-                tree.scores(tree_params, rows), oracle_leaf_distributions(tree_params, rows)
-            )
+        # a tree grown on one class is a single leaf, here among 24 others
+        roots = [rng.integers(0, X.shape[0], size=X.shape[0]) for _ in range(24)]
+        roots.insert(10, np.flatnonzero(y_idx == 0))
+        params = dict(
+            tree.grow(
+                X, y_idx, 3, config.tree_min_leaf, roots,
+                lambda node_tree: np.sort(rng.random((node_tree.size, 6)).argsort(axis=1)[:, :3],
+                                          axis=1),
+            ),
+            n_classes=3,
+        )
+        assert params["feature"][10] == -1
+        assert np.array_equal(forest.scores(params, rows), oracle_forest_scores(params, rows))
+        distributions = tree.leaf_distributions(params, rows)
+        for t in range(8, 12):
+            assert np.array_equal(distributions[t], oracle_leaf_distributions(params, rows, t))
         single = train("tree", X, y, config).parameters
         assert np.array_equal(tree.scores(single, rows), oracle_leaf_distributions(single, rows))
 
