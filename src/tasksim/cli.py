@@ -81,6 +81,10 @@ def _load(args, needs_wordnet: bool):
     if getattr(args, "k", None) is not None:
         check_k(args.k, len(corpus))
     folds = getattr(args, "folds", None)
+    if folds is not None and len(corpus) < 2:
+        raise CliError(
+            f"cross-validation needs at least 2 tasks, got {len(corpus)}"
+        )
     if folds is not None and not 2 <= folds <= len(corpus):
         raise CliError(
             f"--folds must be between 2 and {len(corpus)}, got {folds}"

@@ -58,6 +58,8 @@ class Clustering:
 
 def check_k(k: int, n: int) -> None:
     """Raise ValueError unless k_medoids accepts k clusters of n tasks."""
+    if n < 2:
+        raise ValueError(f"clustering needs at least 2 tasks, got {n}")
     if not 2 <= k <= n:
         raise ValueError(f"k must be between 2 and {n}, got {k}")
 

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .corpus import MicroTask
-from .text import count_syllables, stem, stopwords, tokenize
+from .text import count_syllables, split_sentences, stem, stopwords, word_tokens
 
 __all__ = [
     "FEATURE_SET_NAMES",
@@ -180,10 +180,12 @@ def gunning_fog(words: int, sentences: int, complex_words: int) -> float:
 
 def lexical_diversity(tokens) -> float:
     """Type-token ratio over the first 100 normalized tokens; 0 if empty."""
-    window = list(tokens.normalized[:_TTR_WINDOW])
-    if not window:
-        return 0.0
-    return len(set(window)) / len(window)
+    return _type_token_ratio(tokens.normalized)
+
+
+def _type_token_ratio(words) -> float:
+    window = words[:_TTR_WINDOW]
+    return len(set(window)) / len(window) if window else 0.0
 
 
 def structural_features(task: MicroTask) -> np.ndarray:
@@ -192,11 +194,9 @@ def structural_features(task: MicroTask) -> np.ndarray:
     return analyse(task).structural.copy()
 
 
-def _structural_row(task: MicroTask, stream) -> np.ndarray:
+def _structural_row(task: MicroTask, words, lower_words, n_sents) -> np.ndarray:
     text = task.description_text
-    words = stream.surfaces
     n_words = len(words)
-    n_sents = len(stream.sentences)
     complex_words = sum(1 for w in words if count_syllables(w) >= 3)
     struct = task.structure
 
@@ -214,7 +214,7 @@ def _structural_row(task: MicroTask, stream) -> np.ndarray:
             mean(struct.paragraph_lengths),
             mean(struct.line_lengths),
             gunning_fog(n_words, n_sents, complex_words),
-            lexical_diversity(stream),
+            _type_token_ratio(lower_words),
         ]
     )
 
@@ -408,8 +408,9 @@ def content_vector(model: ContentModel, task: MicroTask) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class TaskAnalysis:
     """What the feature sets and the comprehensibility measure read from one
-    task's text. Built once per task by `analyse` from one `tokenize` of the
-    title and one of the description; treat it as read-only (`structural` and
+    task's text. Built once per task by `analyse` from one `split_sentences`
+    of the title and one of the description, and the `word_tokens` of each
+    sentence; treat it as read-only (`structural` and
     the `term_ids` arrays are read-only arrays)."""
 
     # title and description tokens, stopwords dropped, stemmed
@@ -482,25 +483,27 @@ def analyse(task: MicroTask) -> TaskAnalysis:
 
 def _build_analysis(task: MicroTask) -> TaskAnalysis:
     stops = stopwords()
-    stream = tokenize(task.description_text)
-    tokens = stream.tokens
-    lower_words = stream.normalized
-    structural = _structural_row(task, stream)
+    sentences = split_sentences(task.description_text)
+    words: list[str] = []
+    named_entities = 0
+    for sentence in sentences:
+        sentence_words = word_tokens(sentence)
+        words += sentence_words
+        named_entities += sum(
+            1 for w in sentence_words[1:] if w[0].isupper() and w.lower() not in stops
+        )
+    lower_words = tuple(w.lower() for w in words)
+    title_words = (
+        w.lower() for s in split_sentences(task.title) for w in word_tokens(s)
+    )
+    structural = _structural_row(task, words, lower_words, len(sentences))
     structural.setflags(write=False)
     return TaskAnalysis(
-        title_stems=tuple(
-            stem(t) for t in tokenize(task.title).normalized if t not in stops
-        ),
+        title_stems=tuple(stem(t) for t in title_words if t not in stops),
         description_stems=tuple(stem(t) for t in lower_words if t not in stops),
         lower_words=lower_words,
         structural=structural,
-        named_entities=sum(
-            1
-            for prev, tok in zip(tokens, tokens[1:])
-            if tok.sentence_index == prev.sentence_index
-            and tok.surface[0].isupper()
-            and tok.normalized not in stops
-        ),
+        named_entities=named_entities,
     )
 
 

@@ -3,6 +3,11 @@
 Everything in this module is a pure function over plain (markup-free) strings;
 the corpus module is responsible for producing such strings from raw HTML.
 This is the only module that defines what a word token and a sentence are.
+
+The scans cost per match, not per character: sentence splitting visits only
+the candidate boundaries one compiled regex finds, and word tokens (with
+commas, for `sentence_items`) are the matches of one compiled regex. `stem`
+and `count_syllables` are memoized, since a corpus repeats few words often.
 """
 
 from __future__ import annotations
@@ -27,9 +32,18 @@ __all__ = [
 # Periods after these tokens never end a sentence. Uppercase single letters
 # (initials, "J.") are guarded separately; lowercase ones are ordinary words.
 _ABBREVIATIONS = {"e.g.", "i.e.", "etc.", "vs.", "dr.", "mr."}
+_INITIAL_RE = re.compile(r"[A-Z]")
 
-_WORDISH_RE = re.compile(r"[A-Za-z0-9'-]+|[^\sA-Za-z0-9'-]")
-_ALNUM_RE = re.compile(r"[A-Za-z0-9]")
+# Candidate sentence boundaries: a newline, or a maximal terminator run.
+_BOUNDARY_RE = re.compile(r"\n|[.!?]+")
+# The kept items of a sentence: a word token (a maximal run of letters,
+# digits, apostrophes and hyphens with at least one letter or digit) or a
+# comma. The lookbehind starts a match only where a run starts, so a long
+# run of hyphens or apostrophes alone is skipped in one pass.
+_WORD = r"(?<![A-Za-z0-9'-])['-]*[A-Za-z0-9][A-Za-z0-9'-]*"
+_WORD_RE = re.compile(_WORD)
+_ITEM_RE = re.compile(_WORD + "|,")
+_VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
 
 @dataclass(frozen=True)
@@ -84,7 +98,7 @@ def _is_abbreviation(text: str, i: int) -> bool:
     if start == end:
         return False
     tok = text[start:end].lstrip("(\"'[")
-    if re.fullmatch(r"[A-Z]", tok):
+    if _INITIAL_RE.fullmatch(tok):
         return True
     return (tok + ".").lower() in _ABBREVIATIONS
 
@@ -99,26 +113,17 @@ def split_sentences(text: str) -> list[str]:
     """
     sentences: list[str] = []
     start = 0
-    i = 0
     n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            sentences.append(text[start:i])
-            start = i + 1
-            i += 1
-            continue
-        if c in ".!?":
-            j = i
-            while j + 1 < n and text[j + 1] in ".!?":
-                j += 1
-            at_end = j + 1 >= n or text[j + 1].isspace()
-            if at_end and not (c == "." and j == i and _is_abbreviation(text, i)):
-                sentences.append(text[start : j + 1])
-                start = j + 1
-            i = j + 1
-            continue
-        i += 1
+    for match in _BOUNDARY_RE.finditer(text):
+        i, j = match.span()
+        run = match.group()
+        if run != "\n":
+            if j < n and not text[j].isspace():
+                continue
+            if run == "." and _is_abbreviation(text, i):
+                continue
+        sentences.append(text[start:j])  # a newline here is stripped below
+        start = j
     sentences.append(text[start:])
     return [s for s in (s.strip() for s in sentences) if s]
 
@@ -128,17 +133,12 @@ def sentence_items(sentence: str) -> list[tuple[str, int, int]]:
     (text, start, end) with its character span. Word tokens are maximal runs
     of letters, digits, apostrophes and hyphens that contain at least one
     letter or digit; every other character is dropped."""
-    items = []
-    for match in _WORDISH_RE.finditer(sentence):
-        item = match.group()
-        if item == "," or _ALNUM_RE.search(item):
-            items.append((item, match.start(), match.end()))
-    return items
+    return [(m.group(), m.start(), m.end()) for m in _ITEM_RE.finditer(sentence)]
 
 
 def word_tokens(text: str) -> list[str]:
     """The word tokens of `text`, as `sentence_items` finds them."""
-    return [item for item, _, _ in sentence_items(text) if item != ","]
+    return _WORD_RE.findall(text)
 
 
 def tokenize(
@@ -332,12 +332,13 @@ def stem(word: str) -> str:
     return word
 
 
+@lru_cache(maxsize=None)
 def count_syllables(word: str) -> int:
     """Heuristic syllable count: maximal vowel-group runs (aeiouy), minus one
     for a terminal silent 'e' unless the word ends in consonant + "le";
-    never less than one."""
+    never less than one. Memoized, as `stem` is."""
     w = word.lower()
-    groups = len(re.findall(r"[aeiouy]+", w))
+    groups = len(_VOWEL_GROUP_RE.findall(w))
     if w.endswith("e") and not (
         len(w) >= 3 and w.endswith("le") and w[-3] not in "aeiouy"
     ):

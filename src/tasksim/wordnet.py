@@ -19,6 +19,8 @@ _POS_FILE = {NOUN: "noun", VERB: "verb", ADJ: "adj", ADV: "adv"}
 # Satellite adjectives ('s') live in the adjective files and behave as 'a'.
 _SS_TO_POS = {"n": NOUN, "v": VERB, "a": ADJ, "s": ADJ, "r": ADV}
 _HYPERNYM_SYMBOLS = {"@", "@i"}
+# marks a lemma cache miss; None is a cached answer
+_UNSEEN = object()
 
 
 class WordNetError(ValueError):
@@ -38,14 +40,17 @@ class Synset(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class WordNetGraph:
-    """Immutable after load; similarity helpers memoize into private caches."""
+    """Immutable after load; `lemmatize` and the similarity helpers memoize
+    into private caches."""
 
     synsets: dict
     hypernym_edges: dict
     lemma_index: dict
     exception_lists: dict
-    _ancestors: dict = field(default_factory=dict, repr=False)
-    _pair_lengths: dict = field(default_factory=dict, repr=False)
+    # caches start empty in every graph, also one made by dataclasses.replace
+    _ancestors: dict = field(default_factory=dict, init=False, repr=False)
+    _pair_lengths: dict = field(default_factory=dict, init=False, repr=False)
+    _lemmas: dict = field(default_factory=dict, init=False, repr=False)
 
     def synset_count(self) -> int:
         return len(self.synsets)
@@ -256,10 +261,19 @@ def lemmatize(word: str, pos: str, wn: WordNetGraph):
 
     Exception lists are consulted first and are final; otherwise detachment
     rules are applied repeatedly until a candidate is found in the index.
+    Memoized per graph and (lowercased form, pos).
     """
     if pos not in _POS_FILE:
         raise ValueError(f"unknown part of speech '{pos}'")
-    form = word.lower().replace(" ", "_")
+    key = (word.lower().replace(" ", "_"), pos)
+    lemma = wn._lemmas.get(key, _UNSEEN)
+    if lemma is _UNSEEN:
+        lemma = wn._lemmas[key] = _lemmatize(*key, wn)
+    return lemma
+
+
+def _lemmatize(form: str, pos: str, wn: WordNetGraph):
+    # the rules behind `lemmatize`, for a lowercased form with '_' for ' '
     if not form:
         return None
 

@@ -241,6 +241,63 @@ def test_tree_forest_grid_bytes_are_pinned(tmp_path):
     assert digest == _TREE_FOREST_GRID_SHA256
 
 
+@pytest.fixture(scope="module")
+def pin_corpus(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pins") / "c.jsonl"
+    assert dispatch(["synth", "--out", str(path), "--seed", "11",
+                     "--categories", "5", "--per-category", "8"]) == 0
+    return str(path)
+
+
+def _body_sha256(tmp_path, argv):
+    """sha256 of one report after its three header lines (command, seed and
+    the config echo, which names the corpus path)."""
+    out = tmp_path / "r.out"
+    assert dispatch(argv + ["--out", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    assert lines[2].startswith("# config: ")
+    return hashlib.sha256("".join(lines[3:]).encode()).hexdigest()
+
+
+# as the per-character sentence splitter and the two-pattern word scanner,
+# with uncached syllable counts and lemmas, produced them
+_SIM_SHA256 = {
+    ("required_action", "csv"):
+        "4477970463056ef318c201d582b76717d60718f07cda10325188069bee713519",
+    ("required_action", "text"):
+        "5ccabba55db0c062c7c67a857ddf9cf10f596f1be56ce44c482f6a0bf379e1f0",
+    ("comprehensibility", "csv"):
+        "c89fa0983ee682d780616a570df76d211ba9be24abfac21542d2577a3dc19bc1",
+    ("comprehensibility", "text"):
+        "477d336b03d13ed90262fc0ccd35dda75e9e743c8a7cf3ec06fb20f79c74e41b",
+}
+_CLUSTER_SHA256 = {
+    "required_action":
+        "fd967d16adbc91f9f3d66dd8d58799998fc7e4695c0d143961cf57396886a369",
+    "comprehensibility":
+        "be52392103ab4c81c2b95c6197f19768133a2f7c1441ce3a1ddd6bec5248054e",
+}
+
+
+@pytest.mark.parametrize("measure, fmt", sorted(_SIM_SHA256))
+def test_sim_bytes_are_pinned(pin_corpus, tmp_path, measure, fmt):
+    digest = _body_sha256(tmp_path, [
+        "sim", "--corpus", pin_corpus, "--measure", measure,
+        "--wordnet", WORDNET_DIR, "--format", fmt,
+    ])
+    assert digest == _SIM_SHA256[measure, fmt]
+
+
+@pytest.mark.parametrize("measure", sorted(_CLUSTER_SHA256))
+def test_cluster_bytes_are_pinned(pin_corpus, tmp_path, measure):
+    # the pinned bytes include the total dissimilarity and purity lines
+    digest = _body_sha256(tmp_path, [
+        "cluster", "--corpus", pin_corpus, "--measure", measure,
+        "--wordnet", WORDNET_DIR, "--k", "15", "--format", "csv",
+    ])
+    assert digest == _CLUSTER_SHA256[measure]
+
+
 def test_cluster_reruns_byte_identical(small_corpus, tmp_path):
     args = [
         "cluster", "--corpus", small_corpus, "--measure", "required_action",
@@ -426,6 +483,35 @@ def test_folds_are_checked_before_any_work(small_corpus, tmp_path, capsys,
     assert captured.err == (
         f"error: --folds must be between 2 and 18, got {folds}\n"
     )
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("n_tasks", [0, 1])
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["cluster", "--measure", "comprehensibility", "--k", "2"],
+                 "clustering needs at least 2 tasks, got {n}", id="cluster"),
+    pytest.param(["report", "--wordnet", WORDNET_DIR, "--k", "2",
+                  "--folds", "2"],
+                 "clustering needs at least 2 tasks, got {n}", id="report"),
+    pytest.param(["cv", "--sets", "structural", "--algo", "knn",
+                  "--folds", "2"],
+                 "cross-validation needs at least 2 tasks, got {n}", id="cv"),
+    pytest.param(["grid", "--sets", "structural", "--algo", "knn",
+                  "--folds", "2"],
+                 "cross-validation needs at least 2 tasks, got {n}",
+                 id="grid"),
+])
+def test_tiny_corpus_names_its_size(small_corpus, tmp_path, capsys, n_tasks,
+                                    argv, message):
+    corpus = tmp_path / "tiny.jsonl"
+    with open(small_corpus) as fh:
+        corpus.write_text("".join(fh.readlines()[:n_tasks]))
+    out_dir = tmp_path / "rep"
+    code = dispatch(argv + ["--corpus", str(corpus), "--out", str(out_dir)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + message.format(n=n_tasks) + "\n"
     assert not out_dir.exists()
 
 

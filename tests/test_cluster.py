@@ -16,6 +16,7 @@ from tasksim.cluster import (
     _greedy_build,
     _swap_passes,
     category_distribution,
+    check_k,
     k_medoids,
     purity,
 )
@@ -320,6 +321,16 @@ def test_identical_points_keep_their_medoids_apart():
     assert result.assignments["t0"] == 0
     assert result.assignments["t1"] == 1
     assert result.total_dissimilarity == 0.0
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_fewer_than_two_tasks_name_the_task_count(n):
+    message = f"^clustering needs at least 2 tasks, got {n}$"
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match=message):
+            check_k(k, n)
+    with pytest.raises(ValueError, match=message):
+        k_medoids(sim_from(np.ones((n, n))), 2)
 
 
 def test_k_bounds_and_duplicate_ids_rejected():

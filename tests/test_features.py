@@ -40,9 +40,10 @@ from tasksim.features import (
     structural_features,
 )
 from tasksim import text as text_module
-from tasksim.text import split_sentences, stopwords, tokenize
+from tasksim.text import split_sentences, stem, stopwords, tokenize
 
 from conftest import TOKEN_TEXT, make_task
+from test_text import _SENTENCE_TEXT
 
 
 def _oracle_named_entity_count(description: str) -> int:
@@ -59,6 +60,48 @@ def _oracle_named_entity_count(description: str) -> int:
             if word[0].isupper() and word.lower() not in stopwords():
                 count += 1
     return count
+
+
+def _oracle_analysis(task):
+    """The analysis as it was built from `tokenize` token streams, kept as
+    the reference: (title stems, description stems, lower words, structural
+    row, named entities)."""
+    stops = stopwords()
+    stream = tokenize(task.description_text)
+    tokens = stream.tokens
+    words = stream.surfaces
+    n_words, n_sents = len(words), len(stream.sentences)
+    complex_words = sum(1 for w in words if features.count_syllables(w) >= 3)
+
+    def mean(values):
+        values = list(values)
+        return sum(values) / len(values) if values else 0.0
+
+    structural = np.array([
+        float(n_words),
+        float(task.structure.bullet_count),
+        n_words / n_sents if n_sents else 0.0,
+        task.description_text.count(",") / n_sents if n_sents else 0.0,
+        sum(len(w) for w in words) / n_words if n_words else 0.0,
+        mean(task.structure.paragraph_lengths),
+        mean(task.structure.line_lengths),
+        gunning_fog(n_words, n_sents, complex_words),
+        lexical_diversity(stream),
+    ])
+    named_entities = sum(
+        1
+        for prev, tok in zip(tokens, tokens[1:])
+        if tok.sentence_index == prev.sentence_index
+        and tok.surface[0].isupper()
+        and tok.normalized not in stops
+    )
+    return (
+        tuple(stem(t) for t in tokenize(task.title).normalized if t not in stops),
+        tuple(stem(t) for t in stream.normalized if t not in stops),
+        stream.normalized,
+        structural,
+        named_entities,
+    )
 
 
 def names_of(vocab):
@@ -228,6 +271,23 @@ class TestSemantic:
     def test_named_entities_match_per_sentence_count(self, description):
         task = dataclasses.replace(make_task(), description_text=description)
         assert analyse(task).named_entities == _oracle_named_entity_count(description)
+
+    @given(st.one_of(TOKEN_TEXT, _SENTENCE_TEXT), st.one_of(TOKEN_TEXT, _SENTENCE_TEXT))
+    @settings(max_examples=300)
+    def test_analysis_matches_token_stream_oracle(self, title, description):
+        task = dataclasses.replace(
+            make_task(html="<ul><li>a b</li></ul><p>c, d e</p>"),
+            title=title, description_text=description,
+        )
+        got = features._build_analysis(task)
+        title_stems, description_stems, lower_words, structural, entities = (
+            _oracle_analysis(task)
+        )
+        assert got.title_stems == title_stems
+        assert got.description_stems == description_stems
+        assert got.lower_words == lower_words
+        assert got.structural.tobytes() == structural.tobytes()
+        assert got.named_entities == entities
 
     def test_fit_host_vocab(self):
         tasks = [make_task(html='<a href="http://z.com">l</a>'), make_task(id="t2")]

@@ -153,6 +153,13 @@ class TestSplitSentences:
         assert large < 8 * small
 
 
+    def test_only_a_lone_period_is_checked_for_an_abbreviation(self):
+        # a run of terminators ends the sentence even after an initial or
+        # an abbreviation
+        assert split_sentences("Call J.. Then go.") == ["Call J..", "Then go."]
+        assert split_sentences("Dr.? Yes. etc.! No") == ["Dr.?", "Yes.", "etc.!", "No"]
+
+
 class TestTokenize:
     def test_spec_options_chain(self):
         stream = tokenize(
@@ -189,6 +196,21 @@ class TestTokenize:
         assert stream.sentences == tuple(split_sentences(text))
         for tok in stream:
             assert tok.surface in word_tokens(stream.sentences[tok.sentence_index])
+
+    def test_long_hyphen_run_is_linear(self):
+        # a run of hyphens and apostrophes with no letter or digit holds no
+        # word token; 4x the run should cost about 4x the time, where a
+        # pattern that retries the run from each of its characters takes 16x
+        def seconds(text):
+            start = time.perf_counter()
+            word_tokens(text)
+            sentence_items(text)
+            return time.perf_counter() - start
+
+        unit = "-'" * 2500
+        small = min(seconds(unit) for _ in range(5))
+        large = min(seconds(unit * 4) for _ in range(5))
+        assert large < 8 * small
 
     def test_word_tokens_helper(self):
         assert word_tokens("a b-c, d!") == ["a", "b-c", "d"]

@@ -1,5 +1,6 @@
 """Database parsing, morphological lookup, and path similarity."""
 
+import dataclasses
 import os
 import shutil
 from pathlib import Path
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tasksim import wordnet
+from tasksim.corpus import load_corpus
+from tasksim.synth import synthetic_corpus_text
+from tasksim.text import word_tokens
 from tasksim.wordnet import (
+    NOUN,
+    VERB,
     WordNetError,
     WordNetGraph,
     bundled_mini_wordnet_dir,
@@ -131,6 +138,42 @@ def test_lemmatize_cases(wn, word, pos, expected):
 def test_lemmatize_rejects_unknown_pos(wn):
     with pytest.raises(ValueError):
         lemmatize("run", "x", wn)
+
+
+def test_lemma_cache_matches_the_rules(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text(synthetic_corpus_text(3, per_category=10))
+    words = {
+        w for task in load_corpus(path)
+        for w in word_tokens(task.title) + word_tokens(task.description_text)
+    }
+    graph = load_wordnet(bundled_mini_wordnet_dir())
+    listed = {form for forms in graph.exception_lists.values() for form in forms}
+    assert listed
+    for word in sorted(words | listed):
+        for surface in (word, word.upper()):
+            for pos in (VERB, NOUN):
+                expected = wordnet._lemmatize(word.lower(), pos, graph)
+                assert lemmatize(surface, pos, graph) == expected  # first call
+                assert lemmatize(surface, pos, graph) == expected  # cached
+    assert graph._lemmas
+    with pytest.raises(ValueError, match="unknown part of speech 'x'"):
+        lemmatize("run", "x", graph)
+    with pytest.raises(ValueError, match="unknown part of speech 'x'"):
+        lemmatize("run", "x", graph)
+    assert all(pos in (VERB, NOUN) for _, pos in graph._lemmas)
+
+
+def test_graphs_do_not_share_lemma_caches():
+    a = load_wordnet(bundled_mini_wordnet_dir())
+    b = load_wordnet(bundled_mini_wordnet_dir())
+    assert lemmatize("dogs", NOUN, a) == "dog"
+    assert not b._lemmas
+    # a graph made from a warm one starts cold, so it reads its own index
+    index = {key: ids for key, ids in a.lemma_index.items() if key != ("dog", NOUN)}
+    c = dataclasses.replace(a, lemma_index=index)
+    assert lemmatize("dogs", NOUN, c) is None
+    assert lemmatize("dogs", NOUN, a) == "dog"
 
 
 # ---------------------------------------------------------------- similarity
