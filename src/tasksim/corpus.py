@@ -7,6 +7,7 @@ visible text, list-item and paragraph boundaries, and link hostnames.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -59,6 +60,14 @@ class MicroTask:
     success_rate: float
     countries: tuple[str, ...]
     structure: DocStructure
+
+    @functools.cached_property
+    def analysis(self):
+        """The task's `features.TaskAnalysis`, built on first use and kept
+        with the task."""
+        from .features import build_analysis  # breaks the corpus <-> features import cycle
+
+        return build_analysis(self)
 
 
 @dataclass(frozen=True)
@@ -210,18 +219,14 @@ def strip_html(raw: str) -> tuple[str, DocStructure]:
     bullets = 0
     hosts: list[str] = []
 
-    i = 0
+    i = lit_start = 0
     n = len(raw)
-    lit_start = 0
 
     def flush(upto: int) -> None:
         if upto > lit_start:
             items.append(("txt", raw[lit_start:upto]))
 
-    while i < n:
-        if raw[i] != "<":
-            i += 1
-            continue
+    while (i := raw.find("<", i)) >= 0:
         nxt = raw[i + 1] if i + 1 < n else ""
         if nxt == "!":
             flush(i)

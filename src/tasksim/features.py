@@ -4,8 +4,8 @@ Every extractor is fitted on training tasks only and applied to any task;
 fitting and extraction are pure so per-fold refits cannot leak evaluation
 data. `combine_features` concatenates sets column-wise for the grid runs.
 
-Text is analysed once per task: `analyse` tokenizes, stems and measures a
-task on first request and keeps the `TaskAnalysis` while the task lives, so
+Text is analysed once per task: `MicroTask.analysis` tokenizes, stems and
+measures the task on first use and keeps the `TaskAnalysis` on the task, so
 folds, grid cells and feature sets share it. The analysis depends on the
 task alone, never on a training split.
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +40,7 @@ __all__ = [
     "ContentModel",
     "FittedExtractor",
     "TaskAnalysis",
-    "analyse",
+    "build_analysis",
     "combine_features",
     "content_matrix",
     "content_vector",
@@ -191,7 +190,7 @@ def _type_token_ratio(words) -> float:
 def structural_features(task: MicroTask) -> np.ndarray:
     """The nine layout/readability features, computed on description_text
     (title excluded). Averages with a zero denominator are 0."""
-    return analyse(task).structural.copy()
+    return task.analysis.structural.copy()
 
 
 def _structural_row(task: MicroTask, words, lower_words, n_sents) -> np.ndarray:
@@ -285,7 +284,7 @@ def semantic_features(
 def _semantic_row(
     task: MicroTask, lexicon: frozenset, host_vocab: Mapping[str, int]
 ) -> np.ndarray:
-    analysis = analyse(task)
+    analysis = task.analysis
     tail = np.array([float(analysis.named_entities), analysis.sentiment(lexicon)])
     return np.concatenate([_hot(host_vocab, task.structure.url_hosts), tail])
 
@@ -321,29 +320,18 @@ class ContentModel:
     column (columns in lexicographic term order), `doc_freq` gives its
     document frequency among the `n_docs` training tasks.
 
-    These four fields are the whole model. From them the model derives, once
-    per fit, `columns` (term-table id -> column, -1 where the term has no
-    column) and `idf` (ln(n_docs/df) per column); a term that entered the
-    term table after the fit lies past the end of `columns` and so has no
-    column either."""
+    The fit also stores the same model in the form a matrix reads:
+    `columns` (term-table id -> column, -1 where the term has no column) and
+    `idf` (ln(n_docs/df) per column); a term that entered the term table
+    after the fit lies past the end of `columns` and so has no column
+    either."""
 
     vocabulary: dict[str, int]
     doc_freq: dict[str, int]
     n_docs: int
     ngram_range: tuple[int, int]
-    columns: np.ndarray = field(init=False, repr=False, compare=False)
-    idf: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ids = [_term_id(term) for term in self.vocabulary]
-        cols = list(self.vocabulary.values())
-        columns = np.full(len(_TERMS), -1, dtype=np.intp)
-        columns[ids] = cols
-        idf = np.zeros(len(cols))
-        # math.log, not np.log: their last bits can differ
-        idf[cols] = [math.log(self.n_docs / self.doc_freq[term]) for term in self.vocabulary]
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "idf", idf)
+    columns: np.ndarray = field(repr=False, compare=False)
+    idf: np.ndarray = field(repr=False, compare=False)
 
 
 def fit_content_model(
@@ -357,7 +345,7 @@ def fit_content_model(
     tasks = list(training_tasks)
     if not tasks:
         raise ValueError("cannot fit a content model on an empty training set")
-    ids = [analyse(task).term_ids(config.ngram_range)[0] for task in tasks]
+    ids = [task.analysis.term_ids(config.ngram_range)[0] for task in tasks]
     df = np.bincount(np.concatenate(ids), minlength=len(_TERMS))
     eligible = np.flatnonzero(df >= max(config.min_df, 1)).tolist()
     kept = sorted(eligible, key=_TERMS.__getitem__)
@@ -366,17 +354,23 @@ def fit_content_model(
         ranked = np.argsort(-df[kept], kind="stable")[: config.max_features]
         kept = [kept[i] for i in sorted(ranked.tolist())]
     terms = [_TERMS[i] for i in kept]
+    kept_df = df[kept].tolist()
+    columns = np.full(len(_TERMS), -1, dtype=np.intp)
+    columns[kept] = np.arange(len(kept))
     return ContentModel(
         vocabulary=dict(zip(terms, range(len(terms)))),
-        doc_freq=dict(zip(terms, df[kept].tolist())),
+        doc_freq=dict(zip(terms, kept_df)),
         n_docs=len(tasks),
         ngram_range=config.ngram_range,
+        columns=columns,
+        # math.log, not np.log: their last bits can differ
+        idf=np.array([math.log(len(tasks) / d) for d in kept_df]),
     )
 
 
 def content_matrix(model: ContentModel, tasks: Iterable[MicroTask]) -> np.ndarray:
     """One content_vector row per task, scattered into one matrix."""
-    tables = [analyse(task).term_ids(model.ngram_range) for task in tasks]
+    tables = [task.analysis.term_ids(model.ngram_range) for task in tasks]
     out = np.zeros((len(tables), len(model.vocabulary)))
     if not tables:
         return out
@@ -408,10 +402,11 @@ def content_vector(model: ContentModel, task: MicroTask) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class TaskAnalysis:
     """What the feature sets and the comprehensibility measure read from one
-    task's text. Built once per task by `analyse` from one `split_sentences`
-    of the title and one of the description, and the `word_tokens` of each
-    sentence; treat it as read-only (`structural` and
-    the `term_ids` arrays are read-only arrays)."""
+    task's text: `MicroTask.analysis`, built once per task object by
+    `build_analysis` from one `split_sentences` of the title and one of the
+    description, and the `word_tokens` of each sentence. It holds no
+    reference to its task. Treat it as read-only (`structural` and the
+    `term_ids` arrays are read-only arrays)."""
 
     # title and description tokens, stopwords dropped, stemmed
     title_stems: tuple[str, ...]
@@ -468,20 +463,7 @@ class TaskAnalysis:
         return score
 
 
-# Entries go when their task is garbage-collected.
-_ANALYSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def analyse(task: MicroTask) -> TaskAnalysis:
-    """The task's TaskAnalysis, built on the first request and kept while
-    the task lives."""
-    analysis = _ANALYSES.get(task)
-    if analysis is None:
-        analysis = _ANALYSES[task] = _build_analysis(task)
-    return analysis
-
-
-def _build_analysis(task: MicroTask) -> TaskAnalysis:
+def build_analysis(task: MicroTask) -> TaskAnalysis:
     stops = stopwords()
     sentences = split_sentences(task.description_text)
     words: list[str] = []

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import MicroTask
-from .features import STRUCTURAL_FEATURE_NAMES, analyse
+from .features import STRUCTURAL_FEATURE_NAMES
 from .text import sentence_items, split_sentences
 from .wordnet import NOUN, VERB, WordNetGraph, lemmatize, word_similarity
 
@@ -237,7 +237,7 @@ def presence_document_frequencies(
     """How many tasks mention each token in their description at least once."""
     df: Counter[str] = Counter()
     for task in tasks:
-        df.update(set(analyse(task).lower_words))
+        df.update(set(task.analysis.lower_words))
     return df
 
 
@@ -263,7 +263,7 @@ def unusual_word_ratio(
 ) -> float:
     """Share of description tokens found in at most five tasks corpus-wide
     and missing from the word list. Token-level: repeats count repeatedly."""
-    tokens = analyse(task).lower_words
+    tokens = task.analysis.lower_words
     if not tokens:
         return 0.0
     unusual = sum(
@@ -302,9 +302,7 @@ def comprehensibility_vector(
     wordlist: frozenset,
 ) -> ComprehensibilityVector:
     ratio = unusual_word_ratio(task, corpus_df, wordlist)
-    return ComprehensibilityVector(
-        np.append(analyse(task).structural, ratio)
-    )
+    return ComprehensibilityVector(np.append(task.analysis.structural, ratio))
 
 
 class CorpusStats(NamedTuple):

@@ -224,16 +224,13 @@ def _ends_cvc(word: str) -> bool:
     return word[-1] not in "wxy"
 
 
-def _replace(word: str, suffix: str, repl: str, min_m: int | None) -> str | None:
+def _replace(word: str, suffix: str, repl: str) -> str | None:
     """Apply `suffix -> repl` if the word ends with suffix and the stem before
-    it has measure > min_m (None disables the measure test). Returns None when
-    the rule does not fire."""
+    it has measure > 0. Returns None when the rule does not fire."""
     if not word.endswith(suffix):
         return None
     stem_part = word[: len(word) - len(suffix)]
-    if min_m is not None and _measure(stem_part) <= min_m:
-        return None
-    return stem_part + repl
+    return stem_part + repl if _measure(stem_part) > 0 else None
 
 
 _STEP2_RULES = (
@@ -297,14 +294,14 @@ def stem(word: str) -> str:
 
     # Step 2
     for suffix, repl in _STEP2_RULES:
-        new = _replace(word, suffix, repl, 0)
+        new = _replace(word, suffix, repl)
         if new is not None:
             word = new
             break
 
     # Step 3
     for suffix, repl in _STEP3_RULES:
-        new = _replace(word, suffix, repl, 0)
+        new = _replace(word, suffix, repl)
         if new is not None:
             word = new
             break

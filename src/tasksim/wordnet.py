@@ -35,7 +35,6 @@ def bundled_mini_wordnet_dir() -> Path:
 class Synset(NamedTuple):
     pos: str
     lemmas: tuple
-    gloss: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +59,7 @@ class WordNetGraph:
 
 
 def _parse_data_line(line: str, pos: str):
-    head, sep, gloss = line.partition(" | ")
+    head, sep, _ = line.partition(" | ")
     if not sep:
         raise WordNetError("no gloss separator")
     fields = head.split()
@@ -90,7 +89,7 @@ def _parse_data_line(line: str, pos: str):
         i += 1 + 3 * f_cnt
     if i != len(fields):
         raise WordNetError("trailing fields after pointers")
-    return (pos, offset), Synset(pos, lemmas, gloss.strip()), tuple(parents)
+    return (pos, offset), Synset(pos, lemmas), tuple(parents)
 
 
 def _parse_index_line(line: str, pos: str):

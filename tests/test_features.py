@@ -1,7 +1,6 @@
 """Tests for the four feature sets and their combination."""
 
 import dataclasses
-import gc
 import itertools
 import math
 import re
@@ -33,7 +32,6 @@ from tasksim.features import (
     fit_host_vocab,
     gunning_fog,
     lexical_diversity,
-    analyse,
     default_sentiment_lexicon,
     load_sentiment_lexicon,
     semantic_features,
@@ -270,7 +268,7 @@ class TestSemantic:
     @settings(max_examples=300)
     def test_named_entities_match_per_sentence_count(self, description):
         task = dataclasses.replace(make_task(), description_text=description)
-        assert analyse(task).named_entities == _oracle_named_entity_count(description)
+        assert task.analysis.named_entities == _oracle_named_entity_count(description)
 
     @given(st.one_of(TOKEN_TEXT, _SENTENCE_TEXT), st.one_of(TOKEN_TEXT, _SENTENCE_TEXT))
     @settings(max_examples=300)
@@ -279,7 +277,7 @@ class TestSemantic:
             make_task(html="<ul><li>a b</li></ul><p>c, d e</p>"),
             title=title, description_text=description,
         )
-        got = features._build_analysis(task)
+        got = features.build_analysis(task)
         title_stems, description_stems, lower_words, structural, entities = (
             _oracle_analysis(task)
         )
@@ -438,7 +436,7 @@ def _oracle_fit_content_model(tasks, config):
     frequencies from one Counter update per task."""
     df = Counter()
     for task in tasks:
-        df.update(analyse(task).terms(config.ngram_range).keys())
+        df.update(task.analysis.terms(config.ngram_range).keys())
     eligible = [t for t, c in df.items() if c >= config.min_df]
     eligible.sort(key=lambda t: (-df[t], t))
     kept = sorted(eligible[: config.max_features])
@@ -453,7 +451,7 @@ def _oracle_content_vector(vocabulary, doc_freq, n_docs, ngram_range, task):
     """content_vector as it was defined before the term table: one dict
     lookup per term of the task."""
     vec = np.zeros(len(vocabulary))
-    for term, tf in analyse(task).terms(ngram_range).items():
+    for term, tf in task.analysis.terms(ngram_range).items():
         idx = vocabulary.get(term)
         if idx is not None:
             vec[idx] = tf * math.log(n_docs / doc_freq[term])
@@ -502,6 +500,10 @@ def test_content_model_and_matrix_match_the_counter_definition(
     assert model.doc_freq == doc_freq
     assert model.n_docs == n_docs
     assert fresh not in model.vocabulary
+    ids = [features._TERM_IDS[term] for term in vocabulary]
+    assert model.columns[ids].tolist() == list(vocabulary.values())
+    assert np.count_nonzero(model.columns >= 0) == len(vocabulary)
+    assert model.idf.tolist() == [math.log(n_docs / doc_freq[t]) for t in vocabulary]
     for tasks in (train, evaluated):
         expected = np.array([
             _oracle_content_vector(vocabulary, doc_freq, n_docs, ngram_range, task)
@@ -588,6 +590,24 @@ class TestFittedExtractor:
         assert single.rows[0][0] == 3.0
 
 
+def _cold(tasks):
+    """Equal copies of the tasks that have not been analysed yet."""
+    copies = [dataclasses.replace(task) for task in tasks]
+    assert not any("analysis" in vars(task) for task in copies)
+    return copies
+
+
+def _analysis_fields(analysis):
+    arrays = [analysis.structural, *analysis.term_ids((1, 1)), *analysis.term_ids((1, 2))]
+    return (
+        analysis.title_stems,
+        analysis.description_stems,
+        analysis.lower_words,
+        analysis.named_entities,
+        *(array.tobytes() for array in arrays),
+    )
+
+
 class TestTaskAnalysis:
     @pytest.fixture
     def tasks(self, tmp_path):
@@ -602,20 +622,19 @@ class TestTaskAnalysis:
 
     @pytest.mark.parametrize("name", FEATURE_SET_NAMES)
     def test_matrices_equal_cold_and_warm(self, tasks, name):
-        train, held_out = tasks[::3] + tasks[1::3], tasks[2::3]
-        features._ANALYSES.clear()
+        train, held_out = _cold(tasks[::3] + tasks[1::3]), _cold(tasks[2::3])
         cold = self.fitted_rows(name, train, held_out)
         warm = self.fitted_rows(name, train, held_out)
-        features._ANALYSES.clear()
+        train, held_out = _cold(train), _cold(held_out)
         for task in held_out:
-            analyse(task)
+            task.analysis
         held_out_first = self.fitted_rows(name, train, held_out)
         for got in (warm, held_out_first):
             assert np.array_equal(got[0], cold[0])
             assert np.array_equal(got[1], cold[1])
 
     def test_content_ranges_do_not_share_terms(self, tasks):
-        features._ANALYSES.clear()
+        tasks = _cold(tasks)
         unigrams = fit_content_model(tasks, ContentConfig(ngram_range=(1, 1)))
         both = fit_content_model(tasks, ContentConfig(ngram_range=(1, 2)))
         again = fit_content_model(tasks, ContentConfig(ngram_range=(1, 1)))
@@ -631,7 +650,7 @@ class TestTaskAnalysis:
         first[:] = -1.0
         assert np.array_equal(structural_features(task), expected)
         with pytest.raises(ValueError):
-            analyse(task).structural[0] = -1.0
+            task.analysis.structural[0] = -1.0
         for name in ("content", "structural", "semantic"):
             ext = fit_extractor(name, tasks)
             before = ext.matrix(tasks).rows.copy()
@@ -654,16 +673,28 @@ class TestTaskAnalysis:
         assert text_module in holders
         for module in holders:
             monkeypatch.setattr(module, "split_sentences", counting)
-        monkeypatch.setattr(features, "_ANALYSES", weakref.WeakKeyDictionary())
         task = make_task(title="Rate it. Then go", html="<p>One here. Two there!</p>")
-        analyse(task)
+        assert task.analysis is task.analysis
         assert sorted(calls) == sorted([task.title, task.description_text])
 
-    def test_entries_die_with_their_tasks(self, tasks):
-        features._ANALYSES.clear()
+    def test_equal_tasks_get_equal_analyses(self, tasks):
+        task = tasks[0]
+        (twin,) = _cold([task])
+        assert twin.analysis is not task.analysis
+        assert _analysis_fields(twin.analysis) == _analysis_fields(task.analysis)
+        # the kept analysis is no field: equality, hash and repr ignore it
+        assert twin == task and hash(twin) == hash(task) and repr(twin) == repr(task)
+        retitled = dataclasses.replace(task, title=task.title + " Review the shop")
+        assert retitled.analysis is not task.analysis
+        assert retitled.analysis.title_stems != task.analysis.title_stems
+        assert retitled.analysis.description_stems == task.analysis.description_stems
+
+    def test_analyses_die_with_their_tasks(self, tasks):
         for name in FEATURE_SET_NAMES:
             fit_extractor(name, tasks).matrix(tasks)
-        assert len(features._ANALYSES) == len(tasks)
+        task_refs = [weakref.ref(task) for task in tasks]
+        analysis_refs = [weakref.ref(task.analysis) for task in tasks]
         del tasks[:]
-        gc.collect()
-        assert len(features._ANALYSES) == 0
+        # checked before any collection: an analysis that referred back to
+        # its task would make a cycle that only gc.collect() frees
+        assert all(ref() is None for ref in task_refs + analysis_refs)

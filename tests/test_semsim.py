@@ -1,12 +1,14 @@
 """Verb phrases, the two similarity measures, and matrix invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_task
-from tasksim import features, semsim
+from tasksim import semsim
 from tasksim.cli import generate_synthetic_corpus
 from tasksim.corpus import load_corpus
 from tasksim.semsim import (
@@ -298,8 +300,8 @@ def test_identical_tasks_fully_similar(wn):
 def test_matrices_equal_cold_and_warm(wn, tmp_path):
     path = tmp_path / "corpus.jsonl"
     generate_synthetic_corpus(path, seed=3, per_category=6)
-    tasks = list(load_corpus(path))
-    features._ANALYSES.clear()
+    tasks = [dataclasses.replace(task) for task in load_corpus(path)]
+    assert not any("analysis" in vars(task) for task in tasks)
     cold = [similarity_matrix(tasks, m, wn=wn).values for m in SIMILARITY_MEASURES]
     warm = [similarity_matrix(tasks, m, wn=wn).values for m in SIMILARITY_MEASURES]
     for a, b in zip(cold, warm):
