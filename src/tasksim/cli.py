@@ -105,6 +105,9 @@ def _atomic_write(path, text: str) -> None:
         raise CliError(f"cannot write {target}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            # mkstemp made it 0600; give it the mode open(path, "w") would
+            os.umask(mask := os.umask(0))
+            os.fchmod(fh.fileno(), 0o666 & ~mask)
             fh.write(text)
         os.replace(tmp, target)
     except BaseException:

@@ -420,7 +420,7 @@ def load_corpus(path, strict: bool = False) -> Corpus:
     seen_ids: set[str] = set()
     lines_total = 0
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -61,21 +61,21 @@ __all__ = [
 FEATURE_SET_NAMES = ("factual", "content", "structural", "semantic")
 
 _TTR_WINDOW = 100
+_FACTUAL_NUMERICS = 6  # payment, 2 times, positions, payment per minute, its flag
+_SEMANTIC_SCALARS = 2  # named_entity_count, sentiment
 
 
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """Numeric task-by-feature matrix with set provenance tags."""
+    """Numeric task-by-feature matrix with the tags of the sets it holds; a
+    column is known by its position, in the order README's feature table gives."""
 
-    column_names: tuple[str, ...]
     rows: np.ndarray
     provenance: frozenset[str]
 
     def __post_init__(self):
-        if len(set(self.column_names)) != len(self.column_names):
-            raise ValueError("duplicate column names")
-        if self.rows.ndim != 2 or self.rows.shape[1] != len(self.column_names):
-            raise ValueError("row width does not match column names")
+        if self.rows.ndim != 2:
+            raise ValueError("feature rows must be a 2-D array")
         if self.rows.size and not np.all(np.isfinite(self.rows)):
             raise ValueError("non-finite feature value")
 
@@ -100,25 +100,6 @@ def fit_employer_vocab(tasks: Iterable[MicroTask]) -> dict[str, int]:
 def fit_country_vocab(tasks: Iterable[MicroTask]) -> dict[str, int]:
     codes = sorted({c for t in tasks for c in t.countries})
     return {code: i for i, code in enumerate(codes)}
-
-
-def factual_feature_names(
-    employer_vocab: Mapping[str, int], country_vocab: Mapping[str, int]
-) -> tuple[str, ...]:
-    employers = sorted(employer_vocab, key=employer_vocab.__getitem__)
-    countries = sorted(country_vocab, key=country_vocab.__getitem__)
-    return (
-        "payment",
-        "time_to_rate",
-        "time_to_finish",
-        "positions",
-        "payment_per_minute",
-        "payment_per_minute_undefined",
-        *(f"employer={e}" for e in employers),
-        "employer=<other>",
-        *(f"country={c}" for c in countries),
-        "country=<other>",
-    )
 
 
 def _hot(vocab: Mapping[str, int], values) -> np.ndarray:
@@ -230,7 +211,7 @@ def fit_host_vocab(tasks: Iterable[MicroTask]) -> dict[str, int]:
 def load_sentiment_lexicon(path) -> dict[str, int]:
     """Parse a `word<TAB>+1|-1` lexicon file; '#' starts a comment line."""
     lexicon: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -247,11 +228,6 @@ def default_sentiment_lexicon() -> dict[str, int]:
     return load_sentiment_lexicon(
         Path(__file__).resolve().parent / "resources" / "sentiment.tsv"
     )
-
-
-def semantic_feature_names(host_vocab: Mapping[str, int]) -> tuple[str, ...]:
-    hosts = sorted(host_vocab, key=host_vocab.__getitem__)
-    return (*(f"host={h}" for h in hosts), "host=<other>", "named_entity_count", "sentiment")
 
 
 # Every lexicon seen, as its (word, polarity) pairs, interned by content: a
@@ -494,42 +470,32 @@ def build_analysis(task: MicroTask) -> TaskAnalysis:
 # ---------------------------------------------------------------------------
 
 def combine_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
-    """Column-wise concatenation. Single-set parts get their names prefixed
-    with the set tag; already-combined parts keep theirs."""
+    """Column-wise concatenation in the order given (CV passes the sets in
+    FEATURE_SET_NAMES order), tagged with the union of the parts' tags."""
     if not parts:
         raise ValueError("no feature matrices to combine")
     n_rows = parts[0].n_rows
     for part in parts:
         if part.n_rows != n_rows:
-            raise ValueError(
-                f"row-count mismatch: {part.n_rows} vs {n_rows}"
-            )
-    names: list[str] = []
-    for part in parts:
-        if len(part.provenance) == 1:
-            (tag,) = part.provenance
-            names.extend(f"{tag}:{c}" for c in part.column_names)
-        else:
-            names.extend(part.column_names)
+            raise ValueError(f"row-count mismatch: {part.n_rows} vs {n_rows}")
     rows = np.hstack([part.rows for part in parts])
     provenance = frozenset().union(*(part.provenance for part in parts))
-    return FeatureMatrix(tuple(names), rows, provenance)
+    return FeatureMatrix(rows, provenance)
 
 
 @dataclass(frozen=True)
 class FittedExtractor:
-    """One feature set fitted on training tasks; maps any task list to a
-    FeatureMatrix with stable columns, `rows(tasks)` giving one row per task
-    for a nonempty task list."""
+    """One feature set fitted on training tasks: `matrix` maps any task list,
+    empty too, to an `n_cols`-wide FeatureMatrix of one `rows` row per task."""
 
     set_name: str
-    column_names: tuple[str, ...]
+    n_cols: int
     rows: Callable[[list[MicroTask]], np.ndarray]
 
     def matrix(self, tasks: Iterable[MicroTask]) -> FeatureMatrix:
         tasks = list(tasks)
-        rows = self.rows(tasks) if tasks else np.zeros((0, len(self.column_names)))
-        return FeatureMatrix(self.column_names, rows, frozenset({self.set_name}))
+        rows = self.rows(tasks) if tasks else np.zeros((0, self.n_cols))
+        return FeatureMatrix(rows, frozenset({self.set_name}))
 
 
 def _each(row: Callable[[MicroTask], np.ndarray]) -> Callable[[list[MicroTask]], np.ndarray]:
@@ -551,11 +517,12 @@ def fit_extractor(
         country_vocab = fit_country_vocab(train)
         return FittedExtractor(
             set_name,
-            factual_feature_names(employer_vocab, country_vocab),
+            _FACTUAL_NUMERICS + len(employer_vocab) + 1 + len(country_vocab) + 1,
             _each(lambda task: factual_features(task, employer_vocab, country_vocab)),
         )
     if set_name == "structural":
-        return FittedExtractor(set_name, STRUCTURAL_FEATURE_NAMES, _each(structural_features))
+        n_cols = len(STRUCTURAL_FEATURE_NAMES)
+        return FittedExtractor(set_name, n_cols, _each(structural_features))
     if set_name == "semantic":
         if sentiment_lexicon is None:
             lexicon = _default_lexicon_key()
@@ -564,14 +531,14 @@ def fit_extractor(
         host_vocab = fit_host_vocab(train)
         return FittedExtractor(
             set_name,
-            semantic_feature_names(host_vocab),
+            len(host_vocab) + 1 + _SEMANTIC_SCALARS,
             _each(lambda task: _semantic_row(task, lexicon, host_vocab)),
         )
     if set_name == "content":
         model = fit_content_model(train)
         return FittedExtractor(
             set_name,
-            tuple(model.vocabulary),
+            len(model.vocabulary),
             lambda tasks: content_matrix(model, tasks),
         )
     raise ValueError(f"unknown feature set '{set_name}'")

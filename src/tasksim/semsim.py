@@ -243,7 +243,7 @@ def presence_document_frequencies(
 
 def load_wordlist(path) -> frozenset:
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         word = line.strip().lower()
         if word and not word.startswith("#"):
             words.add(word)

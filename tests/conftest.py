@@ -1,11 +1,22 @@
 """Shared fixtures: tiny hand-built tasks and corpora."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import tasksim
 from tasksim.corpus import DocStructure, MicroTask, strip_html
+
+# Tests that run the CLI as `python -m tasksim.cli` in a subprocess get the
+# package these tests import, also when pytest found it through its
+# `pythonpath` setting rather than the environment.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(tasksim.__file__).resolve().parents[1]),
+                  os.environ.get("PYTHONPATH")])
+)
 
 
 def make_task(

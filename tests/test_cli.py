@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 
 import pytest
 
@@ -223,6 +224,10 @@ _SVM_GRID_SHA256 = "2e507c1e8ae7508d75e971c03b7cc721910f71a38ae24fea27be71935c59
 _TREE_FOREST_GRID_SHA256 = (
     "59136e4f700438b03d37d52be23be3812808090be0756df32c218b923f6ff77c"
 )
+# as the feature matrices that named every column produced it
+_FACTUAL_SEMANTIC_GRID_SHA256 = (
+    "e3387d85b6b989c6cf3fb06f4207f441e5b5acb8a36f6a0c7b4f1f86f3e5bc4f"
+)
 
 
 def test_content_grid_bytes_are_pinned(tmp_path):
@@ -239,6 +244,12 @@ def test_svm_grid_bytes_are_pinned(tmp_path):
 def test_tree_forest_grid_bytes_are_pinned(tmp_path):
     digest = _grid_body_sha256(tmp_path, "structural,content", "tree,forest")
     assert digest == _TREE_FOREST_GRID_SHA256
+
+
+def test_factual_semantic_grid_bytes_are_pinned(tmp_path):
+    sets = "factual,semantic,factual+structural+semantic"
+    digest = _grid_body_sha256(tmp_path, sets, "naive_bayes,knn")
+    assert digest == _FACTUAL_SEMANTIC_GRID_SHA256
 
 
 @pytest.fixture(scope="module")
@@ -452,6 +463,25 @@ def test_report_writes_three_files(tmp_path):
     # all 15 combinations plus the header
     assert len([l for l in grid_text.splitlines()
                 if l and not l.startswith("#")]) == 16
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_get_the_mode_open_would_give(tmp_path, umask):
+    corpus, grid, out_dir = tmp_path / "c.jsonl", tmp_path / "g.csv", tmp_path / "rep"
+    previous = os.umask(umask)
+    try:
+        assert dispatch(["synth", "--out", str(corpus), "--categories", "2",
+                         "--per-category", "4"]) == 0
+        assert dispatch(["grid", "--corpus", str(corpus), "--sets", "structural",
+                         "--algo", "naive_bayes", "--folds", "2", "--format", "csv",
+                         "--out", str(grid)]) == 0
+        assert dispatch(["report", "--corpus", str(corpus), "--folds", "2",
+                         "--k", "3", "--wordnet", WORDNET_DIR,
+                         "--out", str(out_dir)]) == 0
+    finally:
+        os.umask(previous)
+    for path in (corpus, grid, out_dir / "grid.txt"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
 
 
 def test_report_checks_k_before_any_work(small_corpus, tmp_path, capsys):

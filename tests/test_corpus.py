@@ -190,6 +190,18 @@ class TestLoadCorpus:
         assert len(corpus) == 2
         assert corpus.report.skipped[0][0] == 2
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_byte_order_mark_loads_the_same(self, tmp_path, strict):
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "bom.jsonl"
+        text = json.dumps(record()) + "\n" + json.dumps(record(id="t2")) + "\n"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected, corpus = load_corpus(plain, strict), load_corpus(marked, strict)
+        assert list(corpus) == list(expected)
+        assert corpus.report == expected.report
+        assert corpus.report.skipped == ()
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [record(), record()])

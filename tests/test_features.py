@@ -312,6 +312,15 @@ class TestSemantic:
         with pytest.raises(ValueError, match="line 1"):
             load_sentiment_lexicon(bad)
 
+    def test_lexicon_with_byte_order_mark_loads_the_same(self, tmp_path):
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+        text = "good\t+1\nbad\t-1\n"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_sentiment_lexicon(marked) == load_sentiment_lexicon(plain)
+        assert load_sentiment_lexicon(marked) == {"good": 1, "bad": -1}
+
     def test_default_lexicon_is_the_bundled_file(self):
         bundled = Path(features.__file__).resolve().parent / "resources" / "sentiment.tsv"
         lexicon = default_sentiment_lexicon()
@@ -516,43 +525,50 @@ def test_content_model_and_matrix_match_the_counter_definition(
 
 
 class TestCombine:
-    def build(self, names, rows, tag):
-        return FeatureMatrix(tuple(names), np.array(rows, dtype=float), frozenset({tag}))
+    def build(self, rows, tag):
+        return FeatureMatrix(np.array(rows, dtype=float), frozenset({tag}))
 
     def test_concatenation_width(self):
-        a = self.build(["x", "y"], [[1, 2]], "factual")
-        b = self.build(["z"], [[3]], "structural")
+        a = self.build([[1, 2], [4, 5]], "factual")
+        b = self.build([[3], [6]], "structural")
         combined = combine_features([a, b])
         assert combined.n_cols == 3
-        assert combined.column_names == ("factual:x", "factual:y", "structural:z")
+        assert combined.n_rows == 2
+        # columns keep the order of the parts
+        np.testing.assert_array_equal(combined.rows, [[1, 2, 3], [4, 5, 6]])
         assert combined.provenance == {"factual", "structural"}
 
-    def test_single_part_prefixed(self):
-        a = self.build(["x"], [[1]], "semantic")
+    def test_single_part_keeps_rows(self):
+        a = self.build([[1]], "semantic")
         combined = combine_features([a])
-        assert combined.column_names == ("semantic:x",)
         np.testing.assert_array_equal(combined.rows, a.rows)
+        assert combined.provenance == {"semantic"}
 
     def test_row_mismatch_error(self):
-        a = self.build(["x"], [[1], [2]], "factual")
-        b = self.build(["y"], [[3]], "structural")
+        a = self.build([[1], [2]], "factual")
+        b = self.build([[3]], "structural")
         with pytest.raises(ValueError, match="row-count"):
             combine_features([a, b])
 
-    def test_already_combined_not_reprefixed(self):
-        a = self.build(["x"], [[1]], "factual")
-        b = self.build(["y"], [[2]], "structural")
+    def test_recombining_keeps_rows_and_tags(self):
+        a = self.build([[1]], "factual")
+        b = self.build([[2]], "structural")
         once = combine_features([a, b])
         twice = combine_features([once])
-        assert twice.column_names == once.column_names
+        np.testing.assert_array_equal(twice.rows, once.rows)
+        assert twice.provenance == once.provenance
 
     def test_matrix_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
-            FeatureMatrix(("x",), np.array([[float("nan")]]), frozenset({"factual"}))
+            FeatureMatrix(np.array([[float("nan")]]), frozenset({"factual"}))
 
-    def test_matrix_rejects_duplicate_names(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            FeatureMatrix(("x", "x"), np.zeros((1, 2)), frozenset({"factual"}))
+    def test_matrix_rejects_non_2d_rows(self):
+        with pytest.raises(ValueError, match="2-D"):
+            FeatureMatrix(np.zeros(3), frozenset({"factual"}))
+
+    def test_matrix_has_only_rows_and_provenance(self):
+        fields = [f.name for f in dataclasses.fields(FeatureMatrix)]
+        assert fields == ["rows", "provenance"]
 
 
 class TestFittedExtractor:
@@ -576,12 +592,22 @@ class TestFittedExtractor:
         with pytest.raises(ValueError, match="unknown feature set"):
             fit_extractor("bogus", self.corpus())
 
-    def test_columns_stable_between_train_and_predict(self):
-        tasks = self.corpus()
-        ext = fit_extractor("factual", tasks[:2])
-        train_mat = ext.matrix(tasks[:2])
-        test_mat = ext.matrix(tasks[2:])
-        assert train_mat.column_names == test_mat.column_names
+    def test_rows_are_positional_for_every_set(self):
+        # unseen employer, country and host: each lands in an "other" column
+        # rather than widening the matrix
+        tasks = self.corpus() + [
+            make_task(id="t4", html='<p>Visit <a href="http://new.example">Acme</a> now</p>',
+                      employer="c", countries=("FR",)),
+        ]
+        for set_name in FEATURE_SET_NAMES:
+            ext = fit_extractor(set_name, tasks[:2])
+            whole = ext.matrix(tasks)
+            assert whole.n_cols == ext.n_cols, set_name
+            assert ext.matrix([]).rows.shape == (0, ext.n_cols), set_name
+            for i, task in enumerate(tasks):
+                alone = ext.matrix([task])
+                assert alone.n_cols == ext.n_cols, set_name
+                np.testing.assert_array_equal(alone.rows[0], whole.rows[i], err_msg=set_name)
 
     def test_structural_title_independence(self):
         # structural extraction ignores any fitted state

@@ -245,17 +245,17 @@ class TestNaiveBayes:
 
     def test_multinomial_on_content_provenance(self):
         rows = np.abs(np.random.default_rng(0).normal(size=(10, 4)))
-        fm = FeatureMatrix(("a", "b", "c", "d"), rows, frozenset({"content"}))
+        fm = FeatureMatrix(rows, frozenset({"content"}))
         y = ["x"] * 5 + ["y"] * 5
         model = train("naive_bayes", fm, y)
         assert model.parameters["event_model"] == "multinomial"
 
     def test_gaussian_on_other_provenance(self):
         rows = np.random.default_rng(0).normal(size=(10, 4))
-        fm = FeatureMatrix(("a", "b", "c", "d"), rows, frozenset({"structural"}))
+        fm = FeatureMatrix(rows, frozenset({"structural"}))
         model = train("naive_bayes", fm, ["x"] * 5 + ["y"] * 5)
         assert model.parameters["event_model"] == "gaussian"
-        combined = FeatureMatrix(("a", "b"), np.abs(rows[:, :2]), frozenset({"content", "factual"}))
+        combined = FeatureMatrix(np.abs(rows[:, :2]), frozenset({"content", "factual"}))
         model = train("naive_bayes", combined, ["x"] * 5 + ["y"] * 5)
         assert model.parameters["event_model"] == "gaussian"
 

@@ -23,6 +23,7 @@ from tasksim.semsim import (
     comprehensibility_vector,
     default_wordlist,
     extract_verb_phrases,
+    load_wordlist,
     phrase_similarity,
     presence_document_frequencies,
     required_action_similarity,
@@ -216,6 +217,15 @@ def test_default_wordlist_loads():
     words = default_wordlist()
     assert len(words) > 500
     assert "the" in words and "download" in words
+
+
+def test_wordlist_with_byte_order_mark_loads_the_same(tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    text = "hello\n# comment\nWorld\n"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_wordlist(marked) == load_wordlist(plain) == {"hello", "world"}
 
 
 # ---------------------------------------------------------------- comprehensibility
