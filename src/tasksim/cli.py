@@ -14,6 +14,7 @@ renamed into place so a failed run never leaves a half-written report.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import tempfile
@@ -26,12 +27,12 @@ from .features import load_sentiment_lexicon
 from .learn import ALGORITHMS
 from .reports import (
     csv_text,
+    matrix_csv_chunks,
+    matrix_text_chunks,
     render_distribution_csv,
     render_distribution_text,
     render_grid_csv,
     render_grid_text,
-    render_matrix_csv,
-    render_matrix_text,
     render_report_csv,
     render_report_text,
 )
@@ -94,7 +95,15 @@ def _load(args, needs_wordnet: bool):
     return corpus
 
 
-def _atomic_write(path, text: str) -> None:
+def _write(stream, text) -> None:
+    """Write a string, or an iterable of string chunks one by one."""
+    stream.writelines([text] if isinstance(text, str) else text)
+
+
+def _atomic_write(path, text) -> None:
+    """Write `text` (as `_write` takes it) to a temp file beside `path`,
+    then rename it into place; on any error the temp file is removed and
+    an existing `path` keeps its bytes."""
     target = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(
@@ -108,7 +117,7 @@ def _atomic_write(path, text: str) -> None:
             # mkstemp made it 0600; give it the mode open(path, "w") would
             os.umask(mask := os.umask(0))
             os.fchmod(fh.fileno(), 0o666 & ~mask)
-            fh.write(text)
+            _write(fh, text)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -138,8 +147,8 @@ def _pick(args, text_renderer, csv_renderer):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-# Each handler returns the text for --out (stdout by default), or None
-# when it wrote its own files.
+# Each handler returns the text for --out (stdout by default), as a string
+# or an iterable of string chunks, or None when it wrote its own files.
 
 def _load_lexicon(args):
     if args.sentiment_lexicon is None:
@@ -227,11 +236,11 @@ def cmd_grid(args) -> str:
     return _grid(args, _load(args, needs_wordnet=False), combos, algos)
 
 
-def cmd_sim(args) -> str:
+def cmd_sim(args):
     corpus = _load(args, needs_wordnet=args.measure == "required_action")
     (matrix,) = _similarities(args, corpus, [args.measure])
-    render = _pick(args, render_matrix_text, render_matrix_csv)
-    return _header(args) + render(matrix)
+    chunks = _pick(args, matrix_text_chunks, matrix_csv_chunks)(matrix)
+    return itertools.chain([_header(args)], chunks)
 
 
 def cmd_cluster(args) -> str:
@@ -354,7 +363,7 @@ def dispatch(argv=None) -> int:
     try:
         text = args.handler(args)
         if args.out is None:
-            sys.stdout.write(text)
+            _write(sys.stdout, text)
         elif text is not None:
             _atomic_write(args.out, text)
     except (CliError, CorpusError, WordNetError, EvaluationError,

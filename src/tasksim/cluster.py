@@ -52,8 +52,15 @@ class Clustering:
         if self.total_dissimilarity < 0:
             raise ValueError("total dissimilarity must be non-negative")
 
+    def groups(self) -> list[list]:
+        """Every cluster's members, in assignment order, from one pass."""
+        groups: list[list] = [[] for _ in range(self.k)]
+        for tid, cluster in self.assignments.items():
+            groups[cluster].append(tid)
+        return groups
+
     def members(self, cluster: int) -> list:
-        return [tid for tid, c in self.assignments.items() if c == cluster]
+        return self.groups()[cluster]
 
 
 def check_k(k: int, n: int) -> None:
@@ -241,9 +248,9 @@ def purity(clustering: Clustering, labels: Mapping[str, str]) -> float:
     if not clustering.assignments:
         return 0.0
     agreeing = 0
-    for cluster in range(clustering.k):
+    for ids in clustering.groups():
         counts: dict = {}
-        for tid in clustering.members(cluster):
+        for tid in ids:
             category = labels[tid]
             counts[category] = counts.get(category, 0) + 1
         if counts:
@@ -260,8 +267,7 @@ def category_distribution(clustering: Clustering, corpus) -> dict:
             "id mismatch: clustering and corpus cover different tasks"
         )
     table: dict = {}
-    for cluster in range(clustering.k):
-        ids = clustering.members(cluster)
+    for cluster, ids in enumerate(clustering.groups()):
         row: dict = {}
         for tid in ids:
             category = by_id[tid]

@@ -1,13 +1,19 @@
 """Plain-text and CSV rendering of evaluation and clustering results.
 
-Renderers are pure string builders: same input, same bytes. Anything that
-writes files (and stamps seeds into headers) lives in the CLI.
+Same input, same bytes. Every renderer returns one string; the matrix
+renderers are also generators of chunks (`matrix_csv_chunks`,
+`matrix_text_chunks`), rendered in blocks of rows with array code, so the
+CLI can stream a large matrix to its file without building the whole
+report. Anything that writes files (and stamps seeds into headers) lives in
+the CLI.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+
+import numpy as np
 
 from .cluster import Clustering, category_distribution
 from .evaluation import EvaluationReport, GridResult
@@ -102,28 +108,117 @@ def render_report_csv(report: EvaluationReport) -> str:
     return _cells_csv([cell], report.classes)
 
 
-def _csv_field(value: str) -> str:
-    """One field as csv.writer quotes it in a row of several fields."""
-    return csv_text([value, ""], ())[:-2]
+# "%03d" of 0..999, its three ASCII digits packed little-endian into the
+# low bytes of a uint64.
+_DIGITS = np.array(
+    [int.from_bytes(b"%03d" % i, "little") for i in range(1000)], dtype="<u8"
+)
+# Matrix cells rendered per block of rows. Rendering a 250 x 250 matrix
+# peaked at 1.14 MB of traced memory with 2**12 cells a block, as a join of
+# "%.6f" cells does, against 1.84 MB with 2**14 cells, which also raised
+# the sim-cluster benchmark's peak RSS by about 0.5 MB.
+_BLOCK_CELLS = 2**12
+
+
+def _matrix_blocks(values, places: int, sep: str, widths, heads):
+    """Yield the rows of `values` (cells in [0, 1]) in blocks of about
+    _BLOCK_CELLS cells, one string per block. Each row is its head, then
+    every cell as "%.{places}f" prints it, right-aligned to its column's
+    width after `sep`, then a newline. `places` is 3 or 6.
+
+    Cells are rounded with np.rint and spelled from a digit table, each
+    into the bytes of one uint64, then laid into one byte block that is
+    decoded once. A cell within 1e-6 of a rounding tie in v * 10**places,
+    where rint of the product could round otherwise than % rounds the
+    exact decimal (a margin far wider than the product's own error, below
+    1e-10), is spelled by % instead. A row with a -0.0 cell, which % prints
+    with its sign and so one byte wider, is formatted by % whole.
+    """
+    cell_width = places + 2
+    scale = 10**places
+    line = "".join(
+        sep + " " * (w - cell_width) + "0" * cell_width for w in widths
+    )
+    template = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
+    ends = np.cumsum([len(sep) + w for w in widths], dtype=np.intp)
+    digits_at = ((ends - cell_width)[:, None] + np.arange(cell_width)).ravel()
+    step = max(1, _BLOCK_CELLS // max(1, len(widths)))
+    for start in range(0, len(values), step):
+        block = values[start:start + step]
+        scaled = block * scale
+        rounded = np.rint(scaled)
+        units = rounded.astype(np.int64)
+        # "0." or, for a cell that rounds to 1, "1."
+        cells = np.full(block.shape, ord("0") | ord(".") << 8, dtype="<u8")
+        cells += units == scale
+        for group in range(places // 3, 0, -1):
+            high = units // 1000  # far faster than np.divmod on integers
+            digits = np.take(_DIGITS, units - high * 1000)
+            cells |= digits << (24 * group - 8)
+            units = high
+        # where rint and % could round a tie apart, % spells the cell
+        tie = 0.5 - np.abs(scaled - rounded) < 1e-6
+        for i in np.flatnonzero(tie).tolist():
+            spelled = b"%.*f" % (places, block.flat[i])
+            cells.flat[i] = int.from_bytes(spelled, "little")
+        cells = cells.view(np.uint8).reshape(block.shape + (8,))
+        cells = cells[..., :cell_width]
+        lines = np.tile(template, (len(block), 1))
+        lines[:, digits_at] = cells.reshape(len(block), -1)
+        text = lines.tobytes().decode("ascii")
+        rows = [text[i:i + template.size]
+                for i in range(0, len(text), template.size)]
+        for i in np.flatnonzero(np.signbit(block).any(axis=1)).tolist():
+            rows[i] = "".join(
+                sep + ("%.*f" % (places, v)).rjust(w)
+                for v, w in zip(block[i].tolist(), widths)
+            )
+        heads_here = heads[start:start + step]
+        yield "".join(head + row + "\n" for head, row in zip(heads_here, rows))
+
+
+def matrix_csv_chunks(matrix: SimilarityMatrix):
+    """`render_matrix_csv` in chunks: the header row, then blocks of rows."""
+    ids = matrix.task_ids
+    header = csv_text(["id", *ids], ())
+    # Each id as the one csv.writer call quoted it: a quoted field starts
+    # with '"' and doubles every '"' inside it.
+    quoted, pos = [], len("id,")
+    for task_id in ids:
+        if header.startswith('"', pos):
+            task_id = '"' + task_id.replace('"', '""') + '"'
+        quoted.append(task_id)
+        pos += len(task_id) + 1
+    yield header
+    yield from _matrix_blocks(matrix.values, 6, ",", [8] * len(ids), quoted)
+
+
+def matrix_text_chunks(matrix: SimilarityMatrix):
+    """`render_matrix_text` in chunks: the header line, then blocks of
+    rows."""
+    ids = matrix.task_ids
+    # a cell prints 5 wide, or 6 as "-0.000"
+    signed = np.signbit(matrix.values).any(axis=0).tolist()
+    widths = [max(len(task_id), 6 if wide else 5)
+              for task_id, wide in zip(ids, signed)]
+    first = max([len("id")] + [len(task_id) for task_id in ids])
+    header = ["id".ljust(first)]
+    header += [task_id.rjust(w) for task_id, w in zip(ids, widths)]
+    yield "  ".join(header).rstrip() + "\n"
+    heads = [task_id.ljust(first) for task_id in ids]
+    yield from _matrix_blocks(matrix.values, 3, "  ", widths, heads)
 
 
 def render_matrix_csv(matrix: SimilarityMatrix) -> str:
-    """Pairwise similarities, ids on both axes, six decimal places; each row
-    is one format call, as no "%.6f" cell needs quoting."""
-    row = "," + ",".join(["%.6f"] * len(matrix.task_ids)) + "\n"
-    return csv_text(["id", *matrix.task_ids], ()) + "".join(
-        _csv_field(task_id) + row % tuple(values.tolist())
-        for task_id, values in zip(matrix.task_ids, matrix.values)
-    )
+    """Pairwise similarities, ids on both axes, six decimal places."""
+    return "".join(matrix_csv_chunks(matrix))
 
 
 def render_matrix_text(matrix: SimilarityMatrix) -> str:
-    """Aligned similarity table; readable only for small corpora, the CSV
+    """Aligned similarity table, three decimal places, laid out as
+    `_aligned` lays out its rows; readable only for small corpora, the CSV
     twin carries the full precision."""
-    rows = [["id"] + list(matrix.task_ids)]
-    for task_id, values in zip(matrix.task_ids, matrix.values):
-        rows.append([task_id] + ["%.3f" % v for v in values.tolist()])
-    return _aligned(rows)
+    return "".join(matrix_text_chunks(matrix))
 
 
 def render_report_text(report: EvaluationReport) -> str:
@@ -174,10 +269,7 @@ def render_report_text(report: EvaluationReport) -> str:
 def _distribution_cells(clustering: Clustering, corpus):
     table = category_distribution(clustering, corpus)
     categories = sorted({c for row in table.values() for c in row})
-    sizes = {
-        cluster: len(clustering.members(cluster))
-        for cluster in range(clustering.k)
-    }
+    sizes = [len(ids) for ids in clustering.groups()]
     return table, categories, sizes
 
 

@@ -484,6 +484,27 @@ def test_written_files_get_the_mode_open_would_give(tmp_path, umask):
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
 
 
+def _chunks_failing_after(n):
+    for i in range(n):
+        yield f"chunk {i}\n"
+    raise OSError("disk went away")
+
+
+@pytest.mark.parametrize("before", [None, b"old bytes\n"], ids=["new", "existing"])
+def test_streamed_write_that_fails_leaves_no_file_behind(tmp_path, before):
+    # chunks already written to the temp file must never reach the target
+    target = tmp_path / "m.csv"
+    if before is not None:
+        target.write_bytes(before)
+    with pytest.raises(OSError, match="disk went away"):
+        cli._atomic_write(target, _chunks_failing_after(3))
+    assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["m.csv"])
+    if before is not None:
+        assert target.read_bytes() == before
+    cli._atomic_write(target, ["a,", "b\n", ""])
+    assert target.read_bytes() == b"a,b\n"
+
+
 def test_report_checks_k_before_any_work(small_corpus, tmp_path, capsys):
     out_dir = tmp_path / "rep"
     code = dispatch([

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_task
@@ -30,7 +30,8 @@ from tasksim.semsim import (
     similarity_matrix,
     unusual_word_ratio,
 )
-from tasksim.reports import csv_text, render_matrix_csv
+from tasksim import reports
+from tasksim.reports import _aligned, csv_text, render_matrix_csv, render_matrix_text
 from tasksim.wordnet import bundled_mini_wordnet_dir, load_wordnet
 
 
@@ -482,6 +483,90 @@ def test_matrix_csv_matches_csv_writer(ids, seed):
         values[0, 1] = values[1, 0] = -0.0
     matrix = SimilarityMatrix(tuple(ids), values, "comprehensibility")
     assert render_matrix_csv(matrix) == _oracle_render_matrix_csv(matrix)
+
+
+def _tricky_matrix(n, share, seed):
+    """A valid n x n similarity matrix of uniform cells, about `share` of
+    them drawn instead from values that % formatting rounds at a tie, that
+    are already short decimals, or that sit at the ends of [0, 1], and then
+    one -0.0 pair; with ids that need quoting or are shorter or longer than
+    a 5-wide cell."""
+    rng = np.random.default_rng(seed)
+    pools = [
+        rng.integers(0, 129, (n, n)) / 128,  # 1/128 = 0.0078125, a tie at 6
+        rng.integers(0, 2**20 + 1, (n, n)) / 2**20,
+        np.round(rng.random((n, n)), 6),
+        np.round(rng.random((n, n)), 7),  # 0.1234565: close to a tie at 6
+        np.round(rng.random((n, n)), 4),  # 0.1235: close to a tie at 3
+        rng.choice([1 - 2**-53, 0.0, 1.0], (n, n)),
+    ]
+    values = rng.random((n, n))
+    pick = np.where(rng.random((n, n)) < share,
+                    rng.integers(0, len(pools), (n, n)), -1)
+    for k, pool in enumerate(pools):
+        values = np.where(pick == k, pool, values)
+    if share and n > 1:
+        # one pair only, so that most rows stay on the array path
+        i, j = sorted(rng.choice(n, 2, replace=False))
+        values[i, j] = -0.0
+    # mirror the upper triangle, keeping the sign of a -0.0
+    values = np.where(np.triu(np.ones((n, n), dtype=bool)), values, values.T)
+    np.fill_diagonal(values, 1.0)
+    ids = ['a,"b"', "", " pad ", "two\nlines", "longer than five", "t"]
+    ids = (ids + [f"t{i}" for i in range(n)])[:n]
+    return SimilarityMatrix(tuple(rng.permutation(ids)), values, "comprehensibility")
+
+
+# a matrix this wide spans several blocks of rows
+_SEVERAL_BLOCKS = 300
+assert _SEVERAL_BLOCKS > 2 * (reports._BLOCK_CELLS // _SEVERAL_BLOCKS)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 2, 7, _SEVERAL_BLOCKS]),
+    share=st.sampled_from([0.0, 0.002, 0.1, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+@example(n=_SEVERAL_BLOCKS, share=0.002, seed=0)
+@example(n=_SEVERAL_BLOCKS, share=1.0, seed=1)
+def test_matrix_csv_matches_csv_writer_at_ties_and_across_blocks(n, share, seed):
+    matrix = _tricky_matrix(n, share, seed)
+    assert render_matrix_csv(matrix) == _oracle_render_matrix_csv(matrix)
+
+
+def _oracle_render_matrix_text(matrix):
+    """The matrix table as `_aligned` lays out its "%.3f" cells."""
+    return _aligned([["id", *matrix.task_ids]] + [
+        [task_id] + ["%.3f" % v for v in values.tolist()]
+        for task_id, values in zip(matrix.task_ids, matrix.values)
+    ])
+
+
+@pytest.mark.parametrize("ids, values", [
+    ((), np.zeros((0, 0))),
+    (("a",), np.ones((1, 1))),
+    (("a task id",), np.ones((1, 1))),
+    # "-0.000" is 6 wide, so it widens its column "c" only; 0.0005 is
+    # stored a little above 0.0005, so "%.3f" rounds it up
+    (("ab", "abcdefgh", "c"),
+     np.array([[1.0, 0.0005, 0.5], [0.0005, 1.0, -0.0], [0.5, 0.0, 1.0]])),
+], ids=["empty", "1x1", "1x1-long-id", "signed-zero"])
+def test_matrix_text_matches_aligned_table(ids, values):
+    matrix = SimilarityMatrix(ids, values, "comprehensibility")
+    assert render_matrix_text(matrix) == _oracle_render_matrix_text(matrix)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 2, 7, _SEVERAL_BLOCKS]),
+    share=st.sampled_from([0.0, 0.002, 0.1, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+@example(n=_SEVERAL_BLOCKS, share=0.1, seed=0)
+def test_matrix_text_matches_aligned_table_on_random_matrices(n, share, seed):
+    matrix = _tricky_matrix(n, share, seed)
+    assert render_matrix_text(matrix) == _oracle_render_matrix_text(matrix)
 
 
 _WORD_POOL = [
