@@ -363,7 +363,16 @@ def dispatch(argv=None) -> int:
     try:
         text = args.handler(args)
         if args.out is None:
-            _write(sys.stdout, text)
+            try:
+                _write(sys.stdout, text)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # The reader stopped early (`| head`): that is not an
+                # error. Point stdout at devnull so the flush at exit
+                # cannot raise again.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
         elif text is not None:
             _atomic_write(args.out, text)
     except (CliError, CorpusError, WordNetError, EvaluationError,

@@ -131,8 +131,8 @@ def _matrix_blocks(values, places: int, sep: str, widths, heads):
     decoded once. A cell within 1e-6 of a rounding tie in v * 10**places,
     where rint of the product could round otherwise than % rounds the
     exact decimal (a margin far wider than the product's own error, below
-    1e-10), is spelled by % instead. A row with a -0.0 cell, which % prints
-    with its sign and so one byte wider, is formatted by % whole.
+    1e-10), or a -0.0 cell, which % prints with its sign and so one byte
+    wider, sends its whole row to % formatting.
     """
     cell_width = places + 2
     scale = 10**places
@@ -142,6 +142,7 @@ def _matrix_blocks(values, places: int, sep: str, widths, heads):
     template = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
     ends = np.cumsum([len(sep) + w for w in widths], dtype=np.intp)
     digits_at = ((ends - cell_width)[:, None] + np.arange(cell_width)).ravel()
+    row_format = "".join(f"{sep}%{w}.{places}f" for w in widths)
     step = max(1, _BLOCK_CELLS // max(1, len(widths)))
     for start in range(0, len(values), step):
         block = values[start:start + step]
@@ -156,11 +157,6 @@ def _matrix_blocks(values, places: int, sep: str, widths, heads):
             digits = np.take(_DIGITS, units - high * 1000)
             cells |= digits << (24 * group - 8)
             units = high
-        # where rint and % could round a tie apart, % spells the cell
-        tie = 0.5 - np.abs(scaled - rounded) < 1e-6
-        for i in np.flatnonzero(tie).tolist():
-            spelled = b"%.*f" % (places, block.flat[i])
-            cells.flat[i] = int.from_bytes(spelled, "little")
         cells = cells.view(np.uint8).reshape(block.shape + (8,))
         cells = cells[..., :cell_width]
         lines = np.tile(template, (len(block), 1))
@@ -168,11 +164,11 @@ def _matrix_blocks(values, places: int, sep: str, widths, heads):
         text = lines.tobytes().decode("ascii")
         rows = [text[i:i + template.size]
                 for i in range(0, len(text), template.size)]
-        for i in np.flatnonzero(np.signbit(block).any(axis=1)).tolist():
-            rows[i] = "".join(
-                sep + ("%.*f" % (places, v)).rjust(w)
-                for v, w in zip(block[i].tolist(), widths)
-            )
+        # where rint and % could round a tie apart, or % prints a sign
+        tie = 0.5 - np.abs(scaled - rounded) < 1e-6
+        by_percent = (tie | np.signbit(block)).any(axis=1)
+        for i in np.flatnonzero(by_percent).tolist():
+            rows[i] = row_format % tuple(block[i].tolist())
         heads_here = heads[start:start + step]
         yield "".join(head + row + "\n" for head, row in zip(heads_here, rows))
 

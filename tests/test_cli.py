@@ -7,6 +7,8 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -340,6 +342,25 @@ def test_sim_matrix_output(small_corpus, capsys):
     assert rows[0][0] == "id"
     assert len(rows) == 19
     assert rows[1][1] == "1.000000"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_sim_reader_that_stops_early_is_not_an_error(tmp_path, fmt):
+    # 150 x 150 cells, far more than a pipe holds, so later writes meet a
+    # reader that has gone, as under `tasksim sim ... | head`
+    corpus = tmp_path / "c.jsonl"
+    assert dispatch(["synth", "--out", str(corpus), "--seed", "3",
+                     "--categories", "5", "--per-category", "30"]) == 0
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tasksim.cli", "sim", "--corpus", str(corpus),
+         "--measure", "comprehensibility", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(100).startswith(b"# tasksim ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
 
 
 def test_sim_refuses_oversized_corpus(small_corpus, monkeypatch, capsys):
