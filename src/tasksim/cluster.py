@@ -17,7 +17,15 @@ import numpy as np
 
 from .semsim import SimilarityMatrix
 
-# Rows of the dissimilarity matrix scored per block in the swap search.
+# PAM reads the dissimilarity matrix in blocks of whole rows, sized to stay
+# in a core's cache while each block is scored: about _BUILD_CELLS or
+# _SWAP_CELLS float64 cells (the swap search keeps three such arrays), but
+# never fewer than _MIN_BLOCK_ROWS rows, since numpy's per-call cost
+# outweighs the cache misses of longer blocks.
+_BUILD_CELLS = 1 << 16
+_SWAP_CELLS = 1 << 14
+_MIN_BLOCK_ROWS = 32
+# The most rows per block in the swap search.
 _SWAP_BLOCK = 256
 
 
@@ -83,17 +91,46 @@ def _cost(d: np.ndarray, medoids: list) -> float:
     return float(d[:, medoids].min(axis=1).sum())
 
 
+def _block_rows(n: int, cells: int) -> int:
+    return max(cells // n, _MIN_BLOCK_ROWS)
+
+
 def _greedy_build(d: np.ndarray, k: int) -> list:
     """Classic PAM seeding: first the point with minimum total distance,
     then whichever point reduces the cost most. Ties go to the lowest
-    index."""
+    index.
+
+    Each gain is the sum over the rows of max(nearest - d, 0). The rows are
+    scored in cache-sized blocks, and each block is summed together with
+    the running gains, kept as the first row of its buffer. numpy sums a
+    C-ordered array of two or more columns over axis 0 one row after
+    another, so the rows still add in order, and every gain is
+    bit-identical to one sum over the whole n x n array. Once every point
+    sits on a medoid, every gain is 0: the remaining medoids are then the
+    lowest free indices, and no more passes are made."""
+    n = d.shape[0]
     totals = d.sum(axis=0)
     medoids = [int(np.argmin(totals))]
     nearest = d[:, medoids[0]].copy()
-    work = np.empty_like(d)
+    rows = _block_rows(n, _BUILD_CELLS)
+    work = np.empty((min(rows, n) + 1, n))
     while len(medoids) < k:
-        np.subtract(nearest[:, None], d, out=work)
-        gains = np.maximum(work, 0.0, out=work).sum(axis=0)
+        if not nearest.any():
+            free = np.ones(n, dtype=bool)
+            free[medoids] = False
+            medoids += np.flatnonzero(free)[: k - len(medoids)].tolist()
+            break
+        gains = None
+        for lo in range(0, n, rows):
+            block = d[lo : lo + rows]
+            w = work[1 : len(block) + 1]
+            np.subtract(nearest[lo : lo + rows, None], block, out=w)
+            np.maximum(w, 0.0, out=w)
+            if gains is None:
+                gains = w.sum(axis=0)
+            else:
+                work[0] = gains
+                gains = work[: len(block) + 1].sum(axis=0)
         gains[medoids] = -1.0
         best = int(np.argmax(gains))
         medoids.append(best)
@@ -101,42 +138,47 @@ def _greedy_build(d: np.ndarray, k: int) -> list:
     return medoids
 
 
-def _swap_deltas(d: np.ndarray, medoid_cols: np.ndarray) -> np.ndarray:
-    """The cost change of every swap, as a k x n array: entry (p, c) is the
-    cost after medoid position p moves to point c, minus the current cost.
+def _swap_costs(d: np.ndarray, medoid_cols: np.ndarray) -> np.ndarray:
+    """The cost of every swap, as a k x n array: entry (p, c) is the cost
+    after medoid position p moves to point c.
 
     FastPAM1 (Schubert & Rousseeuw, "Faster k-Medoids Clustering: Improving
     the PAM, CLARA, and CLARANS Algorithms", SISAP 2019): from each point's
-    nearest (dn) and second-nearest (ds) medoid distance, the change is the
-    removal loss of p, plus the gain of every point that c is closer to
-    than its nearest medoid, plus, for the points of p, c competing with
-    their second-nearest medoid. d is read once per step, in blocks of
-    whole rows taken cluster by cluster, so that the last term is one
-    segmented sum per block."""
+    nearest (dn) and second-nearest (ds) medoid distance, the cost is the
+    sum over all points of min(d, dn), shared by every p, plus, over the
+    points of p alone, min(d, ds) - min(d, dn), since they lose p. d is
+    read once per step, in blocks of whole rows taken cluster by cluster,
+    so that the rows of one cluster in a block are one sum over axis 0."""
     n, k = medoid_cols.shape
     near = np.argmin(medoid_cols, axis=1)
-    dn = medoid_cols[np.arange(n), near]
-    ds = np.partition(medoid_cols, 1, axis=1)[:, 1]
-    removal = np.bincount(near, weights=ds - dn, minlength=k)
     order = np.argsort(near, kind="stable")
+    by_cluster = medoid_cols[order]
+    dn = by_cluster[np.arange(n), near[order]][:, None]
+    ds = np.partition(by_cluster, 1, axis=1)[:, 1:2]
+    # cluster p's rows end at ends[p] in `order`
+    ends = np.cumsum(np.bincount(near, minlength=k)).tolist()
+    rows = min(_block_rows(n, _SWAP_CELLS), _SWAP_BLOCK)
     shared = np.zeros(n)
-    scatter = np.zeros((k, n))
-    work = np.empty((min(_SWAP_BLOCK, n), n))
-    for lo in range(0, n, _SWAP_BLOCK):
-        pick = order[lo : lo + _SWAP_BLOCK]
-        r, w = d[pick], work[: len(pick)]
-        dn_b, ds_b = dn[pick, None], ds[pick, None]
-        np.subtract(r, dn_b, out=w)
-        shared += np.minimum(w, 0.0, out=w).sum(axis=0)
-        np.maximum(r, dn_b, out=w)
-        np.minimum(w, ds_b, out=w)
-        np.subtract(w, ds_b, out=w)
-        owners = near[pick]
-        starts = np.flatnonzero(np.diff(owners, prepend=-1))
-        scatter[owners[starts]] += np.add.reduceat(w, starts, axis=0)
-    scatter += shared
-    scatter += removal[:, None]
-    return scatter
+    costs = np.zeros((k, n))
+    to_near = np.empty((min(rows, n), n))
+    p = 0
+    for lo in range(0, n, rows):
+        r = d[order[lo : lo + rows]]
+        hi = lo + len(r)
+        a = to_near[: len(r)]
+        np.minimum(r, dn[lo:hi], out=a)
+        shared += a.sum(axis=0)
+        np.minimum(r, ds[lo:hi], out=r)
+        np.subtract(r, a, out=r)
+        at = lo
+        while at < hi:
+            while ends[p] <= at:
+                p += 1
+            stop = min(ends[p], hi)
+            costs[p] += r[at - lo : stop - lo].sum(axis=0)
+            at = stop
+    costs += shared
+    return costs
 
 
 def _best_swap(d: np.ndarray, medoids: list, cost: float):
@@ -144,21 +186,24 @@ def _best_swap(d: np.ndarray, medoids: list, cost: float):
     None when no swap lowers the cost.
 
     The accepted swap is the lowest (cost, medoid index, candidate index)
-    triple, each cost summed as min(rest, d[:, candidate]).sum(axis=0). The
-    FastPAM1 deltas sum in another order, so every swap within `tol` of the
-    lowest delta is re-scored that way; with d in [0, 1] their rounding
-    error is far below `tol`, so the winner is always among them."""
+    triple, each cost summed as min(rest, d[:, candidate]).sum(axis=0).
+    `_swap_costs` sums in another order, so every swap within `tol` of its
+    lowest cost is re-scored that way. Both sums add non-negative terms,
+    so each errs by at most about n * 2**-53 of the swap's cost; for the
+    swaps near the lowest, that is far below `tol` = 1e-9 * (1 + cost) at
+    any n that fits in memory, so the winner is always among them."""
     n = d.shape[0]
-    if len(medoids) == n:
+    # d is never negative, so no swap lowers a zero cost
+    if cost == 0.0 or len(medoids) == n:
         return None
     medoid_cols = d[:, medoids]
-    delta = _swap_deltas(d, medoid_cols)
-    delta[:, medoids] = np.inf
+    costs = _swap_costs(d, medoid_cols)
+    costs[:, medoids] = np.inf
     tol = 1e-9 * (1.0 + cost)
-    low = delta.min()
-    if low > tol:
+    low = costs.min()
+    if low > cost + tol:
         return None
-    tied = delta <= low + tol
+    tied = costs <= low + tol
     cols = np.flatnonzero(tied.any(axis=0))
     # gathered columns are column-major, so each one sums on its own, in
     # the same order as in PAM's full candidate block

@@ -14,6 +14,7 @@ from conftest import make_task
 from tasksim.cluster import (
     Clustering,
     _greedy_build,
+    _swap_costs,
     _swap_passes,
     category_distribution,
     check_k,
@@ -250,6 +251,9 @@ def dissimilarity(kind, rng, n):
         m = np.round(m, 2)
     if kind == "near_symmetric":
         m = np.clip(m + rng.uniform(-5e-10, 5e-10, size=(n, n)), 0.0, 1.0)
+    if kind == "clumps":  # at most 3 distinct points: zero cost from k = 3
+        pick = rng.integers(0, 3, size=n)
+        m[pick[:, None] == pick[None, :]] = 1.0
     np.fill_diagonal(m, 1.0)
     return 1.0 - sim_from(m).values
 
@@ -272,6 +276,70 @@ def test_swap_search_makes_pams_exact_choices(kind, block_rows, monkeypatch):
         medoids, cost = pam_swap_passes(d, list(seeded), 100, expected)
         assert _swap_passes(d, list(seeded), 100, got) == (medoids, cost, True)
         assert got == expected
+
+
+@pytest.mark.parametrize("kind", ["uniform", "thirds", "duplicates", "clumps"])
+def test_greedy_build_makes_pams_exact_choices(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for n in range(2, 41):
+        d = dissimilarity(kind, rng, n)
+        for k in {2, int(rng.integers(2, n + 1)), n}:
+            assert _greedy_build(d, k) == pam_greedy_build(d, k)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "thirds", "duplicates", "clumps"])
+def test_greedy_build_in_many_blocks_makes_pams_exact_choices(kind, monkeypatch):
+    # a block budget of a few rows: dozens of blocks per pass, and a last
+    # block that is shorter than the rest
+    monkeypatch.setattr("tasksim.cluster._BUILD_CELLS", 1)
+    monkeypatch.setattr("tasksim.cluster._MIN_BLOCK_ROWS", 3)
+    rng = np.random.default_rng(sum(map(ord, kind)) + 1)
+    for _ in range(20):
+        n = int(rng.integers(4, 121))
+        k = int(rng.integers(2, min(n, 20) + 1))
+        d = dissimilarity(kind, rng, n)
+        assert _greedy_build(d, k) == pam_greedy_build(d, k)
+
+
+def test_build_stops_scoring_once_every_point_sits_on_a_medoid():
+    # 3 distinct points among 30: after 3 medoids every gain is 0, and
+    # PAM takes the lowest free indices
+    d = dissimilarity("clumps", np.random.default_rng(4), 30)
+    seeded = pam_greedy_build(d, 12)
+    assert d[:, seeded[:3]].min(axis=1).max() == 0.0
+    assert seeded[3:] == sorted(set(range(30)) - set(seeded[:3]))[:9]
+    assert _greedy_build(d, 12) == seeded
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 100])
+def test_a_zero_cost_seeding_is_converged_without_scoring(max_iter, monkeypatch):
+    def no_scoring(*args):
+        raise AssertionError("a zero-cost seeding was scored")
+
+    monkeypatch.setattr("tasksim.cluster._swap_costs", no_scoring)
+    d = dissimilarity("clumps", np.random.default_rng(5), 30)
+    seeded = pam_greedy_build(d, 5)
+    expected = []
+    medoids, cost = pam_swap_passes(d, list(seeded), max_iter, expected)
+    assert (medoids, cost, expected) == (seeded, 0.0, [0.0])
+    got = []
+    assert _swap_passes(d, list(seeded), max_iter, got) == (seeded, 0.0, True)
+    assert got == [0.0]
+
+
+@pytest.mark.parametrize("kind", ["uniform", "thirds", "duplicates"])
+def test_swap_costs_equal_each_swaps_cost(kind, monkeypatch):
+    monkeypatch.setattr("tasksim.cluster._SWAP_BLOCK", 7)
+    rng = np.random.default_rng(sum(map(ord, kind)) + 2)
+    n, k = 50, 6
+    d = dissimilarity(kind, rng, n)
+    medoids = list(rng.choice(n, size=k, replace=False))
+    got = _swap_costs(d, d[:, medoids])
+    for p in range(k):
+        for c in range(n):
+            swapped = medoids[:p] + [c] + medoids[p + 1 :]
+            cost = d[:, swapped].min(axis=1).sum()
+            assert got[p, c] == pytest.approx(cost, rel=1e-12, abs=1e-12)
 
 
 def test_a_swap_only_rounding_favours_is_taken_as_pam_takes_it():
