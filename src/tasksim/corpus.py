@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
-from .text import word_tokens
+from .text import split_sentences, word_tokens
 
 __all__ = [
     "DocStructure",
@@ -45,6 +45,11 @@ class DocStructure:
 
 @dataclass(frozen=True)
 class MicroTask:
+    """One task record. What is derived from its text is made on first use
+    and kept with the task object, outside its fields, so equality, hash and
+    repr read the fields only: `sentences`, each text field split once, and
+    `analysis`, built from those sentences."""
+
     id: str
     title: str
     description_html: str
@@ -62,9 +67,19 @@ class MicroTask:
     structure: DocStructure
 
     @functools.cached_property
+    def sentences(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """(title sentences, description sentences): one `split_sentences`
+        of each field, made on first use and kept with the task. The
+        analysis and the verb-phrase scanner both read it."""
+        return (
+            tuple(split_sentences(self.title)),
+            tuple(split_sentences(self.description_text)),
+        )
+
+    @functools.cached_property
     def analysis(self):
-        """The task's `features.TaskAnalysis`, built on first use and kept
-        with the task."""
+        """The task's `features.TaskAnalysis`, built on first use from
+        `sentences` and kept with the task."""
         from .features import build_analysis  # breaks the corpus <-> features import cycle
 
         return build_analysis(self)

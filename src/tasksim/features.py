@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +32,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .corpus import MicroTask
-from .text import count_syllables, split_sentences, stem, stopwords, word_tokens
+from .text import count_syllables, stem, stopwords, word_tokens
 
 __all__ = [
     "FEATURE_SET_NAMES",
@@ -174,10 +175,11 @@ def structural_features(task: MicroTask) -> np.ndarray:
     return task.analysis.structural.copy()
 
 
-def _structural_row(task: MicroTask, words, lower_words, n_sents) -> np.ndarray:
+def _structural_row(
+    task: MicroTask, words, lower_words, n_sents, complex_words
+) -> np.ndarray:
     text = task.description_text
     n_words = len(words)
-    complex_words = sum(1 for w in words if count_syllables(w) >= 3)
     struct = task.structure
 
     def mean(values) -> float:
@@ -190,7 +192,7 @@ def _structural_row(task: MicroTask, words, lower_words, n_sents) -> np.ndarray:
             float(struct.bullet_count),
             n_words / n_sents if n_sents else 0.0,
             text.count(",") / n_sents if n_sents else 0.0,
-            sum(len(w) for w in words) / n_words if n_words else 0.0,
+            sum(map(len, words)) / n_words if n_words else 0.0,
             mean(struct.paragraph_lengths),
             mean(struct.line_lengths),
             gunning_fog(n_words, n_sents, complex_words),
@@ -379,10 +381,11 @@ def content_vector(model: ContentModel, task: MicroTask) -> np.ndarray:
 class TaskAnalysis:
     """What the feature sets and the comprehensibility measure read from one
     task's text: `MicroTask.analysis`, built once per task object by
-    `build_analysis` from one `split_sentences` of the title and one of the
-    description, and the `word_tokens` of each sentence. It holds no
-    reference to its task. Treat it as read-only (`structural` and the
-    `term_ids` arrays are read-only arrays)."""
+    `build_analysis` from the task's `sentences` (the one split of its title
+    and of its description, which the verb-phrase scanner reads too) and the
+    `word_tokens` of each sentence. It holds no reference to its task. Treat
+    it as read-only (`structural` and the `term_ids` arrays are read-only
+    arrays)."""
 
     # title and description tokens, stopwords dropped, stemmed
     title_stems: tuple[str, ...]
@@ -439,26 +442,51 @@ class TaskAnalysis:
         return score
 
 
+@functools.lru_cache(maxsize=None)
+def _word_facts(word: str) -> tuple[str, str | None, bool, bool]:
+    """What an analysis reads of one word token: its lowercase form; the
+    stem of that, or None for a stopword; whether it is a named entity
+    where it is not sentence-initial (it starts with a capital and is no
+    stopword); and whether it is complex (three or more syllables).
+    Memoized by surface form, as `stem` is."""
+    lower = word.lower()
+    stop = lower in stopwords()
+    return (
+        lower,
+        None if stop else stem(lower),
+        word[0].isupper() and not stop,
+        count_syllables(word) >= 3,
+    )
+
+
+_LOWER, _STEM, _ENTITY, _COMPLEX = (operator.itemgetter(i) for i in range(4))
+
+
 def build_analysis(task: MicroTask) -> TaskAnalysis:
-    stops = stopwords()
-    sentences = split_sentences(task.description_text)
+    """The `TaskAnalysis` of one task, from `task.sentences`, the
+    `word_tokens` of each sentence and each token's `_word_facts`."""
+    title_sentences, sentences = task.sentences
     words: list[str] = []
+    facts: list[tuple] = []
     named_entities = 0
     for sentence in sentences:
         sentence_words = word_tokens(sentence)
+        sentence_facts = list(map(_word_facts, sentence_words))
         words += sentence_words
-        named_entities += sum(
-            1 for w in sentence_words[1:] if w[0].isupper() and w.lower() not in stops
-        )
-    lower_words = tuple(w.lower() for w in words)
-    title_words = (
-        w.lower() for s in split_sentences(task.title) for w in word_tokens(s)
+        facts += sentence_facts
+        named_entities += sum(map(_ENTITY, sentence_facts[1:]))
+    lower_words = tuple(map(_LOWER, facts))
+    complex_words = sum(map(_COMPLEX, facts))
+    structural = _structural_row(
+        task, words, lower_words, len(sentences), complex_words
     )
-    structural = _structural_row(task, words, lower_words, len(sentences))
     structural.setflags(write=False)
+    title_stems = (
+        _word_facts(w)[1] for s in title_sentences for w in word_tokens(s)
+    )
     return TaskAnalysis(
-        title_stems=tuple(stem(t) for t in title_words if t not in stops),
-        description_stems=tuple(stem(t) for t in lower_words if t not in stops),
+        title_stems=tuple(t for t in title_stems if t is not None),
+        description_stems=tuple(t for t in map(_STEM, facts) if t is not None),
         lower_words=lower_words,
         structural=structural,
         named_entities=named_entities,

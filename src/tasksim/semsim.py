@@ -10,13 +10,20 @@ The verb trigger is a lexicon/position rule, not a POS tagger: deterministic
 and offline, good on imperative task prose, known to misfire on declarative
 text.
 
+Both views read a task's text through what the task keeps: the phrase
+scanner reads `task.sentences`, the one split of title and description
+that `task.analysis` is built from too, and comprehensibility reads the
+analysis.
+
 The pair functions (`required_action_similarity`,
 `comprehensibility_similarity`) define the measures; `similarity_matrix`
 builds a whole matrix with array code that gives the same numbers, bit for
 bit. For required action it maps each phrase to its kind (verb lemma plus
 argument lemmas; a corpus repeats few kinds many times), asks WordNet once
 per distinct verb pair and noun pair, and turns the two lemma tables into
-one kind-by-kind phrase table. Task rows are then filled in blocks of
+one kind-by-kind phrase table. For comprehensibility it fills one (n, 10)
+array of every task's vector values and checks it once, with the refusals
+of `ComprehensibilityVector`. Task rows are then filled in blocks of
 `_ROW_BLOCK` straight into the n x n output, so no other n x n array is
 made. Corpora of more than `MAX_MATRIX_TASKS` tasks are refused up front.
 """
@@ -32,7 +39,7 @@ import numpy as np
 
 from .corpus import MicroTask
 from .features import STRUCTURAL_FEATURE_NAMES
-from .text import sentence_items, split_sentences
+from .text import item_matches
 from .wordnet import NOUN, VERB, WordNetGraph, lemmatize, word_similarity
 
 SIMILARITY_MEASURES = ("required_action", "comprehensibility")
@@ -75,42 +82,51 @@ def extract_verb_phrases(task: MicroTask, wn: WordNetGraph) -> list[VerbPhrase]:
     sentence-initial or preceded by to/and/or/then/please or a comma. The
     phrase runs to the next trigger or sentence end, at most six word tokens;
     non-trigger tokens with a noun lemmatization become arguments.
+
+    The sentences are the task's `sentences`, split once per task object and
+    shared with its analysis; each sentence's items are scanned once, and
+    character spans are read only for the ends of each phrase's surface.
     """
     phrases: list[VerbPhrase] = []
-    sentences = split_sentences(task.title) + split_sentences(
-        task.description_text
-    )
-    for sentence in sentences:
-        items = sentence_items(sentence)
+    title_sentences, description_sentences = task.sentences
+    for sentence in title_sentences + description_sentences:
+        matches = item_matches(sentence)
+        if not matches:
+            continue
+        words = [m.group() for m in matches]
+        # the first item, and every item after a preceder
+        candidates = [0] + [
+            i
+            for i, word in enumerate(map(str.lower, words[:-1]), 1)
+            if word in _TRIGGER_PRECEDERS
+        ]
         triggers = []
-        for i, (text, _, _) in enumerate(items):
-            if text == ",":
-                continue
-            preceded = i > 0 and items[i - 1][0].lower() in _TRIGGER_PRECEDERS
-            if not (i == 0 or preceded):
-                continue
-            verb = lemmatize(text, VERB, wn)
-            if verb is not None:
-                triggers.append((i, verb))
+        for i in candidates:
+            if words[i] != ",":
+                verb = lemmatize(words[i], VERB, wn)
+                if verb is not None:
+                    triggers.append((i, verb))
         for t, (start_item, verb) in enumerate(triggers):
             end_item = (
-                triggers[t + 1][0] if t + 1 < len(triggers) else len(items)
+                triggers[t + 1][0] if t + 1 < len(triggers) else len(words)
             )
             arguments = []
             words_taken = 1  # the trigger itself
             last_included = start_item
             for j in range(start_item + 1, end_item):
-                text = items[j][0]
-                if text == ",":
+                word = words[j]
+                if word == ",":
                     continue
                 if words_taken >= _PHRASE_SPAN_CAP:
                     break
                 words_taken += 1
                 last_included = j
-                noun = lemmatize(text, NOUN, wn)
+                noun = lemmatize(word, NOUN, wn)
                 if noun is not None:
                     arguments.append(noun)
-            surface = sentence[items[start_item][1] : items[last_included][2]]
+            surface = sentence[
+                matches[start_item].start() : matches[last_included].end()
+            ]
             phrases.append(VerbPhrase(verb, tuple(arguments), surface))
     return phrases
 
@@ -289,11 +305,19 @@ class ComprehensibilityVector:
                 f"{len(COMPREHENSIBILITY_FEATURE_NAMES)} values, "
                 f"got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("comprehensibility vector has non-finite values")
-        if not 0.0 <= values[-1] <= 1.0:
-            raise ValueError("unusual_word_ratio outside [0, 1]")
+        _check_comprehensibility(values)
         object.__setattr__(self, "values", values)
+
+
+def _check_comprehensibility(values: np.ndarray) -> None:
+    """Refuse comprehensibility vectors (one, or stacked as rows) with a
+    non-finite value or an unusual_word_ratio (the last value) outside
+    [0, 1]."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("comprehensibility vector has non-finite values")
+    ratios = values[..., -1]
+    if not np.all((0.0 <= ratios) & (ratios <= 1.0)):
+        raise ValueError("unusual_word_ratio outside [0, 1]")
 
 
 def comprehensibility_vector(
@@ -303,6 +327,21 @@ def comprehensibility_vector(
 ) -> ComprehensibilityVector:
     ratio = unusual_word_ratio(task, corpus_df, wordlist)
     return ComprehensibilityVector(np.append(task.analysis.structural, ratio))
+
+
+def _comprehensibility_rows(
+    tasks: Sequence[MicroTask],
+    corpus_df: Mapping[str, int],
+    wordlist: frozenset,
+) -> np.ndarray:
+    """Every task's `comprehensibility_vector` values as one row of an
+    (n, 10) array, filled in place and refused as a whole as each vector
+    would be refused."""
+    rows = np.empty((len(tasks), len(COMPREHENSIBILITY_FEATURE_NAMES)))
+    rows[:, :-1] = [task.analysis.structural for task in tasks]
+    rows[:, -1] = [unusual_word_ratio(task, corpus_df, wordlist) for task in tasks]
+    _check_comprehensibility(rows)
+    return rows
 
 
 class CorpusStats(NamedTuple):
@@ -317,10 +356,11 @@ def comprehensibility_stats(
     for z-scoring."""
     if not vectors:
         raise ValueError("no vectors to compute stats from")
-    stacked = np.vstack([v.values for v in vectors])
-    mean = stacked.mean(axis=0)
-    std = np.maximum(stacked.std(axis=0), 1e-9)
-    return CorpusStats(mean, std)
+    return _column_stats(np.vstack([v.values for v in vectors]))
+
+
+def _column_stats(rows: np.ndarray) -> CorpusStats:
+    return CorpusStats(rows.mean(axis=0), np.maximum(rows.std(axis=0), 1e-9))
 
 
 def _vector_values(v) -> np.ndarray:
@@ -412,8 +452,11 @@ def similarity_matrix(
     The diagonal is 1 by definition, whatever the pairwise value would be.
     Every other entry equals the pair function's value exactly. Phrases are
     deduplicated into kinds and WordNet is asked once per distinct lemma
-    pair; rows are filled in blocks. More than MAX_MATRIX_TASKS tasks raise
-    ValueError before any work.
+    pair. Comprehensibility vectors are stacked as the rows of one array,
+    which raises ValueError as a single vector would (a non-finite value,
+    an unusual-word ratio outside [0, 1]). Matrix rows are filled in
+    blocks. More than MAX_MATRIX_TASKS tasks raise ValueError before any
+    work.
     """
     tasks = list(corpus)
     n = len(tasks)
@@ -432,11 +475,10 @@ def similarity_matrix(
     elif measure == "comprehensibility":
         df = presence_document_frequencies(tasks)
         words = wordlist if wordlist is not None else default_wordlist()
-        vectors = [comprehensibility_vector(task, df, words) for task in tasks]
-        if vectors:
-            stats = comprehensibility_stats(vectors)
-            stacked = np.vstack([v.values for v in vectors])
-            z = (stacked - stats.mean) / stats.std
+        if tasks:
+            rows = _comprehensibility_rows(tasks, df, words)
+            stats = _column_stats(rows)
+            z = (rows - stats.mean) / stats.std
             for lo in range(0, n, _ROW_BLOCK):
                 values[lo : lo + _ROW_BLOCK] = _z_similarities(
                     z[lo : lo + _ROW_BLOCK], z

@@ -5,8 +5,9 @@ the corpus module is responsible for producing such strings from raw HTML.
 This is the only module that defines what a word token and a sentence are.
 
 The scans cost per match, not per character: sentence splitting visits only
-the candidate boundaries one compiled regex finds, and word tokens (with
-commas, for `sentence_items`) are the matches of one compiled regex. `stem`
+the candidate boundaries one compiled regex finds (and reads at most a few
+characters before a period to rule out an abbreviation), and word tokens
+(with commas, for `item_matches`) are the matches of one compiled regex. `stem`
 and `count_syllables` are memoized, since a corpus repeats few words often.
 """
 
@@ -22,6 +23,7 @@ __all__ = [
     "TokenStream",
     "stopwords",
     "split_sentences",
+    "item_matches",
     "sentence_items",
     "tokenize",
     "word_tokens",
@@ -33,6 +35,15 @@ __all__ = [
 # (initials, "J.") are guarded separately; lowercase ones are ordinary words.
 _ABBREVIATIONS = {"e.g.", "i.e.", "etc.", "vs.", "dr.", "mr."}
 _INITIAL_RE = re.compile(r"[A-Z]")
+# Characters stripped from the front of the token before a period.
+_OPENERS = "(\"'["
+# The longest guard once openers are stripped: an initial is one letter, an
+# abbreviation is its entry less the period. A token that keeps more than
+# this many characters never guards a period.
+_GUARD_LEN = max(1, *(len(a) - 1 for a in _ABBREVIATIONS))
+# The last _GUARD_LEN + 1 characters of a token too long to guard: no
+# whitespace, and no opener first (so stripping stops short of them).
+_LONG_TOKEN_RE = re.compile(rf"[^\s{re.escape(_OPENERS)}]\S{{{_GUARD_LEN}}}")
 
 # Candidate sentence boundaries: a newline, or a maximal terminator run.
 _BOUNDARY_RE = re.compile(r"\n|[.!?]+")
@@ -92,12 +103,14 @@ def _is_abbreviation(text: str, i: int) -> bool:
     # non-space characters that ends at i; one newline right before i is
     # looked past, so "J\n." still reads "J"
     end = i - 1 if i and text[i - 1] == "\n" else i
+    if _LONG_TOKEN_RE.match(text, end - _GUARD_LEN - 1, end):
+        return False
     start = end
     while start and not text[start - 1].isspace():
         start -= 1
     if start == end:
         return False
-    tok = text[start:end].lstrip("(\"'[")
+    tok = text[start:end].lstrip(_OPENERS)
     if _INITIAL_RE.fullmatch(tok):
         return True
     return (tok + ".").lower() in _ABBREVIATIONS
@@ -128,12 +141,18 @@ def split_sentences(text: str) -> list[str]:
     return [s for s in (s.strip() for s in sentences) if s]
 
 
+def item_matches(sentence: str) -> list[re.Match]:
+    """The word tokens and commas of `sentence` in order, as the matches of
+    one regex scan. Word tokens are maximal runs of letters, digits,
+    apostrophes and hyphens that contain at least one letter or digit;
+    every other character is dropped."""
+    return list(_ITEM_RE.finditer(sentence))
+
+
 def sentence_items(sentence: str) -> list[tuple[str, int, int]]:
-    """The word tokens and commas of `sentence` in order, each as
-    (text, start, end) with its character span. Word tokens are maximal runs
-    of letters, digits, apostrophes and hyphens that contain at least one
-    letter or digit; every other character is dropped."""
-    return [(m.group(), m.start(), m.end()) for m in _ITEM_RE.finditer(sentence)]
+    """The `item_matches` of `sentence`, each as (text, start, end) with its
+    character span."""
+    return [(m.group(), m.start(), m.end()) for m in item_matches(sentence)]
 
 
 def word_tokens(text: str) -> list[str]:

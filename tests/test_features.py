@@ -38,6 +38,8 @@ from tasksim.features import (
     structural_features,
 )
 from tasksim import text as text_module
+from tasksim.semsim import SIMILARITY_MEASURES, extract_verb_phrases, similarity_matrix
+from tasksim.wordnet import bundled_mini_wordnet_dir, load_wordnet
 from tasksim.text import split_sentences, stem, stopwords, tokenize
 
 from conftest import TOKEN_TEXT, make_task
@@ -701,6 +703,27 @@ class TestTaskAnalysis:
             monkeypatch.setattr(module, "split_sentences", counting)
         task = make_task(title="Rate it. Then go", html="<p>One here. Two there!</p>")
         assert task.analysis is task.analysis
+        assert sorted(calls) == sorted([task.title, task.description_text])
+
+    def test_fresh_task_splits_each_field_once_for_every_reader(self, monkeypatch):
+        # both similarity measures and every feature set read one split
+        original = text_module.split_sentences
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            return original(s)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tasksim") and getattr(module, "split_sentences", None) is original:
+                monkeypatch.setattr(module, "split_sentences", counting)
+        wn = load_wordnet(bundled_mini_wordnet_dir())
+        task = make_task(title="Rate it. Then go", html="<p>Watch the cat. Two there!</p>")
+        for measure in SIMILARITY_MEASURES:
+            similarity_matrix([task], measure, wn=wn)
+        for name in FEATURE_SET_NAMES:
+            fit_extractor(name, [task]).matrix([task])
+        assert extract_verb_phrases(task, wn)
         assert sorted(calls) == sorted([task.title, task.description_text])
 
     def test_equal_tasks_get_equal_analyses(self, tasks):

@@ -32,7 +32,8 @@ from tasksim.semsim import (
 )
 from tasksim import reports
 from tasksim.reports import _aligned, csv_text, render_matrix_csv, render_matrix_text
-from tasksim.wordnet import bundled_mini_wordnet_dir, load_wordnet
+from tasksim.text import sentence_items, split_sentences
+from tasksim.wordnet import NOUN, VERB, bundled_mini_wordnet_dir, lemmatize, load_wordnet
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,83 @@ def test_mid_sentence_verb_without_preceder_is_skipped(wn):
         text_task("You should watch something today."), wn
     )
     assert phrases == []
+
+
+def _oracle_extract_verb_phrases(task, wn):
+    """The scanner as it was before tasks kept their sentences: it splits
+    both fields itself and reads (text, start, end) items."""
+    phrases = []
+    sentences = split_sentences(task.title) + split_sentences(
+        task.description_text
+    )
+    for sentence in sentences:
+        items = sentence_items(sentence)
+        triggers = []
+        for i, (text, _, _) in enumerate(items):
+            if text == ",":
+                continue
+            preceded = i > 0 and items[i - 1][0].lower() in {
+                "to", "and", "or", "then", ",", "please",
+            }
+            if not (i == 0 or preceded):
+                continue
+            verb = lemmatize(text, VERB, wn)
+            if verb is not None:
+                triggers.append((i, verb))
+        for t, (start_item, verb) in enumerate(triggers):
+            end_item = (
+                triggers[t + 1][0] if t + 1 < len(triggers) else len(items)
+            )
+            arguments = []
+            words_taken = 1
+            last_included = start_item
+            for j in range(start_item + 1, end_item):
+                text = items[j][0]
+                if text == ",":
+                    continue
+                if words_taken >= 6:
+                    break
+                words_taken += 1
+                last_included = j
+                noun = lemmatize(text, NOUN, wn)
+                if noun is not None:
+                    arguments.append(noun)
+            surface = sentence[items[start_item][1] : items[last_included][2]]
+            phrases.append(VerbPhrase(verb, tuple(arguments), surface))
+    return phrases
+
+
+# Bundled-WordNet verbs (some in inflected or capitalized forms) and nouns,
+# the preceders in several cases, commas, sentence ends and filler, so that
+# phrases start mid-sentence, end at the next trigger and run past six words.
+_PHRASE_PIECES = st.sampled_from([
+    "watch", "Watch", "ran", "running", "sign", "confirm", "DOWNLOAD",
+    "review", "act", "email", "cat", "dogs", "ox", "message", "computer",
+    "Cat", "e-mail", "cat's", "to", "To", "and", "AND", "or", "then",
+    "Then", "please", "Please", ",", ", ", " ,", "the", "your", "now", "aa",
+    "xqzt", "--", "3", ".", "!", "?", "\n", "e.g.", "J.",
+])
+
+
+def _phrase_text(max_size):
+    return st.lists(_PHRASE_PIECES, max_size=max_size).map(" ".join)
+
+
+@given(description=_phrase_text(40), title=_phrase_text(8))
+@settings(max_examples=300, deadline=None)
+def test_phrases_match_the_item_tuple_scanner(wn, description, title):
+    task = text_task(description, title=title)
+    assert extract_verb_phrases(task, wn) == _oracle_extract_verb_phrases(task, wn)
+
+
+def test_phrases_match_the_item_tuple_scanner_on_the_synthetic_corpus(wn, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    generate_synthetic_corpus(path, seed=7)
+    tasks = list(load_corpus(path))
+    found = [extract_verb_phrases(task, wn) for task in tasks]
+    assert found == [_oracle_extract_verb_phrases(task, wn) for task in tasks]
+    # with the bundled WordNet every task has a phrase, none an argument
+    assert all(found)
 
 
 # ---------------------------------------------------------------- phrase sim
@@ -268,6 +346,46 @@ def test_dimension_mismatch_rejected():
         comprehensibility_similarity(np.zeros(10), np.zeros(10), stats)
     with pytest.raises(ValueError, match="dimension mismatch"):
         comprehensibility_similarity(np.zeros(3), np.zeros(4), stats)
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (2, np.nan, "non-finite"),
+        (0, np.inf, "non-finite"),
+        (8, -np.inf, "non-finite"),
+    ],
+)
+def test_stacked_rows_refuse_non_finite_features(monkeypatch, column, value, message):
+    tasks = small_corpus()
+    structural = tasks[1].analysis.structural.copy()
+    structural[column] = value
+    bad = dataclasses.replace(tasks[1].analysis, structural=structural)
+    monkeypatch.setitem(vars(tasks[1]), "analysis", bad)
+    words = default_wordlist()
+    with pytest.raises(ValueError, match=message):
+        comprehensibility_vector(tasks[1], presence_document_frequencies(tasks), words)
+    with pytest.raises(ValueError, match=message):
+        similarity_matrix(tasks, "comprehensibility")
+
+
+@pytest.mark.parametrize(
+    "ratio, message",
+    [(1.5, r"outside \[0, 1\]"), (-0.25, r"outside \[0, 1\]"), (np.nan, "non-finite")],
+)
+def test_stacked_rows_refuse_a_bad_ratio(monkeypatch, ratio, message):
+    tasks = small_corpus()
+    real = semsim.unusual_word_ratio
+
+    def patched(task, corpus_df, wordlist):
+        return ratio if task is tasks[2] else real(task, corpus_df, wordlist)
+
+    monkeypatch.setattr(semsim, "unusual_word_ratio", patched)
+    words = default_wordlist()
+    with pytest.raises(ValueError, match=message):
+        comprehensibility_vector(tasks[2], presence_document_frequencies(tasks), words)
+    with pytest.raises(ValueError, match=message):
+        similarity_matrix(tasks, "comprehensibility")
 
 
 def test_stats_floor_degenerate_std():

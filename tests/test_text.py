@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tasksim import text as text_module
 from tasksim.text import (
     TokenStream,
     count_syllables,
@@ -152,6 +153,32 @@ class TestSplitSentences:
         large = min(seconds(unit * 4) for _ in range(3))
         assert large < 8 * small
 
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "ab X. y",  # whitespace among the four characters before '.'
+            "((e.g. x",  # openers that stripping removes
+            '"[Dr. x',
+            "Xetc. y",  # four characters, no opener: no guard
+            "abcd. e",
+            "\tJ. x",  # the token starts the text after whitespace
+            "\u00a0J. x",  # a non-ASCII space
+            "J\n. x",  # one newline before the period is looked past
+        ],
+    )
+    def test_abbreviation_fast_path_matches_oracle(self, text):
+        assert split_sentences(text) == _oracle_split_sentences(text)
+
+    def test_every_abbreviation_fits_the_fast_path_bound(self):
+        # The fast path rules out any token that keeps more than _GUARD_LEN
+        # characters once openers are stripped; a longer entry would never
+        # be checked.
+        for entry in text_module._ABBREVIATIONS:
+            assert len(entry) - 1 <= text_module._GUARD_LEN, entry
+            for guard in (entry, entry.upper(), "((" + entry, "\"[" + entry.title()):
+                text = f"See {guard} then go. Next"
+                assert split_sentences(text) == [f"See {guard} then go.", "Next"]
 
     def test_only_a_lone_period_is_checked_for_an_abbreviation(self):
         # a run of terminators ends the sentence even after an initial or
