@@ -230,7 +230,10 @@ def strip_html(raw: str) -> tuple[str, DocStructure]:
     headings). The output re-enters this function unchanged, and never
     contains '<' directly followed by an ASCII letter or '/'.
     """
-    items: list[tuple[str, object]] = []  # ("txt", str) | ("brk", int)
+    # text chunks, entities decoded; adjacent breaks merge (the strongest
+    # wins) and whitespace-only text between breaks is dropped
+    pieces: list[str] = []
+    pending = 0  # the break waiting for the next visible chunk
     bullets = 0
     hosts: list[str] = []
 
@@ -238,8 +241,11 @@ def strip_html(raw: str) -> tuple[str, DocStructure]:
     n = len(raw)
 
     def flush(upto: int) -> None:
-        if upto > lit_start:
-            items.append(("txt", raw[lit_start:upto]))
+        nonlocal pending
+        chunk = _decode_entities(raw[lit_start:upto])
+        if chunk.strip() or (chunk and not pending):
+            pieces.append("\n" * pending + chunk)
+            pending = 0
 
     while (i := raw.find("<", i)) >= 0:
         nxt = raw[i + 1] if i + 1 < n else ""
@@ -284,28 +290,12 @@ def strip_html(raw: str) -> tuple[str, DocStructure]:
                     lit_start = i
                     continue
             if name in _PARA_TAGS:
-                items.append(("brk", 2))
+                pending = 2
             elif name in _LINE_TAGS:
-                items.append(("brk", 1))
+                pending = max(pending, 1)
         else:
             i += 1  # literal '<'
     flush(n)
-
-    # assemble: merge adjacent breaks (strongest wins), absorb whitespace-only
-    # text sitting between breaks
-    pieces: list[str] = []
-    pending = 0
-    for kind, value in items:
-        if kind == "brk":
-            pending = max(pending, value)  # type: ignore[arg-type]
-            continue
-        chunk = _decode_entities(value)  # type: ignore[arg-type]
-        if pending and not chunk.strip():
-            continue
-        if pending:
-            pieces.append("\n" * pending)
-            pending = 0
-        pieces.append(chunk)
 
     text = _defuse(_normalize_whitespace("".join(pieces)))
 

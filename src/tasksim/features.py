@@ -1,8 +1,11 @@
 """Feature extraction: factual, content (tf-idf), structural, semantic sets.
 
-Every extractor is fitted on training tasks only and applied to any task;
-fitting and extraction are pure so per-fold refits cannot leak evaluation
-data. `combine_features` concatenates sets column-wise for the grid runs.
+Every extractor is fitted on training tasks only and builds the rows of any
+task list, empty too, in one array; the per-task functions (`content_vector`,
+`factual_features` and so on) are its one-row case, so each set's column
+layout and width are written once. Fitting and extraction are pure, so
+per-fold refits cannot leak evaluation data. `combine_features` concatenates
+sets column-wise for the grid runs.
 
 Text is analysed once per task: `MicroTask.analysis` tokenizes, stems and
 measures the task on first use and keeps the `TaskAnalysis` on the task, so
@@ -62,8 +65,6 @@ __all__ = [
 FEATURE_SET_NAMES = ("factual", "content", "structural", "semantic")
 
 _TTR_WINDOW = 100
-_FACTUAL_NUMERICS = 6  # payment, 2 times, positions, payment per minute, its flag
-_SEMANTIC_SCALARS = 2  # named_entity_count, sentiment
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,23 +94,44 @@ class FeatureMatrix:
 # factual
 # ---------------------------------------------------------------------------
 
+def _vocab(values: Iterable[str]) -> dict[str, int]:
+    """Each distinct value at its index in sorted order."""
+    return {value: i for i, value in enumerate(sorted(set(values)))}
+
+
 def fit_employer_vocab(tasks: Iterable[MicroTask]) -> dict[str, int]:
-    names = sorted({t.employer for t in tasks if t.employer})
-    return {name: i for i, name in enumerate(names)}
+    return _vocab(t.employer for t in tasks if t.employer)
 
 
 def fit_country_vocab(tasks: Iterable[MicroTask]) -> dict[str, int]:
-    codes = sorted({c for t in tasks for c in t.countries})
-    return {code: i for i, code in enumerate(codes)}
+    return _vocab(c for t in tasks for c in t.countries)
 
 
-def _hot(vocab: Mapping[str, int], values) -> np.ndarray:
-    """Multi-hot over vocab's columns plus a last "other" column that any
-    value missing from vocab sets."""
-    out = np.zeros(len(vocab) + 1)
-    for value in values:
-        out[vocab.get(value, len(vocab))] = 1.0
+def _hot(vocab: Mapping[str, int], per_task: list[Iterable[str]]) -> np.ndarray:
+    """One multi-hot row per task over vocab's columns plus a last "other"
+    column that any value missing from vocab sets."""
+    out = np.zeros((len(per_task), len(vocab) + 1))
+    for i, values in enumerate(per_task):
+        for value in values:
+            out[i, vocab.get(value, len(vocab))] = 1.0
     return out
+
+
+def _factual_rows(
+    tasks: list[MicroTask], employer_vocab: Mapping[str, int], country_vocab: Mapping[str, int]
+) -> np.ndarray:
+    timed = [t.time_to_finish > 0 for t in tasks]
+    numerics = [
+        [t.payment for t in tasks],
+        [t.time_to_rate for t in tasks],
+        [t.time_to_finish for t in tasks],
+        [t.positions for t in tasks],
+        [t.payment / t.time_to_finish if ok else 0.0 for t, ok in zip(tasks, timed)],
+        [0.0 if ok else 1.0 for ok in timed],
+    ]
+    employers = _hot(employer_vocab, [(t.employer,) if t.employer else () for t in tasks])
+    countries = _hot(country_vocab, [t.countries for t in tasks])
+    return np.hstack([np.array(numerics, dtype=float).T, employers, countries])
 
 
 def factual_features(
@@ -121,17 +143,7 @@ def factual_features(
     (0 with its own flag column when time_to_finish is 0), employer one-hot
     plus "other", country multi-hot plus "other". Empty country set means the
     task is open to all countries and leaves every country column at 0."""
-    if task.time_to_finish > 0:
-        ppm, undefined = task.payment / task.time_to_finish, 0.0
-    else:
-        ppm, undefined = 0.0, 1.0
-    head = np.array(
-        [task.payment, task.time_to_rate, task.time_to_finish, task.positions, ppm, undefined]
-    )
-    employer = (task.employer,) if task.employer else ()
-    return np.concatenate(
-        [head, _hot(employer_vocab, employer), _hot(country_vocab, task.countries)]
-    )
+    return _factual_rows([task], employer_vocab, country_vocab)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +181,15 @@ def _type_token_ratio(words) -> float:
     return len(set(window)) / len(window) if window else 0.0
 
 
+def _structural_rows(tasks: list[MicroTask]) -> np.ndarray:
+    rows = [t.analysis.structural for t in tasks]
+    return np.reshape(rows, (len(tasks), len(STRUCTURAL_FEATURE_NAMES)))
+
+
 def structural_features(task: MicroTask) -> np.ndarray:
     """The nine layout/readability features, computed on description_text
     (title excluded). Averages with a zero denominator are 0."""
-    return task.analysis.structural.copy()
+    return _structural_rows([task])[0]
 
 
 def _structural_row(
@@ -206,8 +223,7 @@ def _structural_row(
 # ---------------------------------------------------------------------------
 
 def fit_host_vocab(tasks: Iterable[MicroTask]) -> dict[str, int]:
-    hosts = sorted({h for t in tasks for h in t.structure.url_hosts})
-    return {h: i for i, h in enumerate(hosts)}
+    return _vocab(h for t in tasks for h in t.structure.url_hosts)
 
 
 def load_sentiment_lexicon(path) -> dict[str, int]:
@@ -249,6 +265,14 @@ def _default_lexicon_key() -> frozenset:
     return _lexicon_key(default_sentiment_lexicon())
 
 
+def _semantic_rows(
+    tasks: list[MicroTask], lexicon: frozenset, host_vocab: Mapping[str, int]
+) -> np.ndarray:
+    hosts = _hot(host_vocab, [t.structure.url_hosts for t in tasks])
+    entities = [float(t.analysis.named_entities) for t in tasks]
+    return np.column_stack([hosts, entities, [t.analysis.sentiment(lexicon) for t in tasks]])
+
+
 def semantic_features(
     task: MicroTask,
     sentiment_lexicon: Mapping[str, int],
@@ -256,15 +280,7 @@ def semantic_features(
 ) -> np.ndarray:
     """Link-host multi-hot plus "other", mid-sentence capitalized token count,
     and lexicon sentiment (pos-neg)/max(1, pos+neg)."""
-    return _semantic_row(task, _lexicon_key(sentiment_lexicon), host_vocab)
-
-
-def _semantic_row(
-    task: MicroTask, lexicon: frozenset, host_vocab: Mapping[str, int]
-) -> np.ndarray:
-    analysis = task.analysis
-    tail = np.array([float(analysis.named_entities), analysis.sentiment(lexicon)])
-    return np.concatenate([_hot(host_vocab, task.structure.url_hosts), tail])
+    return _semantic_rows([task], _lexicon_key(sentiment_lexicon), host_vocab)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -514,20 +530,17 @@ def combine_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
 @dataclass(frozen=True)
 class FittedExtractor:
     """One feature set fitted on training tasks: `matrix` maps any task list,
-    empty too, to an `n_cols`-wide FeatureMatrix of one `rows` row per task."""
+    empty too, to an `n_cols`-wide FeatureMatrix of its `rows` array."""
 
     set_name: str
-    n_cols: int
     rows: Callable[[list[MicroTask]], np.ndarray]
 
+    @property
+    def n_cols(self) -> int:
+        return self.rows([]).shape[1]
+
     def matrix(self, tasks: Iterable[MicroTask]) -> FeatureMatrix:
-        tasks = list(tasks)
-        rows = self.rows(tasks) if tasks else np.zeros((0, self.n_cols))
-        return FeatureMatrix(rows, frozenset({self.set_name}))
-
-
-def _each(row: Callable[[MicroTask], np.ndarray]) -> Callable[[list[MicroTask]], np.ndarray]:
-    return lambda tasks: np.vstack([row(task) for task in tasks])
+        return FeatureMatrix(self.rows(list(tasks)), frozenset({self.set_name}))
 
 
 def fit_extractor(
@@ -544,13 +557,10 @@ def fit_extractor(
         employer_vocab = fit_employer_vocab(train)
         country_vocab = fit_country_vocab(train)
         return FittedExtractor(
-            set_name,
-            _FACTUAL_NUMERICS + len(employer_vocab) + 1 + len(country_vocab) + 1,
-            _each(lambda task: factual_features(task, employer_vocab, country_vocab)),
+            set_name, lambda tasks: _factual_rows(tasks, employer_vocab, country_vocab)
         )
     if set_name == "structural":
-        n_cols = len(STRUCTURAL_FEATURE_NAMES)
-        return FittedExtractor(set_name, n_cols, _each(structural_features))
+        return FittedExtractor(set_name, _structural_rows)
     if set_name == "semantic":
         if sentiment_lexicon is None:
             lexicon = _default_lexicon_key()
@@ -558,15 +568,9 @@ def fit_extractor(
             lexicon = _lexicon_key(sentiment_lexicon)
         host_vocab = fit_host_vocab(train)
         return FittedExtractor(
-            set_name,
-            len(host_vocab) + 1 + _SEMANTIC_SCALARS,
-            _each(lambda task: _semantic_row(task, lexicon, host_vocab)),
+            set_name, lambda tasks: _semantic_rows(tasks, lexicon, host_vocab)
         )
     if set_name == "content":
         model = fit_content_model(train)
-        return FittedExtractor(
-            set_name,
-            len(model.vocabulary),
-            lambda tasks: content_matrix(model, tasks),
-        )
+        return FittedExtractor(set_name, lambda tasks: content_matrix(model, tasks))
     raise ValueError(f"unknown feature set '{set_name}'")

@@ -104,14 +104,15 @@ def train(
 def predict_batch(model: TrainedModel, X) -> tuple[list[str], np.ndarray]:
     """Labels and per-class score rows for every row of X (as wide as the
     training rows). The label is the argmax score; exact ties go to the
-    earlier class in model.classes."""
+    earlier class in model.classes. A score that is not finite raises
+    FloatingPointError (an ArithmeticError)."""
     rows, _ = _as_rows(X)
     width = model.parameters["n_features"]
     if rows.shape[1] != width:
         raise ValueError(f"expected {width} features, got {rows.shape[1]}")
     score_rows = _MODULES[model.algorithm].scores(model.parameters, rows)
     if not np.all(np.isfinite(score_rows)):
-        raise AssertionError("non-finite prediction scores")
+        raise FloatingPointError("non-finite prediction scores")
     picks = np.argmax(score_rows, axis=1)
     labels = [model.classes[i] for i in picks]
     return labels, score_rows

@@ -21,7 +21,9 @@ def fit(rows: np.ndarray, y_idx: np.ndarray, config) -> dict:
 
 
 def scores(params: dict, rows: np.ndarray) -> np.ndarray:
-    """Per-class vote fractions among the k nearest training rows."""
+    """Per-class vote fractions among the k nearest training rows;
+    FloatingPointError when a squared distance is not finite (it
+    overflowed), since the neighbour order would then be arbitrary."""
     train = params["X"]
     k = params["k"]
     # squared distances suffice for ranking
@@ -30,6 +32,8 @@ def scores(params: dict, rows: np.ndarray) -> np.ndarray:
         - 2.0 * rows @ train.T
         + np.sum(train * train, axis=1)[None, :]
     )
+    if not np.all(np.isfinite(d2)):
+        raise FloatingPointError("non-finite prediction scores")
     out = np.zeros((rows.shape[0], params["n_classes"]))
     # stable argsort keeps training-index order on distance ties
     nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]

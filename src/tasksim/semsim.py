@@ -325,8 +325,7 @@ def comprehensibility_vector(
     corpus_df: Mapping[str, int],
     wordlist: frozenset,
 ) -> ComprehensibilityVector:
-    ratio = unusual_word_ratio(task, corpus_df, wordlist)
-    return ComprehensibilityVector(np.append(task.analysis.structural, ratio))
+    return ComprehensibilityVector(_comprehensibility_rows([task], corpus_df, wordlist)[0])
 
 
 def _comprehensibility_rows(
@@ -334,9 +333,9 @@ def _comprehensibility_rows(
     corpus_df: Mapping[str, int],
     wordlist: frozenset,
 ) -> np.ndarray:
-    """Every task's `comprehensibility_vector` values as one row of an
-    (n, 10) array, filled in place and refused as a whole as each vector
-    would be refused."""
+    """Each task's nine structural features and unusual-word ratio as one
+    row of an (n, 10) array, filled in place and refused as a whole as a
+    `ComprehensibilityVector` of each row would be refused."""
     rows = np.empty((len(tasks), len(COMPREHENSIBILITY_FEATURE_NAMES)))
     rows[:, :-1] = [task.analysis.structural for task in tasks]
     rows[:, -1] = [unusual_word_ratio(task, corpus_df, wordlist) for task in tasks]

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -424,6 +425,28 @@ def test_solver_step_cap_is_a_fold_error(small_corpus, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: fold 0 failed: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("algo", ["naive_bayes", "knn"])
+def test_overflowing_scores_are_a_fold_error(tmp_path, capsys, algo):
+    # payments of 1e200 overflow the Gaussian log-density and the squared
+    # neighbour distances
+    corpus = tmp_path / "corpus.jsonl"
+    assert dispatch(["synth", "--out", str(corpus), "--seed", "61",
+                     "--per-category", "20"]) == 0
+    records = [json.loads(line) for line in corpus.read_text().splitlines()]
+    for record in records[::7]:
+        record["payment"] = 1e200
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code = dispatch(["cv", "--corpus", str(corpus), "--sets", "factual",
+                     "--algo", algo, "--folds", "5"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"error: fold \d+ failed: non-finite prediction scores\n", captured.err
+    )
 
 
 def test_unknown_flag_and_bad_algo_exit_nonzero(small_corpus, capsys):

@@ -2,11 +2,13 @@
 
 import json
 import re
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tasksim import corpus as corpus_module
 from tasksim.corpus import (
     Corpus,
     CorpusError,
@@ -14,6 +16,7 @@ from tasksim.corpus import (
     load_corpus,
     strip_html,
 )
+from tasksim.text import word_tokens
 
 
 def write_jsonl(path, records):
@@ -30,6 +33,129 @@ def record(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def _oracle_strip_html(raw):
+    """strip_html as it was written in two passes, kept as the reference:
+    the scan collects text items and break items, and a second loop merges
+    the breaks, drops whitespace-only text between them and decodes
+    entities."""
+    c = corpus_module
+    items = []  # ("txt", str) | ("brk", int)
+    bullets = 0
+    hosts = []
+
+    i = lit_start = 0
+    n = len(raw)
+
+    def flush(upto):
+        if upto > lit_start:
+            items.append(("txt", raw[lit_start:upto]))
+
+    while (i := raw.find("<", i)) >= 0:
+        nxt = raw[i + 1] if i + 1 < n else ""
+        if nxt == "!":
+            flush(i)
+            if raw.startswith("<!--", i):
+                end = raw.find("-->", i + 4)
+                i = n if end < 0 else end + 3
+            else:
+                end = raw.find(">", i + 2)
+                i = n if end < 0 else end + 1
+            lit_start = i
+        elif nxt == "?":
+            flush(i)
+            end = raw.find(">", i + 2)
+            i = n if end < 0 else end + 1
+            lit_start = i
+        elif nxt == "/" or nxt in c._ASCII_LETTERS:
+            flush(i)
+            name, interior, closing, i = c._scan_tag(raw, i)
+            lit_start = i
+            if not closing:
+                if name == "li":
+                    bullets += 1
+                elif name == "a":
+                    m = c._HREF_RE.search(interior)
+                    if m:
+                        href = c._decode_entities(next(g for g in m.groups() if g is not None))
+                        try:
+                            host = urlsplit(href.strip()).hostname
+                        except ValueError:
+                            host = None
+                        if host:
+                            hosts.append(host.lower())
+                elif name in c._RAW_TEXT_TAGS and not interior.rstrip().endswith("/"):
+                    m = re.search(rf"</{name}\b", raw[i:], re.IGNORECASE)
+                    if m is None:
+                        i = n
+                    else:
+                        i += m.start()
+                    lit_start = i
+                    continue
+            if name in c._PARA_TAGS:
+                items.append(("brk", 2))
+            elif name in c._LINE_TAGS:
+                items.append(("brk", 1))
+        else:
+            i += 1
+    flush(n)
+
+    pieces = []
+    pending = 0
+    for kind, value in items:
+        if kind == "brk":
+            pending = max(pending, value)
+            continue
+        chunk = c._decode_entities(value)
+        if pending and not chunk.strip():
+            continue
+        if pending:
+            pieces.append("\n" * pending)
+            pending = 0
+        pieces.append(chunk)
+
+    text = c._defuse(c._normalize_whitespace("".join(pieces)))
+
+    paragraphs = text.split("\n\n") if text else []
+    lines = [ln for ln in text.split("\n") if ln]
+    structure = DocStructure(
+        bullet_count=bullets,
+        paragraph_lengths=tuple(len(word_tokens(p)) for p in paragraphs),
+        line_lengths=tuple(len(ln) for ln in lines),
+        url_hosts=tuple(hosts),
+    )
+    return text, structure
+
+
+# Markup built from what the one-pass merge of breaks and text reads:
+# adjacent and nested block tags, whitespace-only runs between them,
+# entities, comments, raw-text elements, unterminated tags and links.
+_HTML_PIECES = st.lists(
+    st.one_of(
+        st.sampled_from([
+            "<p>", "</p>", "<div>", "</div>", "<li>", "</li>", "<br>", "<br/>",
+            "<h2>", "</h2>", "<tr>", "<ul>", "</ul>", "<blockquote>", "<span>",
+            "</span>", "<B>", "<P class='x'>", "<div\n>",
+        ]),
+        st.sampled_from([" ", "  ", "\n", "\t", " \n ", "\r\n", "\u00a0", "&nbsp;"]),
+        st.sampled_from([
+            "&amp;", "&lt;", "&gt;p&lt;/p&gt;", "&#65;", "&#x42;", "&#0;", "&bogus;",
+            "&", "&amp", "&#x110000;",
+        ]),
+        st.sampled_from([
+            "<!-- c -->", "<!--<p>-->", "<!DOCTYPE html>", "<?xml v?>", "<!-- open",
+            "<script>var x = '<p>';</script>", "<style>p { }</style>", "<script>",
+            "<script/>", "<STYLE>b</style >",
+        ]),
+        st.sampled_from([
+            "<a href='http://A.example/x'>", "<a href=\"https://b.org\">", "</a>",
+            "<a href=http://c.net?q=1>", "<a href='x", "<p", "<", "< p", "3 < 5",
+        ]),
+        st.sampled_from(["word", "Two words.", "x,y", "café", "-", "tail"]),
+    ),
+    max_size=30,
+).map("".join)
 
 
 class TestStripHtml:
@@ -145,6 +271,16 @@ class TestStripHtml:
     def test_no_markup_lookalikes_in_output(self, raw):
         text, _ = strip_html(raw)
         assert not re.search(r"<[A-Za-z/]", text)
+
+    @given(st.one_of(_HTML_PIECES, markup_texts))
+    @example("<p>a</p>  \n <div> </div><li>b")
+    @example("<div><p><li>a</li></p></div>")
+    @example("a<br> &nbsp; <br>b")
+    @example("a<p>")
+    @example("<p> </p>a &amp; b<br>")
+    @settings(max_examples=600)
+    def test_one_pass_matches_two_pass_oracle(self, raw):
+        assert strip_html(raw) == _oracle_strip_html(raw)
 
     @given(st.text(max_size=200))
     @settings(max_examples=200)

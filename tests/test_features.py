@@ -121,6 +121,13 @@ class TestFactual:
         assert vec[4] == 0.0
         assert vec[5] == 1.0
 
+    def test_position_count_past_int64_is_a_float_column(self):
+        # a loaded count of 1e20 positions is a Python int numpy cannot hold
+        # as int64; the row stays float and finite
+        rows = fit_extractor("factual", []).matrix([make_task(positions=10**20)]).rows
+        assert rows.dtype == np.float64
+        assert rows[0, 3] == 1e20
+
     def test_unseen_employer_other_column(self):
         vocab = {"empA": 0, "empB": 1}
         task = make_task(employer="stranger")
@@ -526,6 +533,130 @@ def test_content_model_and_matrix_match_the_counter_definition(
     assert not content_matrix(model, evaluated[-1:]).any()
 
 
+# The per-task row functions as they were before every set built a task
+# list's rows in one array, kept as the reference for the row builders.
+
+def _oracle_hot(vocab, values):
+    out = np.zeros(len(vocab) + 1)
+    for value in values:
+        out[vocab.get(value, len(vocab))] = 1.0
+    return out
+
+
+def _oracle_factual_features(task, employer_vocab, country_vocab):
+    if task.time_to_finish > 0:
+        ppm, undefined = task.payment / task.time_to_finish, 0.0
+    else:
+        ppm, undefined = 0.0, 1.0
+    head = np.array(
+        [task.payment, task.time_to_rate, task.time_to_finish, task.positions, ppm, undefined]
+    )
+    employer = (task.employer,) if task.employer else ()
+    return np.concatenate(
+        [head, _oracle_hot(employer_vocab, employer), _oracle_hot(country_vocab, task.countries)]
+    )
+
+
+def _oracle_structural_features(task):
+    return task.analysis.structural.copy()
+
+
+def _oracle_semantic_row(task, lexicon, host_vocab):
+    analysis = task.analysis
+    tail = np.array([float(analysis.named_entities), analysis.sentiment(lexicon)])
+    return np.concatenate([_oracle_hot(host_vocab, task.structure.url_hosts), tail])
+
+
+def _oracle_rows(set_name, train, lexicon):
+    """The oracle row function of one set, fitted on train as fit_extractor
+    fits it."""
+    if set_name == "factual":
+        employers = sorted({t.employer for t in train if t.employer})
+        countries = sorted({c for t in train for c in t.countries})
+        employer_vocab = {name: i for i, name in enumerate(employers)}
+        country_vocab = {code: i for i, code in enumerate(countries)}
+        return lambda task: _oracle_factual_features(task, employer_vocab, country_vocab)
+    if set_name == "structural":
+        return _oracle_structural_features
+    hosts = sorted({h for t in train for h in t.structure.url_hosts})
+    host_vocab = {h: i for i, h in enumerate(hosts)}
+    key = features._lexicon_key(default_sentiment_lexicon() if lexicon is None else lexicon)
+    return lambda task: _oracle_semantic_row(task, key, host_vocab)
+
+
+_ROW_WORDS = ["Good", "good", "bad", "great", "awful", "Paris", "The", "the",
+              "click", "video", "Acme", "now", "x,y", "e-mail", "."]
+_HOSTS = ["a.example", "b.org", "c.net", "never.seen"]
+
+
+@st.composite
+def _row_tasks(draw):
+    """A task whose factual, structural and semantic rows vary: text with
+    capitals, lexicon words, bullets and links, employers, countries and
+    link hosts (some of which no fit sees), and time_to_finish 0."""
+    words = draw(st.lists(st.sampled_from(_ROW_WORDS), max_size=14))
+    hosts = draw(st.lists(st.sampled_from(_HOSTS), max_size=3))
+    bullets = draw(st.lists(st.sampled_from(_ROW_WORDS), max_size=3))
+    html = (
+        "<p>" + " ".join(words) + "</p>"
+        + "".join(f"<a href='http://{h}/p'>{h}</a> " for h in hosts)
+        + ("<ul>" + "".join(f"<li>{w}</li>" for w in bullets) + "</ul>" if bullets else "")
+    )
+    return make_task(
+        title=" ".join(draw(st.lists(st.sampled_from(_ROW_WORDS), max_size=4))),
+        html=html,
+        employer=draw(st.sampled_from(["", "acme", "zeta", "omega", "newcomer"])),
+        countries=draw(st.lists(st.sampled_from(["US", "FR", "DE", "IN", "ZZ"]),
+                                max_size=3, unique=True)),
+        payment=draw(st.floats(0.0, 50.0)),
+        time_to_finish=draw(st.sampled_from([0.0, 0.5, 3.0, 10.0, 60.0])),
+        time_to_rate=draw(st.floats(0.0, 10.0)),
+        positions=draw(st.integers(0, 500)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tasks=st.lists(_row_tasks(), max_size=8),
+    n_train=st.integers(0, 8),
+    lexicon=st.one_of(
+        st.none(),
+        st.dictionaries(st.sampled_from(["good", "bad", "great", "awful", "video", "now"]),
+                        st.sampled_from([1, -1])),
+    ),
+)
+def test_row_builders_match_the_per_task_oracles(tasks, n_train, lexicon):
+    # the fit sees a prefix of the tasks, perhaps none, so that later tasks
+    # bring employers, countries and hosts it never saw
+    train = tasks[:n_train]
+    probe = make_task()
+    for set_name in ("factual", "structural", "semantic"):
+        ext = fit_extractor(set_name, train, sentiment_lexicon=lexicon)
+        oracle = _oracle_rows(set_name, train, lexicon)
+        width = len(oracle(probe))
+        assert ext.n_cols == width, set_name
+        for some in (tasks[:0], tasks[:1], tasks):
+            expected = np.array([oracle(t) for t in some]).reshape(len(some), width)
+            got = ext.rows(some)
+            assert got.dtype == np.float64, set_name
+            assert np.array_equal(got, expected), set_name
+            assert np.array_equal(ext.matrix(some).rows, expected), set_name
+    for task in tasks:
+        employer_vocab = fit_employer_vocab(train)
+        country_vocab = fit_country_vocab(train)
+        assert np.array_equal(
+            factual_features(task, employer_vocab, country_vocab),
+            _oracle_factual_features(task, employer_vocab, country_vocab),
+        )
+        assert np.array_equal(structural_features(task), _oracle_structural_features(task))
+        host_vocab = fit_host_vocab(train)
+        lex = {} if lexicon is None else lexicon
+        assert np.array_equal(
+            semantic_features(task, lex, host_vocab),
+            _oracle_semantic_row(task, features._lexicon_key(lex), host_vocab),
+        )
+
+
 class TestCombine:
     def build(self, rows, tag):
         return FeatureMatrix(np.array(rows, dtype=float), frozenset({tag}))
@@ -610,6 +741,10 @@ class TestFittedExtractor:
                 alone = ext.matrix([task])
                 assert alone.n_cols == ext.n_cols, set_name
                 np.testing.assert_array_equal(alone.rows[0], whole.rows[i], err_msg=set_name)
+
+    def test_extractor_has_only_set_name_and_rows(self):
+        fields = [f.name for f in dataclasses.fields(features.FittedExtractor)]
+        assert fields == ["set_name", "rows"]
 
     def test_structural_title_independence(self):
         # structural extraction ignores any fitted state

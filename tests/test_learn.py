@@ -322,6 +322,24 @@ class TestKnn:
         assert label == "a"  # classes sorted; first max wins
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_distances_are_refused(self):
+        # 1e200 squared overflows: the neighbour order would be arbitrary
+        X = np.array([[0.0, 1.0], [1e200, 0.0], [2.0, 1.0], [3.0, 0.0]])
+        model = train("knn", X, ["a", "a", "b", "b"], LearnerConfig(knn_k=1))
+        with pytest.raises(FloatingPointError, match="non-finite prediction scores"):
+            predict_batch(model, np.array([[0.0, 1.0]]))
+        with pytest.raises(FloatingPointError):
+            predict(model, np.array([1e200, 1.0]))
+
+    def test_large_finite_distances_keep_their_order(self):
+        # squares near 1e300 stay finite and rank as before
+        X = np.array([[1e150], [-2e150], [3e149]])
+        model = train("knn", X, ["a", "b", "c"], LearnerConfig(knn_k=1))
+        labels, _ = predict_batch(model, np.array([[0.0], [-1.5e150], [5e149]]))
+        assert labels == ["c", "b", "c"]
+
+
 class TestTree:
     def test_perfect_single_feature_split(self):
         X = np.array([[0.0, 7.0], [1.0, 7.0], [10.0, 7.0], [11.0, 7.0]])
@@ -785,6 +803,14 @@ class TestTrainValidation:
             model = train(algorithm, X, y, LearnerConfig(forest_trees=3))
             with pytest.raises(ValueError, match="features"):
                 predict(model, np.zeros(7))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_scores_are_an_arithmetic_error(self):
+        # the Gaussian variance overflows, so every class scores NaN
+        X = np.array([[1e200], [0.0], [1.0], [2.0]])
+        model = train("naive_bayes", X, ["a", "a", "b", "b"])
+        with pytest.raises(FloatingPointError, match="non-finite prediction scores"):
+            predict_batch(model, np.array([[1.0]]))
 
     def test_classes_sorted(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
