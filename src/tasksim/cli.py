@@ -46,15 +46,6 @@ class CliError(RuntimeError):
     """Invalid invocation or missing resource, reported as one line."""
 
 
-def generate_synthetic_corpus(
-    path, seed: int, categories: int = 5, per_category: int = 60
-) -> int:
-    """Write a synthetic corpus file; returns the number of records."""
-    text = synthetic_corpus_text(seed, categories, per_category)
-    _atomic_write(path, text)
-    return categories * per_category
-
-
 # ---------------------------------------------------------------------------
 # Input checks and output plumbing
 # ---------------------------------------------------------------------------

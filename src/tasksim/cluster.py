@@ -67,9 +67,6 @@ class Clustering:
             groups[cluster].append(tid)
         return groups
 
-    def members(self, cluster: int) -> list:
-        return self.groups()[cluster]
-
 
 def check_k(k: int, n: int) -> None:
     """Raise ValueError unless k_medoids accepts k clusters of n tasks."""

@@ -1,9 +1,8 @@
 """Feature extraction: factual, content (tf-idf), structural, semantic sets.
 
 Every extractor is fitted on training tasks only and builds the rows of any
-task list, empty too, in one array; the per-task functions (`content_vector`,
-`factual_features` and so on) are its one-row case, so each set's column
-layout and width are written once. Fitting and extraction are pure, so
+task list, empty too, in one array, so each set's column layout and width
+are written once, in its row builder. Fitting and extraction are pure, so
 per-fold refits cannot leak evaluation data. `combine_features` concatenates
 sets column-wise for the grid runs.
 
@@ -47,19 +46,14 @@ __all__ = [
     "build_analysis",
     "combine_features",
     "content_matrix",
-    "content_vector",
-    "factual_features",
     "fit_content_model",
     "fit_country_vocab",
     "fit_employer_vocab",
     "fit_extractor",
     "fit_host_vocab",
     "gunning_fog",
-    "lexical_diversity",
     "load_sentiment_lexicon",
     "default_sentiment_lexicon",
-    "semantic_features",
-    "structural_features",
 ]
 
 FEATURE_SET_NAMES = ("factual", "content", "structural", "semantic")
@@ -120,6 +114,11 @@ def _hot(vocab: Mapping[str, int], per_task: list[Iterable[str]]) -> np.ndarray:
 def _factual_rows(
     tasks: list[MicroTask], employer_vocab: Mapping[str, int], country_vocab: Mapping[str, int]
 ) -> np.ndarray:
+    """One factual row per task: payment/time/position numerics, payment
+    per minute (0 with its own flag column when time_to_finish is 0),
+    employer one-hot plus "other", country multi-hot plus "other". Empty
+    country set means the task is open to all countries and leaves every
+    country column at 0."""
     timed = [t.time_to_finish > 0 for t in tasks]
     numerics = [
         [t.payment for t in tasks],
@@ -132,18 +131,6 @@ def _factual_rows(
     employers = _hot(employer_vocab, [(t.employer,) if t.employer else () for t in tasks])
     countries = _hot(country_vocab, [t.countries for t in tasks])
     return np.hstack([np.array(numerics, dtype=float).T, employers, countries])
-
-
-def factual_features(
-    task: MicroTask,
-    employer_vocab: Mapping[str, int],
-    country_vocab: Mapping[str, int],
-) -> np.ndarray:
-    """Factual vector: payment/time/position numerics, payment per minute
-    (0 with its own flag column when time_to_finish is 0), employer one-hot
-    plus "other", country multi-hot plus "other". Empty country set means the
-    task is open to all countries and leaves every country column at 0."""
-    return _factual_rows([task], employer_vocab, country_vocab)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,33 +158,23 @@ def gunning_fog(words: int, sentences: int, complex_words: int) -> float:
     return 0.4 * (words / sentences + 100.0 * complex_words / words)
 
 
-def lexical_diversity(tokens) -> float:
-    """Type-token ratio over the first 100 normalized tokens; 0 if empty."""
-    return _type_token_ratio(tokens.normalized)
-
-
-def _type_token_ratio(words) -> float:
-    window = words[:_TTR_WINDOW]
-    return len(set(window)) / len(window) if window else 0.0
-
-
 def _structural_rows(tasks: list[MicroTask]) -> np.ndarray:
+    """Each task's nine layout/readability features, as its analysis
+    computed them on description_text (title excluded)."""
     rows = [t.analysis.structural for t in tasks]
     return np.reshape(rows, (len(tasks), len(STRUCTURAL_FEATURE_NAMES)))
-
-
-def structural_features(task: MicroTask) -> np.ndarray:
-    """The nine layout/readability features, computed on description_text
-    (title excluded). Averages with a zero denominator are 0."""
-    return _structural_rows([task])[0]
 
 
 def _structural_row(
     task: MicroTask, words, lower_words, n_sents, complex_words
 ) -> np.ndarray:
+    """The structural features of one task. Averages with a zero
+    denominator are 0; the type-token ratio reads the first 100 lowercased
+    words, and is 0 if there are none."""
     text = task.description_text
     n_words = len(words)
     struct = task.structure
+    window = lower_words[:_TTR_WINDOW]
 
     def mean(values) -> float:
         values = list(values)
@@ -213,7 +190,7 @@ def _structural_row(
             mean(struct.paragraph_lengths),
             mean(struct.line_lengths),
             gunning_fog(n_words, n_sents, complex_words),
-            _type_token_ratio(lower_words),
+            len(set(window)) / len(window) if window else 0.0,
         ]
     )
 
@@ -268,19 +245,12 @@ def _default_lexicon_key() -> frozenset:
 def _semantic_rows(
     tasks: list[MicroTask], lexicon: frozenset, host_vocab: Mapping[str, int]
 ) -> np.ndarray:
+    """One semantic row per task: link-host multi-hot plus "other",
+    mid-sentence capitalized token count, and lexicon sentiment
+    (pos-neg)/max(1, pos+neg)."""
     hosts = _hot(host_vocab, [t.structure.url_hosts for t in tasks])
     entities = [float(t.analysis.named_entities) for t in tasks]
     return np.column_stack([hosts, entities, [t.analysis.sentiment(lexicon) for t in tasks]])
-
-
-def semantic_features(
-    task: MicroTask,
-    sentiment_lexicon: Mapping[str, int],
-    host_vocab: Mapping[str, int],
-) -> np.ndarray:
-    """Link-host multi-hot plus "other", mid-sentence capitalized token count,
-    and lexicon sentiment (pos-neg)/max(1, pos+neg)."""
-    return _semantic_rows([task], _lexicon_key(sentiment_lexicon), host_vocab)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +333,9 @@ def fit_content_model(
 
 
 def content_matrix(model: ContentModel, tasks: Iterable[MicroTask]) -> np.ndarray:
-    """One content_vector row per task, scattered into one matrix."""
+    """One row per task of tf * ln(n_docs/df) over vocabulary terms,
+    L2-normalized when nonzero, scattered into one matrix; out-of-vocabulary
+    terms are ignored."""
     tables = [task.analysis.term_ids(model.ngram_range) for task in tasks]
     out = np.zeros((len(tables), len(model.vocabulary)))
     if not tables:
@@ -376,17 +348,11 @@ def content_matrix(model: ContentModel, tasks: Iterable[MicroTask]) -> np.ndarra
     hit = cols >= 0
     cols = cols[hit]
     out[rows[known][hit], cols] = tf[known][hit] * model.idf[cols]
-    # the norm of each dense row, as content_vector always took it; a zero
-    # row is divided by 1 and so stays as it is
+    # np.linalg.norm of each dense row on its own, whose bits a norm along
+    # axis 1 need not match; a zero row is divided by 1 and stays as it is
     norms = np.array([np.linalg.norm(row) for row in out])
     out /= np.where(norms > 0, norms, 1.0)[:, None]
     return out
-
-
-def content_vector(model: ContentModel, task: MicroTask) -> np.ndarray:
-    """tf * ln(n_docs/df) over vocabulary terms, L2-normalized when nonzero;
-    out-of-vocabulary terms are ignored."""
-    return content_matrix(model, [task])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from .base import (
     ALGORITHMS,
     LearnerConfig,
     TrainedModel,
-    predict,
     predict_batch,
     train,
 )
@@ -22,6 +21,5 @@ __all__ = [
     "LearnerConfig",
     "TrainedModel",
     "train",
-    "predict",
     "predict_batch",
 ]

@@ -116,12 +116,3 @@ def predict_batch(model: TrainedModel, X) -> tuple[list[str], np.ndarray]:
     picks = np.argmax(score_rows, axis=1)
     labels = [model.classes[i] for i in picks]
     return labels, score_rows
-
-
-def predict(model: TrainedModel, x) -> tuple[str, np.ndarray]:
-    """Single-instance form of predict_batch."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("predict expects a single feature vector")
-    labels, score_rows = predict_batch(model, x.reshape(1, -1))
-    return labels[0], score_rows[0]

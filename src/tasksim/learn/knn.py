@@ -26,12 +26,14 @@ def scores(params: dict, rows: np.ndarray) -> np.ndarray:
     overflowed), since the neighbour order would then be arbitrary."""
     train = params["X"]
     k = params["k"]
-    # squared distances suffice for ranking
-    d2 = (
-        np.sum(rows * rows, axis=1)[:, None]
-        - 2.0 * rows @ train.T
-        + np.sum(train * train, axis=1)[None, :]
-    )
+    # squared distances suffice for ranking; an overflow is refused below
+    # rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = (
+            np.sum(rows * rows, axis=1)[:, None]
+            - 2.0 * rows @ train.T
+            + np.sum(train * train, axis=1)[None, :]
+        )
     if not np.all(np.isfinite(d2)):
         raise FloatingPointError("non-finite prediction scores")
     out = np.zeros((rows.shape[0], params["n_classes"]))

@@ -1,11 +1,17 @@
 """Naive Bayes: multinomial event model on pure tf-idf content features,
-Gaussian everywhere else."""
+Gaussian everywhere else.
+
+Both steps run with numpy's overflow and invalid-value warnings off: a
+column whose variance overflows gives non-finite scores, which
+`predict_batch` refuses with one error instead.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit(rows: np.ndarray, y_idx: np.ndarray, n_classes: int, config, provenance) -> dict:
     counts = np.bincount(y_idx, minlength=n_classes).astype(float)
     log_prior = np.log(counts / counts.sum())
@@ -37,8 +43,10 @@ def fit(rows: np.ndarray, y_idx: np.ndarray, n_classes: int, config, provenance)
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def scores(params: dict, rows: np.ndarray) -> np.ndarray:
-    """Posterior probabilities per class; each row sums to 1."""
+    """Posterior probabilities per class; each row sums to 1, unless an
+    overflow made it non-finite."""
     if params["event_model"] == "multinomial":
         joint = params["log_prior"] + rows @ params["feature_log_prob"].T
     else:

@@ -88,8 +88,14 @@ def _solve(K: np.ndarray, curv: np.ndarray, y: np.ndarray, C: float, tol: float,
 
 
 def fit(rows: np.ndarray, y_idx: np.ndarray, n_classes: int, config) -> dict:
-    mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
+    """One-vs-rest machines on the standardized rows. A column whose mean
+    or standard deviation overflows raises FloatingPointError: dividing by
+    an infinite deviation would silently zero the column."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.mean(axis=0)
+        std = rows.std(axis=0)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+        raise FloatingPointError("feature mean or standard deviation overflows")
     std = np.where(std > 0.0, std, 1.0)
     standardized = (rows - mean) / std
     gram = standardized @ standardized.T

@@ -1,11 +1,12 @@
 """Plain-text and CSV rendering of evaluation and clustering results.
 
-Same input, same bytes. Every renderer returns one string; the matrix
-renderers are also generators of chunks (`matrix_csv_chunks`,
-`matrix_text_chunks`), rendered in blocks of rows with array code, so the
+Same input, same bytes. Every renderer returns one string, but for the
+similarity matrix: `matrix_csv_chunks` and `matrix_text_chunks` are
+generators of chunks, rendered in blocks of rows with array code, so the
 CLI can stream a large matrix to its file without building the whole
-report. Anything that writes files (and stamps seeds into headers) lives in
-the CLI.
+report (`render_matrix_csv` joins the CSV chunks into one string).
+Anything that writes files (and stamps seeds into headers) lives in the
+CLI.
 """
 
 from __future__ import annotations
@@ -190,8 +191,10 @@ def matrix_csv_chunks(matrix: SimilarityMatrix):
 
 
 def matrix_text_chunks(matrix: SimilarityMatrix):
-    """`render_matrix_text` in chunks: the header line, then blocks of
-    rows."""
+    """Aligned similarity table, three decimal places, laid out as
+    `_aligned` lays out its rows, in chunks: the header line, then blocks
+    of rows. Readable only for small corpora; the CSV carries the full
+    precision."""
     ids = matrix.task_ids
     # a cell prints 5 wide, or 6 as "-0.000"
     signed = np.signbit(matrix.values).any(axis=0).tolist()
@@ -208,13 +211,6 @@ def matrix_text_chunks(matrix: SimilarityMatrix):
 def render_matrix_csv(matrix: SimilarityMatrix) -> str:
     """Pairwise similarities, ids on both axes, six decimal places."""
     return "".join(matrix_csv_chunks(matrix))
-
-
-def render_matrix_text(matrix: SimilarityMatrix) -> str:
-    """Aligned similarity table, three decimal places, laid out as
-    `_aligned` lays out its rows; readable only for small corpora, the CSV
-    twin carries the full precision."""
-    return "".join(matrix_text_chunks(matrix))
 
 
 def render_report_text(report: EvaluationReport) -> str:

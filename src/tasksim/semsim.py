@@ -1,10 +1,21 @@
 """Task-to-task similarity along two views of a description.
 
 Required action: verb phrases pulled from title and description with a
-positional trigger heuristic, compared through WordNet path similarity.
+positional trigger heuristic. Two phrases score the WordNet path
+similarity of their verbs; when both carry arguments, that is weighted 0.7
+and the best-scoring pair of their argument nouns 0.3. Two tasks score the
+mean, over one task's phrases, of each phrase's best score against the
+other task's phrases, averaged over both directions; a task without
+phrases scores 0.
+
 Comprehensibility: the nine structural features plus the ratio of unusual
-words, compared as z-scored vectors. Both views produce matrices with unit
-diagonal, symmetric, valued in [0, 1].
+words, each z-scored with its corpus mean and population standard
+deviation (floored at 1e-9). Two tasks score 1/(1+d), where d is the
+Euclidean distance of their z-scored vectors divided by the square root
+of their length.
+
+Both views produce matrices with unit diagonal, symmetric, valued in
+[0, 1].
 
 The verb trigger is a lexicon/position rule, not a POS tagger: deterministic
 and offline, good on imperative task prose, known to misfire on declarative
@@ -15,17 +26,18 @@ scanner reads `task.sentences`, the one split of title and description
 that `task.analysis` is built from too, and comprehensibility reads the
 analysis.
 
-The pair functions (`required_action_similarity`,
-`comprehensibility_similarity`) define the measures; `similarity_matrix`
-builds a whole matrix with array code that gives the same numbers, bit for
-bit. For required action it maps each phrase to its kind (verb lemma plus
-argument lemmas; a corpus repeats few kinds many times), asks WordNet once
-per distinct verb pair and noun pair, and turns the two lemma tables into
-one kind-by-kind phrase table. For comprehensibility it fills one (n, 10)
-array of every task's vector values and checks it once, with the refusals
-of `ComprehensibilityVector`. Task rows are then filled in blocks of
-`_ROW_BLOCK` straight into the n x n output, so no other n x n array is
-made. Corpora of more than `MAX_MATRIX_TASKS` tasks are refused up front.
+`similarity_matrix` builds a whole matrix with array code. The measures'
+pair definitions are kept as test oracles, which every matrix entry off
+the diagonal equals bit for bit: `_oracle_required_action_similarity` in
+tests/conftest.py and `_oracle_comprehensibility_similarity` in
+tests/test_semsim.py. For required action the matrix maps each phrase to
+its kind (verb lemma plus argument lemmas; a corpus repeats few kinds many
+times), asks WordNet once per distinct verb pair and noun pair, and turns
+the two lemma tables into one kind-by-kind phrase table. For
+comprehensibility it fills one (n, 10) array of every task's values and
+checks it once, refusing a non-finite value or an unusual-word ratio
+outside [0, 1]. Task rows are then filled in blocks of `_ROW_BLOCK`
+straight into the n x n output, so no other n x n array is made. Corpora of more than `MAX_MATRIX_TASKS` tasks are refused up front.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from collections import Counter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -131,42 +143,6 @@ def extract_verb_phrases(task: MicroTask, wn: WordNetGraph) -> list[VerbPhrase]:
     return phrases
 
 
-def phrase_similarity(
-    p: VerbPhrase,
-    q: VerbPhrase,
-    wn: WordNetGraph,
-) -> float:
-    """Verb similarity, blended with the best argument pair when both
-    phrases carry arguments; verb-only (full weight) otherwise."""
-    verbs = word_similarity(wn, p.verb_lemma, q.verb_lemma, VERB)
-    if p.argument_lemmas and q.argument_lemmas:
-        nouns = max(
-            word_similarity(wn, a, b, NOUN)
-            for a in p.argument_lemmas
-            for b in q.argument_lemmas
-        )
-        return _VERB_WEIGHT * verbs + (1.0 - _VERB_WEIGHT) * nouns
-    return verbs
-
-
-def required_action_similarity(
-    A: Sequence[VerbPhrase],
-    B: Sequence[VerbPhrase],
-    wn: WordNetGraph,
-) -> float:
-    """Mean best-match phrase similarity, averaged over both directions.
-    Zero when either side has no phrases."""
-    if not A or not B:
-        return 0.0
-
-    def best(p, side):
-        return max(phrase_similarity(p, q, wn) for q in side)
-
-    forward = sum(best(p, B) for p in A) / len(A)
-    backward = sum(best(q, A) for q in B) / len(B)
-    return (forward + backward) / 2.0
-
-
 def _lemma_table(
     lemmas: Sequence[str], pos: str, wn: WordNetGraph
 ) -> np.ndarray:
@@ -185,8 +161,8 @@ def _positions(items: Iterable) -> dict:
 
 
 def _kind_table(kinds: Sequence[tuple], wn: WordNetGraph) -> np.ndarray:
-    """phrase_similarity of every two phrase kinds (verb lemma, argument
-    lemmas), from one verb table and one noun table."""
+    """The phrase similarity of every two phrase kinds (verb lemma,
+    argument lemmas), from one verb table and one noun table."""
     verbs = _positions(verb for verb, _ in kinds)
     verb_of = [verbs[verb] for verb, _ in kinds]
     table = _lemma_table(list(verbs), VERB, wn)[np.ix_(verb_of, verb_of)]
@@ -221,7 +197,7 @@ def _phrase_means(best, phrase_kinds, starts, lens) -> np.ndarray:
 
 
 def _fill_required_action(values, phrase_sets, wn: WordNetGraph) -> None:
-    """Off-diagonal required_action_similarity of every two tasks into
+    """Off-diagonal required-action similarity of every two tasks into
     `values`, whose rows and columns of phraseless tasks are left as they
     are (they score 0)."""
     keys = [
@@ -290,82 +266,22 @@ def unusual_word_ratio(
     return unusual / len(tokens)
 
 
-@dataclass(frozen=True, eq=False)
-class ComprehensibilityVector:
-    """Nine structural features plus the unusual-word ratio, in the order of
-    COMPREHENSIBILITY_FEATURE_NAMES."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(COMPREHENSIBILITY_FEATURE_NAMES),):
-            raise ValueError(
-                f"comprehensibility vector needs "
-                f"{len(COMPREHENSIBILITY_FEATURE_NAMES)} values, "
-                f"got shape {values.shape}"
-            )
-        _check_comprehensibility(values)
-        object.__setattr__(self, "values", values)
-
-
-def _check_comprehensibility(values: np.ndarray) -> None:
-    """Refuse comprehensibility vectors (one, or stacked as rows) with a
-    non-finite value or an unusual_word_ratio (the last value) outside
-    [0, 1]."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError("comprehensibility vector has non-finite values")
-    ratios = values[..., -1]
-    if not np.all((0.0 <= ratios) & (ratios <= 1.0)):
-        raise ValueError("unusual_word_ratio outside [0, 1]")
-
-
-def comprehensibility_vector(
-    task: MicroTask,
-    corpus_df: Mapping[str, int],
-    wordlist: frozenset,
-) -> ComprehensibilityVector:
-    return ComprehensibilityVector(_comprehensibility_rows([task], corpus_df, wordlist)[0])
-
-
 def _comprehensibility_rows(
     tasks: Sequence[MicroTask],
     corpus_df: Mapping[str, int],
     wordlist: frozenset,
 ) -> np.ndarray:
     """Each task's nine structural features and unusual-word ratio as one
-    row of an (n, 10) array, filled in place and refused as a whole as a
-    `ComprehensibilityVector` of each row would be refused."""
+    row of an (n, 10) array, in the order of COMPREHENSIBILITY_FEATURE_NAMES.
+    A non-finite value or a ratio outside [0, 1] raises ValueError."""
     rows = np.empty((len(tasks), len(COMPREHENSIBILITY_FEATURE_NAMES)))
     rows[:, :-1] = [task.analysis.structural for task in tasks]
     rows[:, -1] = [unusual_word_ratio(task, corpus_df, wordlist) for task in tasks]
-    _check_comprehensibility(rows)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("comprehensibility vector has non-finite values")
+    if not np.all((0.0 <= rows[:, -1]) & (rows[:, -1] <= 1.0)):
+        raise ValueError("unusual_word_ratio outside [0, 1]")
     return rows
-
-
-class CorpusStats(NamedTuple):
-    mean: np.ndarray
-    std: np.ndarray
-
-
-def comprehensibility_stats(
-    vectors: Sequence[ComprehensibilityVector],
-) -> CorpusStats:
-    """Per-feature mean and population standard deviation (floored at 1e-9)
-    for z-scoring."""
-    if not vectors:
-        raise ValueError("no vectors to compute stats from")
-    return _column_stats(np.vstack([v.values for v in vectors]))
-
-
-def _column_stats(rows: np.ndarray) -> CorpusStats:
-    return CorpusStats(rows.mean(axis=0), np.maximum(rows.std(axis=0), 1e-9))
-
-
-def _vector_values(v) -> np.ndarray:
-    if isinstance(v, ComprehensibilityVector):
-        return v.values
-    return np.asarray(v, dtype=float)
 
 
 def _z_similarities(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
@@ -378,21 +294,6 @@ def _z_similarities(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
         diff = za[:, c, None] - zb[None, :, c]
         squares += diff * diff
     return 1.0 / (1.0 + np.sqrt(squares) / np.sqrt(za.shape[1]))
-
-
-def comprehensibility_similarity(u, v, stats: CorpusStats) -> float:
-    """1/(1+d) where d is the z-scored Euclidean distance scaled by the
-    square root of the dimension."""
-    a = _vector_values(u)
-    b = _vector_values(v)
-    if a.shape != b.shape or a.shape != stats.mean.shape:
-        raise ValueError(
-            f"dimension mismatch: {a.shape} vs {b.shape} vs stats "
-            f"{stats.mean.shape}"
-        )
-    za = (a - stats.mean) / stats.std
-    zb = (b - stats.mean) / stats.std
-    return float(_z_similarities(za[None], zb[None])[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,11 +332,6 @@ class SimilarityMatrix:
                 raise ValueError("similarity values outside [0, 1]")
         object.__setattr__(self, "values", values)
 
-    def pair(self, id_a: str, id_b: str) -> float:
-        i = self.task_ids.index(id_a)
-        j = self.task_ids.index(id_b)
-        return float(self.values[i, j])
-
 
 def similarity_matrix(
     corpus,
@@ -446,16 +342,26 @@ def similarity_matrix(
 ) -> SimilarityMatrix:
     """Pairwise similarity of every task pair under the given measure.
 
-    required_action needs a loaded WordNet graph; comprehensibility uses
-    corpus-wide document frequencies and the (bundled by default) word list.
+    required_action needs a loaded WordNet graph. A pair of tasks scores
+    the mean of each phrase's best phrase similarity in the other task,
+    averaged over both directions, or 0 if either task has no verb phrase;
+    two phrases score their verbs' WordNet path similarity, weighted 0.7
+    against their best argument-noun pair's 0.3 when both carry arguments.
+    Phrases are deduplicated into kinds and WordNet is asked once per
+    distinct lemma pair.
+
+    comprehensibility uses corpus-wide document frequencies and the
+    (bundled by default) word list. A pair scores 1/(1+d), d the Euclidean
+    distance of the two tasks' z-scored comprehensibility vectors over the
+    square root of their length; each column is z-scored with its corpus
+    mean and population standard deviation, floored at 1e-9. The vectors
+    are the rows of one array, which raises ValueError for a non-finite
+    value or an unusual-word ratio outside [0, 1].
+
     The diagonal is 1 by definition, whatever the pairwise value would be.
-    Every other entry equals the pair function's value exactly. Phrases are
-    deduplicated into kinds and WordNet is asked once per distinct lemma
-    pair. Comprehensibility vectors are stacked as the rows of one array,
-    which raises ValueError as a single vector would (a non-finite value,
-    an unusual-word ratio outside [0, 1]). Matrix rows are filled in
-    blocks. More than MAX_MATRIX_TASKS tasks raise ValueError before any
-    work.
+    Every other entry equals the pair oracle's value exactly (see the
+    module docstring). Matrix rows are filled in blocks. More than
+    MAX_MATRIX_TASKS tasks raise ValueError before any work.
     """
     tasks = list(corpus)
     n = len(tasks)
@@ -476,8 +382,8 @@ def similarity_matrix(
         words = wordlist if wordlist is not None else default_wordlist()
         if tasks:
             rows = _comprehensibility_rows(tasks, df, words)
-            stats = _column_stats(rows)
-            z = (rows - stats.mean) / stats.std
+            std = np.maximum(rows.std(axis=0), 1e-9)
+            z = (rows - rows.mean(axis=0)) / std
             for lo in range(0, n, _ROW_BLOCK):
                 values[lo : lo + _ROW_BLOCK] = _z_similarities(
                     z[lo : lo + _ROW_BLOCK], z

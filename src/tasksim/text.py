@@ -24,7 +24,6 @@ __all__ = [
     "stopwords",
     "split_sentences",
     "item_matches",
-    "sentence_items",
     "tokenize",
     "word_tokens",
     "stem",
@@ -57,6 +56,9 @@ _ITEM_RE = re.compile(_WORD + "|,")
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
 
+# Nothing in the package reads Token, TokenStream or tokenize: the analysis
+# reads `word_tokens`. They stay while the benchmark's text probe
+# (perfbench/child.py) times tokenize, and go once it times build_analysis.
 @dataclass(frozen=True)
 class Token:
     surface: str
@@ -149,14 +151,8 @@ def item_matches(sentence: str) -> list[re.Match]:
     return list(_ITEM_RE.finditer(sentence))
 
 
-def sentence_items(sentence: str) -> list[tuple[str, int, int]]:
-    """The `item_matches` of `sentence`, each as (text, start, end) with its
-    character span."""
-    return [(m.group(), m.start(), m.end()) for m in item_matches(sentence)]
-
-
 def word_tokens(text: str) -> list[str]:
-    """The word tokens of `text`, as `sentence_items` finds them."""
+    """The word tokens of `text`, as `item_matches` finds them."""
     return _WORD_RE.findall(text)
 
 
@@ -167,8 +163,8 @@ def tokenize(
     stem_tokens: bool = False,
 ) -> TokenStream:
     """Split markup-free text into sentences once and tokenize each into
-    lowercased words (the word tokens of `sentence_items`; punctuation is
-    dropped). Options are applied in order: drop_stopwords, stem."""
+    lowercased words (the `word_tokens`; punctuation is dropped). Options
+    are applied in order: drop_stopwords, stem."""
     stops = stopwords() if drop_stopwords else None
     sentences = tuple(split_sentences(text))
     out: list[Token] = []

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import tasksim
 from tasksim.corpus import DocStructure, MicroTask, strip_html
+from tasksim.semsim import _VERB_WEIGHT
+from tasksim.wordnet import NOUN, VERB, word_similarity
 
 # Tests that run the CLI as `python -m tasksim.cli` in a subprocess get the
 # package these tests import, also when pytest found it through its
@@ -87,3 +89,34 @@ TOKEN_TEXT = st.lists(
     ),
     max_size=40,
 ).map("".join)
+
+
+# The required-action measure as one pair of tasks' phrase lists defines
+# it, kept as the oracle that `similarity_matrix` matches bit for bit.
+
+def _oracle_phrase_similarity(p, q, wn):
+    """Verb similarity, blended with the best argument pair when both
+    phrases carry arguments; verb-only (full weight) otherwise."""
+    verbs = word_similarity(wn, p.verb_lemma, q.verb_lemma, VERB)
+    if p.argument_lemmas and q.argument_lemmas:
+        nouns = max(
+            word_similarity(wn, a, b, NOUN)
+            for a in p.argument_lemmas
+            for b in q.argument_lemmas
+        )
+        return _VERB_WEIGHT * verbs + (1.0 - _VERB_WEIGHT) * nouns
+    return verbs
+
+
+def _oracle_required_action_similarity(A, B, wn):
+    """Mean best-match phrase similarity, averaged over both directions.
+    Zero when either side has no phrases."""
+    if not A or not B:
+        return 0.0
+
+    def best(p, side):
+        return max(_oracle_phrase_similarity(p, q, wn) for q in side)
+
+    forward = sum(best(p, B) for p in A) / len(A)
+    backward = sum(best(q, A) for q in B) / len(B)
+    return (forward + backward) / 2.0

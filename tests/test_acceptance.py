@@ -23,28 +23,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_task
+from conftest import _oracle_required_action_similarity, make_task
 
-from tasksim.cli import generate_synthetic_corpus
 from tasksim.cluster import category_distribution, k_medoids, purity
 from tasksim.corpus import load_corpus
 from tasksim.evaluation import compute_metrics, cross_validate, grid_run, stratified_folds
 from tasksim.features import (
     ContentConfig,
-    content_vector,
+    content_matrix,
     fit_content_model,
     gunning_fog,
-    structural_features,
 )
-from tasksim.learn import ALGORITHMS, LearnerConfig, predict, predict_batch, train
+from tasksim.learn import ALGORITHMS, LearnerConfig, predict_batch, train
 from tasksim.reports import render_distribution_text
 from tasksim.semsim import (
     SIMILARITY_MEASURES,
     default_wordlist,
     extract_verb_phrases,
-    required_action_similarity,
     similarity_matrix,
 )
+from tasksim.synth import synthetic_corpus_text
 from tasksim.wordnet import bundled_mini_wordnet_dir, load_wordnet, word_similarity
 
 
@@ -56,21 +54,21 @@ def mini_wn():
 @pytest.fixture(scope="module")
 def corpus300(tmp_path_factory):
     path = tmp_path_factory.mktemp("acceptance") / "synthetic300.jsonl"
-    generate_synthetic_corpus(path, 7)
+    path.write_text(synthetic_corpus_text(7), encoding="utf-8")
     return load_corpus(path)
 
 
 @pytest.fixture(scope="module")
 def corpus200(tmp_path_factory):
     path = tmp_path_factory.mktemp("acceptance") / "synthetic200.jsonl"
-    generate_synthetic_corpus(path, 11, categories=5, per_category=40)
+    path.write_text(synthetic_corpus_text(11, categories=5, per_category=40), encoding="utf-8")
     return load_corpus(path)
 
 
 @pytest.fixture(scope="module")
 def corpus_small(tmp_path_factory):
     path = tmp_path_factory.mktemp("acceptance") / "synthetic24.jsonl"
-    generate_synthetic_corpus(path, 3, categories=3, per_category=8)
+    path.write_text(synthetic_corpus_text(3, categories=3, per_category=8), encoding="utf-8")
     return load_corpus(path)
 
 
@@ -112,7 +110,7 @@ def test_criterion_02_classifier_oracles():
     X = np.array([[-1.0], [0.0], [1.0], [1.0], [2.0], [3.0]])
     y = ["A", "A", "A", "B", "B", "B"]
     model = train("naive_bayes", X, y)
-    _, scores = predict(model, np.array([0.8]))
+    _, (scores,) = predict_batch(model, np.array([[0.8]]))
     assert abs(scores[0] - 1.0 / (1.0 + math.exp(-0.6))) <= 1e-9
 
     # k=1 nearest neighbour equals exhaustive search on 100 fresh queries
@@ -213,17 +211,17 @@ def test_criterion_05_tfidf_oracle(corpus_small):
     # click weighs 1*ln(3/2) = 0.4054651081 and offer 1*ln(3/1); the L2
     # normalization preserves their ratio
     assert abs(math.log(1.5) - 0.4054651081) <= 1e-9
-    vec = content_vector(model, make_task(id="q", title="", html="<p>click offer</p>"))
+    (vec,) = content_matrix(model, [make_task(id="q", title="", html="<p>click offer</p>")])
     click = vec[model.vocabulary["click"]]
     offer = vec[model.vocabulary["offer"]]
     assert abs(click / offer - 0.4054651081 / 1.0986122887) <= 1e-9
 
-    single = content_vector(model, docs[1])
+    (single,) = content_matrix(model, [docs[1]])
     assert abs(single[model.vocabulary["click"]] - 1.0) <= 1e-9
 
     fitted = fit_content_model(list(corpus_small))
-    for task in corpus_small:
-        norm = float(np.linalg.norm(content_vector(fitted, task)))
+    for row in content_matrix(fitted, corpus_small):
+        norm = float(np.linalg.norm(row))
         if norm > 0:
             assert abs(norm - 1.0) <= 1e-9
 
@@ -272,8 +270,8 @@ def test_criterion_06_readability_and_duplication_invariance():
     rng = np.random.default_rng(60)
     for _ in range(50):
         html = _random_html(rng)
-        va = structural_features(make_task(html=html))
-        vb = structural_features(make_task(html=html + html))
+        va = make_task(html=html).analysis.structural
+        vb = make_task(html=html + html).analysis.structural
         assert vb[0] == 2 * va[0]
         assert vb[1] == 2 * va[1]
         np.testing.assert_allclose(vb[2:], va[2:], atol=1e-9)
@@ -309,11 +307,12 @@ def test_criterion_08_similarity_matrix_properties(corpus200, mini_wn):
         assert np.all(np.diag(values) == 1.0)
         assert values.min() >= 0.0 and values.max() <= 1.0
 
-    # self-similarity under the measure itself, not the pinned diagonal
+    # self-similarity under the measure's pair definition, not the pinned
+    # diagonal
     phrase_sets = [extract_verb_phrases(task, mini_wn) for task in corpus200]
     assert all(phrase_sets), "generator opens every description with a verb"
     for phrases in phrase_sets:
-        assert required_action_similarity(phrases, phrases, mini_wn) == 1.0
+        assert _oracle_required_action_similarity(phrases, phrases, mini_wn) == 1.0
 
 
 # --------------------------------------------------------------------------
@@ -423,7 +422,7 @@ def test_criterion_09_pam_equals_brute_force_on_all_small_instances(mini_wn):
 
 def test_criterion_10_cli_determinism_under_parallel_runs(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
-    generate_synthetic_corpus(corpus, 3, categories=3, per_category=6)
+    corpus.write_text(synthetic_corpus_text(3, categories=3, per_category=6), encoding="utf-8")
     mini = str(bundled_mini_wordnet_dir())
 
     def commands(run_dir):

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from tasksim.cli import CliError, _parse_sets, dispatch, generate_synthetic_corpus
+from tasksim.cli import CliError, _parse_sets, dispatch
 from tasksim.corpus import load_corpus
 from tasksim import __version__, cli, cluster, semsim
 from tasksim.learn import svm
@@ -69,8 +69,7 @@ def test_synth_rejects_bad_counts():
 
 def test_synth_loads_cleanly_as_a_corpus(tmp_path):
     path = tmp_path / "s.jsonl"
-    n = generate_synthetic_corpus(path, 7, categories=3, per_category=4)
-    assert n == 12
+    path.write_text(synthetic_corpus_text(7, categories=3, per_category=4), encoding="utf-8")
     corpus = load_corpus(path, strict=True)
     assert len(corpus) == 12
     assert corpus.category_counts == {"signup": 4, "install": 4, "watch": 4}
@@ -79,7 +78,7 @@ def test_synth_loads_cleanly_as_a_corpus(tmp_path):
 
 def test_synth_supports_extra_categories(tmp_path):
     path = tmp_path / "wide.jsonl"
-    generate_synthetic_corpus(path, 0, categories=7, per_category=2)
+    path.write_text(synthetic_corpus_text(0, categories=7, per_category=2), encoding="utf-8")
     corpus = load_corpus(path, strict=True)
     assert len(corpus.category_counts) == 7
     assert {"extra1", "extra2"} <= set(corpus.category_counts)
@@ -87,7 +86,7 @@ def test_synth_supports_extra_categories(tmp_path):
 
 def test_synth_factual_fields_shift_by_category(tmp_path):
     path = tmp_path / "s.jsonl"
-    generate_synthetic_corpus(path, 11, per_category=30)
+    path.write_text(synthetic_corpus_text(11, per_category=30), encoding="utf-8")
     corpus = load_corpus(path)
     by_cat = {}
     for task in corpus:
@@ -100,7 +99,7 @@ def test_synth_factual_fields_shift_by_category(tmp_path):
 def test_every_synthetic_task_has_a_verb_phrase(tmp_path):
     wn = load_wordnet(WORDNET_DIR)
     path = tmp_path / "s.jsonl"
-    generate_synthetic_corpus(path, 5, per_category=10)
+    path.write_text(synthetic_corpus_text(5, per_category=10), encoding="utf-8")
     corpus = load_corpus(path)
     for task in corpus:
         phrases = extract_verb_phrases(task, wn)
@@ -128,7 +127,7 @@ def test_parse_sets_accepts_both_joiners():
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "small.jsonl"
-    generate_synthetic_corpus(path, 3, categories=3, per_category=6)
+    path.write_text(synthetic_corpus_text(3, categories=3, per_category=6), encoding="utf-8")
     return str(path)
 
 
@@ -449,6 +448,49 @@ def test_overflowing_scores_are_a_fold_error(tmp_path, capsys, algo):
     )
 
 
+@pytest.fixture(scope="module")
+def overflowing_corpus(tmp_path_factory):
+    """The seed-61 corpus with a payment of 1e200 on every 7th record."""
+    corpus = tmp_path_factory.mktemp("overflow") / "corpus.jsonl"
+    records = [
+        json.loads(line)
+        for line in synthetic_corpus_text(61, per_category=20).splitlines()
+    ]
+    for record in records[::7]:
+        record["payment"] = 1e200
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return str(corpus)
+
+
+# Each learner's fold error on the overflowing corpus; None: it reports.
+_OVERFLOW_ERRORS = {
+    "naive_bayes": "non-finite prediction scores",
+    "knn": "non-finite prediction scores",
+    "svm_smo": "feature mean or standard deviation overflows",
+    "tree": None,
+    "forest": None,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("algo", sorted(_OVERFLOW_ERRORS))
+def test_overflowing_input_gives_no_numpy_warning(overflowing_corpus, capsys, algo):
+    # every numpy warning is an error here: a learner either refuses the
+    # fold with one error line or reports as usual, and warns about nothing
+    error = _OVERFLOW_ERRORS[algo]
+    code = dispatch(["cv", "--corpus", overflowing_corpus, "--sets", "factual",
+                     "--algo", algo, "--folds", "5"])
+    captured = capsys.readouterr()
+    if error is None:
+        assert code == 0
+        assert captured.out.startswith("# tasksim ")
+        assert captured.err == ""
+    else:
+        assert code == 1
+        assert captured.out == ""
+        assert re.fullmatch(rf"error: fold \d+ failed: {error}\n", captured.err)
+
+
 def test_unknown_flag_and_bad_algo_exit_nonzero(small_corpus, capsys):
     assert dispatch(["cv", "--corpus", small_corpus, "--sets", "content",
                      "--algo", "jrip"]) == 2
@@ -489,7 +531,7 @@ def test_version_flag(capsys):
 
 def test_report_writes_three_files(tmp_path):
     corpus = tmp_path / "tiny.jsonl"
-    generate_synthetic_corpus(corpus, 1, per_category=4)
+    corpus.write_text(synthetic_corpus_text(1, per_category=4), encoding="utf-8")
     out_dir = tmp_path / "rep"
     code = dispatch([
         "report", "--corpus", str(corpus), "--folds", "2", "--k", "3",
@@ -672,7 +714,7 @@ def test_cluster_warns_when_pam_stops_unconverged(small_corpus, monkeypatch,
 
 def test_ingest_csv_quotes_category_names(tmp_path):
     source = tmp_path / "plain.jsonl"
-    generate_synthetic_corpus(source, 3, categories=2, per_category=2)
+    source.write_text(synthetic_corpus_text(3, categories=2, per_category=2), encoding="utf-8")
     renamed = {"signup": "sign up, fast", "install": 'say "hi"'}
     records = [json.loads(line) for line in source.read_text().splitlines()]
     for record in records:

@@ -68,8 +68,8 @@ def test_two_blocks_become_clusters():
     sim = block_sim([3, 3])
     result = k_medoids(sim, 2)
     assert result.medoids == {0: "t0", 1: "t3"}
-    assert sorted(result.members(0)) == ["t0", "t1", "t2"]
-    assert sorted(result.members(1)) == ["t3", "t4", "t5"]
+    assert sorted(result.groups()[0]) == ["t0", "t1", "t2"]
+    assert sorted(result.groups()[1]) == ["t3", "t4", "t5"]
     # four non-medoids at dissimilarity 0.1 each
     assert result.total_dissimilarity == pytest.approx(0.4, abs=1e-12)
     assert result.k == 2
@@ -85,7 +85,7 @@ def test_medoid_minimizes_within_cluster_distance():
     np.fill_diagonal(values, 1.0)
     result = k_medoids(sim_from(values), 2)
     assert result.medoids == {0: "t0", 1: "t3"}
-    assert sorted(result.members(0)) == ["t0", "t1", "t2"]
+    assert sorted(result.groups()[0]) == ["t0", "t1", "t2"]
 
 
 def test_k_equal_to_n_costs_nothing():
@@ -373,7 +373,7 @@ def test_partition_survives_task_reordering():
         sim.values[np.ix_(perm, perm)], [sim.task_ids[p] for p in perm]
     )
     reordered = k_medoids(shuffled, 3)
-    as_sets = lambda r: {frozenset(r.members(c)) for c in range(r.k)}
+    as_sets = lambda r: {frozenset(r.groups()[c]) for c in range(r.k)}
     assert as_sets(result) == as_sets(reordered)
     assert set(result.medoids.values()) == set(reordered.medoids.values())
     assert result.total_dissimilarity == pytest.approx(

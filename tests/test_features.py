@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tasksim import features
-from tasksim.cli import generate_synthetic_corpus
 from tasksim.corpus import load_corpus, strip_html
 from tasksim.features import (
     FEATURE_SET_NAMES,
@@ -23,22 +22,18 @@ from tasksim.features import (
     FeatureMatrix,
     combine_features,
     content_matrix,
-    content_vector,
-    factual_features,
     fit_content_model,
     fit_country_vocab,
     fit_employer_vocab,
     fit_extractor,
     fit_host_vocab,
     gunning_fog,
-    lexical_diversity,
     default_sentiment_lexicon,
     load_sentiment_lexicon,
-    semantic_features,
-    structural_features,
 )
 from tasksim import text as text_module
 from tasksim.semsim import SIMILARITY_MEASURES, extract_verb_phrases, similarity_matrix
+from tasksim.synth import synthetic_corpus_text
 from tasksim.wordnet import bundled_mini_wordnet_dir, load_wordnet
 from tasksim.text import split_sentences, stem, stopwords, tokenize
 
@@ -71,6 +66,7 @@ def _oracle_analysis(task):
     tokens = stream.tokens
     words = stream.surfaces
     n_words, n_sents = len(words), len(stream.sentences)
+    window = stream.normalized[:100]
     complex_words = sum(1 for w in words if features.count_syllables(w) >= 3)
 
     def mean(values):
@@ -86,7 +82,7 @@ def _oracle_analysis(task):
         mean(task.structure.paragraph_lengths),
         mean(task.structure.line_lengths),
         gunning_fog(n_words, n_sents, complex_words),
-        lexical_diversity(stream),
+        len(set(window)) / len(window) if window else 0.0,
     ])
     named_entities = sum(
         1
@@ -108,16 +104,21 @@ def names_of(vocab):
     return sorted(vocab, key=vocab.__getitem__)
 
 
+def _row(set_name, task, train=(), lexicon=None):
+    """`task`'s row of one feature set fitted on `train`."""
+    return fit_extractor(set_name, train, sentiment_lexicon=lexicon).rows([task])[0]
+
+
 class TestFactual:
     def test_payment_per_minute(self):
         task = make_task(payment=0.30, time_to_finish=10)
-        vec = factual_features(task, {}, {})
+        vec = _row("factual", task)
         assert vec[4] == pytest.approx(0.03)
         assert vec[5] == 0.0
 
     def test_zero_time_to_finish_flagged(self):
         task = make_task(time_to_finish=0)
-        vec = factual_features(task, {}, {})
+        vec = _row("factual", task)
         assert vec[4] == 0.0
         assert vec[5] == 1.0
 
@@ -129,25 +130,25 @@ class TestFactual:
         assert rows[0, 3] == 1e20
 
     def test_unseen_employer_other_column(self):
-        vocab = {"empA": 0, "empB": 1}
+        train = [make_task(employer="empA"), make_task(id="t2", employer="empB")]
         task = make_task(employer="stranger")
-        vec = factual_features(task, vocab, {})
+        vec = _row("factual", task, train)
         # columns: 6 numerics, then empA, empB, other
         assert list(vec[6:9]) == [0.0, 0.0, 1.0]
 
     def test_seen_employer_hot(self):
-        vocab = {"emp1": 0, "empB": 1}
-        vec = factual_features(make_task(employer="emp1"), vocab, {})
+        train = [make_task(employer="emp1"), make_task(id="t2", employer="empB")]
+        vec = _row("factual", make_task(employer="emp1"), train)
         assert list(vec[6:9]) == [1.0, 0.0, 0.0]
 
     def test_empty_countries_all_zero(self):
-        cvocab = {"US": 0, "DE": 1}
-        vec = factual_features(make_task(countries=()), {}, cvocab)
+        train = [make_task(countries=("US", "DE"))]
+        vec = _row("factual", make_task(countries=()), train)
         assert list(vec[-3:]) == [0.0, 0.0, 0.0]
 
     def test_country_multi_hot_and_other(self):
-        cvocab = {"DE": 0, "US": 1}
-        vec = factual_features(make_task(countries=("US", "FR")), {}, cvocab)
+        train = [make_task(countries=("DE", "US"))]
+        vec = _row("factual", make_task(countries=("US", "FR")), train)
         assert list(vec[-3:]) == [0.0, 1.0, 1.0]
 
     def test_vocab_fitting_sorted(self):
@@ -178,44 +179,45 @@ class TestGunningFog:
 
 
 class TestLexicalDiversity:
+    # the type-token ratio is column 8 of the structural row
     def test_all_distinct(self):
-        assert lexical_diversity(tokenize("a b c")) == 1.0
+        assert make_task(html="a b c").analysis.structural[8] == 1.0
 
     def test_half(self):
-        assert lexical_diversity(tokenize("a a b b")) == 0.5
+        assert make_task(html="a a b b").analysis.structural[8] == 0.5
 
     def test_cap_at_window(self):
         text = " ".join(["word"] * 200)
-        assert lexical_diversity(tokenize(text)) == pytest.approx(0.01)
+        assert make_task(html=text).analysis.structural[8] == pytest.approx(0.01)
 
     def test_empty(self):
-        assert lexical_diversity(tokenize("")) == 0.0
+        assert make_task(html="").analysis.structural[8] == 0.0
 
 
 class TestStructural:
     def test_comma_average(self):
         task = make_task(html="a, b. c d.")
-        vec = structural_features(task)
+        vec = task.analysis.structural
         assert vec[3] == pytest.approx(0.5)
 
     def test_empty_description_all_zero(self):
         task = make_task(html="")
-        assert np.all(structural_features(task) == 0)
+        assert np.all(task.analysis.structural == 0)
 
     def test_word_count_and_bullets(self):
         task = make_task(html="<ul><li>one two</li><li>three</li></ul>")
-        vec = structural_features(task)
+        vec = task.analysis.structural
         assert vec[0] == 3.0
         assert vec[1] == 2.0
 
     def test_avg_chars_per_word(self):
         task = make_task(html="ab abcd")
-        vec = structural_features(task)
+        vec = task.analysis.structural
         assert vec[4] == pytest.approx(3.0)
 
     def test_title_excluded(self):
-        a = structural_features(make_task(title="one", html="same text here."))
-        b = structural_features(make_task(title="a very different long title", html="same text here."))
+        a = make_task(title="one", html="same text here.").analysis.structural
+        b = make_task(title="a very different long title", html="same text here.").analysis.structural
         assert np.array_equal(a, b)
 
     def test_duplication_invariance_on_long_text(self):
@@ -223,7 +225,7 @@ class TestStructural:
         html = f"<p>{words}.</p>"
         single = make_task(html=html)
         double = make_task(html=html + html)
-        va, vb = structural_features(single), structural_features(double)
+        va, vb = single.analysis.structural, double.analysis.structural
         # word count and bullets double; every other feature is unchanged
         assert vb[0] == 2 * va[0]
         assert vb[1] == 2 * va[1]
@@ -231,8 +233,8 @@ class TestStructural:
 
     def test_duplication_doubles_bullets(self):
         html = "<ul><li>alpha beta</li></ul>"
-        va = structural_features(make_task(html=html))
-        vb = structural_features(make_task(html=html + html))
+        va = make_task(html=html).analysis.structural
+        vb = make_task(html=html + html).analysis.structural
         assert vb[1] == 2 * va[1]
 
 
@@ -240,37 +242,38 @@ class TestSemantic:
     def test_sentiment_hand_example(self):
         lex = {"good": 1, "bad": -1}
         task = make_task(html="good good bad")
-        vec = semantic_features(task, lex, {})
+        vec = _row("semantic", task, lexicon=lex)
         assert vec[-1] == pytest.approx((2 - 1) / 3)
 
     def test_sentiment_no_hits(self):
-        vec = semantic_features(make_task(html="neutral words only"), {"good": 1}, {})
+        vec = _row("semantic", make_task(html="neutral words only"), lexicon={"good": 1})
         assert vec[-1] == 0.0
 
     def test_named_entity_mid_sentence(self):
         task = make_task(html="Visit Facebook today.")
-        vec = semantic_features(task, {}, {})
+        vec = _row("semantic", task, lexicon={})
         assert vec[-2] == 1.0
 
     def test_sentence_initial_capital_not_entity(self):
         task = make_task(html="Visit the site.")
-        vec = semantic_features(task, {}, {})
+        vec = _row("semantic", task, lexicon={})
         assert vec[-2] == 0.0
 
     def test_stopword_capital_not_entity(self):
         task = make_task(html="go The end.")
-        vec = semantic_features(task, {}, {})
+        vec = _row("semantic", task, lexicon={})
         assert vec[-2] == 0.0
 
     def test_host_multi_hot(self):
-        vocab = {"a.com": 0, "b.com": 1}
+        train = [make_task(html='<a href="http://a.com">l</a> <a href="http://b.com">l</a>')]
         task = make_task(html='<a href="http://b.com/x">l</a>')
-        vec = semantic_features(task, {}, vocab)
+        vec = _row("semantic", task, train, lexicon={})
         assert list(vec[:3]) == [0.0, 1.0, 0.0]
 
     def test_unseen_host_other(self):
         task = make_task(html='<a href="http://new.org/x">l</a>')
-        vec = semantic_features(task, {}, {"a.com": 0})
+        train = [make_task(html='<a href="http://a.com">l</a>')]
+        vec = _row("semantic", task, train, lexicon={})
         assert list(vec[:2]) == [0.0, 1.0]
 
     @given(TOKEN_TEXT)
@@ -307,8 +310,8 @@ class TestSemantic:
         lex = {"good": 1, "bad": -1}
         flipped = {"good": -1, "bad": 1}
         task = make_task(html=html)
-        s = semantic_features(task, lex, {})[-1]
-        f = semantic_features(task, flipped, {})[-1]
+        s = _row("semantic", task, lexicon=lex)[-1]
+        f = _row("semantic", task, lexicon=flipped)[-1]
         assert -1.0 <= s <= 1.0
         assert f == pytest.approx(-s)
 
@@ -391,7 +394,7 @@ class TestContentModel:
         # "click" appears in 2 of 3 docs: idf = ln(3/2)
         model = fit_content_model(self.tasks(), ContentConfig(ngram_range=(1, 1), min_df=2))
         task = make_task(id="q", title="", html="click")
-        vec = content_vector(model, task)
+        vec = content_matrix(model, [task])[0]
         # single-term doc: normalized weight is 1, but the raw weight is ln(1.5)
         tf_idf = 1 * math.log(3 / 2)
         assert tf_idf == pytest.approx(0.4054651081, abs=1e-9)
@@ -399,12 +402,12 @@ class TestContentModel:
 
     def test_oov_only_doc_zero_vector(self):
         model = fit_content_model(self.tasks(), ContentConfig(ngram_range=(1, 1), min_df=2))
-        vec = content_vector(model, make_task(id="q", title="", html="unrelated terms"))
+        vec = content_matrix(model, [make_task(id="q", title="", html="unrelated terms")])[0]
         assert np.all(vec == 0)
 
     def test_l2_norm_unit(self):
         model = fit_content_model(self.tasks(), ContentConfig(ngram_range=(1, 1), min_df=1))
-        vec = content_vector(model, make_task(id="q", title="", html="click the video"))
+        vec = content_matrix(model, [make_task(id="q", title="", html="click the video")])[0]
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
 
     def test_bigrams_in_vocabulary(self):
@@ -445,7 +448,7 @@ class TestContentModel:
     def test_weights_nonnegative(self):
         model = fit_content_model(self.tasks(), ContentConfig(min_df=1))
         for html in ("click here", "watch the video", "unrelated"):
-            vec = content_vector(model, make_task(id="q", title="", html=html))
+            vec = content_matrix(model, [make_task(id="q", title="", html=html)])[0]
             assert np.all(vec >= 0)
 
 
@@ -466,7 +469,7 @@ def _oracle_fit_content_model(tasks, config):
 
 
 def _oracle_content_vector(vocabulary, doc_freq, n_docs, ngram_range, task):
-    """content_vector as it was defined before the term table: one dict
+    """A content row as it was built before the term table: one dict
     lookup per term of the task."""
     vec = np.zeros(len(vocabulary))
     for term, tf in task.analysis.terms(ngram_range).items():
@@ -528,8 +531,6 @@ def test_content_model_and_matrix_match_the_counter_definition(
             for task in tasks
         ]).reshape(len(tasks), len(vocabulary))
         assert np.array_equal(content_matrix(model, tasks), expected)
-        for task, row in zip(tasks, expected):
-            assert np.array_equal(content_vector(model, task), row)
     assert not content_matrix(model, evaluated[-1:]).any()
 
 
@@ -641,20 +642,6 @@ def test_row_builders_match_the_per_task_oracles(tasks, n_train, lexicon):
             assert got.dtype == np.float64, set_name
             assert np.array_equal(got, expected), set_name
             assert np.array_equal(ext.matrix(some).rows, expected), set_name
-    for task in tasks:
-        employer_vocab = fit_employer_vocab(train)
-        country_vocab = fit_country_vocab(train)
-        assert np.array_equal(
-            factual_features(task, employer_vocab, country_vocab),
-            _oracle_factual_features(task, employer_vocab, country_vocab),
-        )
-        assert np.array_equal(structural_features(task), _oracle_structural_features(task))
-        host_vocab = fit_host_vocab(train)
-        lex = {} if lexicon is None else lexicon
-        assert np.array_equal(
-            semantic_features(task, lex, host_vocab),
-            _oracle_semantic_row(task, features._lexicon_key(lex), host_vocab),
-        )
 
 
 class TestCombine:
@@ -775,7 +762,7 @@ class TestTaskAnalysis:
     @pytest.fixture
     def tasks(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        generate_synthetic_corpus(path, seed=3, per_category=6)
+        path.write_text(synthetic_corpus_text(seed=3, per_category=6), encoding="utf-8")
         return list(load_corpus(path))
 
     @staticmethod
@@ -808,10 +795,6 @@ class TestTaskAnalysis:
 
     def test_returned_arrays_do_not_reach_the_cache(self, tasks):
         task = tasks[0]
-        expected = structural_features(task)
-        first = structural_features(task)
-        first[:] = -1.0
-        assert np.array_equal(structural_features(task), expected)
         with pytest.raises(ValueError):
             task.analysis.structural[0] = -1.0
         for name in ("content", "structural", "semantic"):

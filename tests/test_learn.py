@@ -8,18 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tasksim.cli import generate_synthetic_corpus
 from tasksim.corpus import load_corpus
 from tasksim.evaluation import stratified_folds
 from tasksim.features import FeatureMatrix, combine_features, fit_extractor
 from tasksim.learn import (
     ALGORITHMS,
     LearnerConfig,
-    predict,
     predict_batch,
     train,
 )
 from tasksim.learn import forest, svm, tree
+from tasksim.synth import synthetic_corpus_text
 
 
 def blobs(seed=0, n_per=20, centers=((0.0, 0.0), (8.0, 8.0), (-8.0, 8.0))):
@@ -204,7 +203,7 @@ FEATURE_SET_CASES = [
 def seeded_folds(tmp_path_factory):
     """Training rows of fold 0 of a seeded 100-task corpus, per feature set."""
     path = tmp_path_factory.mktemp("learn") / "synthetic100.jsonl"
-    generate_synthetic_corpus(path, 7, categories=5, per_category=20)
+    path.write_text(synthetic_corpus_text(7, categories=5, per_category=20), encoding="utf-8")
     tasks = list(load_corpus(path))
     labels = [task.category for task in tasks]
     classes = sorted(set(labels))
@@ -226,7 +225,7 @@ class TestNaiveBayes:
         model = train("naive_bayes", X, y)
         # equal priors, both classes have population variance 2/3:
         # log-odds at x = 3*(1-x); at 0.8 the posterior for A is 1/(1+e^-0.6)
-        _, scores = predict(model, np.array([0.8]))
+        _, (scores,) = predict_batch(model, np.array([[0.8]]))
         assert scores[0] == pytest.approx(1.0 / (1.0 + math.exp(-0.6)), abs=1e-9)
 
     def test_widely_separated_classes(self):
@@ -234,7 +233,7 @@ class TestNaiveBayes:
         X = np.concatenate([rng.normal(0, 1, 30), rng.normal(10, 1, 30)]).reshape(-1, 1)
         y = ["A"] * 30 + ["B"] * 30
         model = train("naive_bayes", X, y)
-        label, _ = predict(model, np.array([1.0]))
+        (label,), _ = predict_batch(model, np.array([[1.0]]))
         assert label == "A"
 
     def test_posteriors_sum_to_one(self):
@@ -262,7 +261,7 @@ class TestNaiveBayes:
     def test_variance_floor_handles_constant_features(self):
         X = np.array([[1.0, 5.0], [1.0, 6.0], [1.0, 1.0], [1.0, 2.0]])
         model = train("naive_bayes", X, ["a", "a", "b", "b"])
-        _, scores = predict(model, np.array([1.0, 5.5]))
+        _, (scores,) = predict_batch(model, np.array([[1.0, 5.5]]))
         assert np.all(np.isfinite(scores))
 
 
@@ -270,7 +269,7 @@ class TestKnn:
     def test_k1_training_row_exact(self):
         X, y = blobs(seed=1)
         model = train("knn", X, y, LearnerConfig(knn_k=1))
-        label, scores = predict(model, X[7])
+        (label,), (scores,) = predict_batch(model, X[7][None])
         assert label == y[7]
         assert scores.max() == 1.0
 
@@ -303,21 +302,21 @@ class TestKnn:
         X = np.array([[0.0], [0.1], [5.0]])
         y = ["a", "a", "b"]
         model = train("knn", X, y, LearnerConfig(knn_k=3))
-        _, scores = predict(model, np.array([0.0]))
+        _, (scores,) = predict_batch(model, np.array([[0.0]]))
         np.testing.assert_allclose(scores, [2 / 3, 1 / 3])
 
     def test_distance_tie_resolved_by_training_index(self):
         X = np.array([[1.0], [-1.0]])
         y = ["b", "a"]
         model = train("knn", X, y, LearnerConfig(knn_k=1))
-        label, _ = predict(model, np.array([0.0]))
+        (label,), _ = predict_batch(model, np.array([[0.0]]))
         assert label == "b"  # equal distance: earlier training row wins
 
     def test_score_tie_broken_by_class_order(self):
         X = np.array([[0.0], [1.0]])
         y = ["z", "a"]
         model = train("knn", X, y, LearnerConfig(knn_k=2))
-        label, scores = predict(model, np.array([0.5]))
+        (label,), (scores,) = predict_batch(model, np.array([[0.5]]))
         assert scores[0] == scores[1] == 0.5
         assert label == "a"  # classes sorted; first max wins
 
@@ -330,7 +329,7 @@ class TestKnn:
         with pytest.raises(FloatingPointError, match="non-finite prediction scores"):
             predict_batch(model, np.array([[0.0, 1.0]]))
         with pytest.raises(FloatingPointError):
-            predict(model, np.array([1e200, 1.0]))
+            predict_batch(model, np.array([[1e200, 1.0]]))
 
     def test_large_finite_distances_keep_their_order(self):
         # squares near 1e300 stay finite and rank as before
@@ -386,7 +385,7 @@ class TestTree:
         X = np.array([[0.0], [0.0], [0.0], [5.0]])
         y = ["a", "a", "b", "b"]
         model = train("tree", X, y, LearnerConfig(tree_min_leaf=1))
-        _, scores = predict(model, np.array([0.0]))
+        _, (scores,) = predict_batch(model, np.array([[0.0]]))
         np.testing.assert_allclose(scores, [2 / 3, 1 / 3])
 
     @given(st.integers(0, 10_000))
@@ -747,6 +746,14 @@ class TestSvmSmo:
         with pytest.raises(RuntimeError, match=r"class 0 .*KKT gap"):
             train("svm_smo", X, y)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_column_scale_is_refused(self):
+        # the standard deviation of 1e200 and 0 overflows; dividing by it
+        # would zero the column without a word
+        X = np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 2.0], [2.0, 3.0]])
+        with pytest.raises(FloatingPointError, match="standard deviation overflows"):
+            train("svm_smo", X, ["a", "a", "b", "b"])
+
     def test_label_invariance_under_feature_scaling(self):
         X, y = blobs(seed=17, n_per=12, centers=((0, 0), (4, 1), (1, 4)))
         model_raw = train("svm_smo", X, y, seed=2)
@@ -759,7 +766,7 @@ class TestSvmSmo:
     def test_decision_values_as_scores(self):
         X, y = blobs(seed=19, n_per=8)
         model = train("svm_smo", X, y, seed=0)
-        _, scores = predict(model, X[0])
+        _, (scores,) = predict_batch(model, X[0][None])
         assert scores.shape == (3,)
         assert np.all(np.isfinite(scores))
 
@@ -802,7 +809,7 @@ class TestTrainValidation:
         for algorithm in ALGORITHMS:
             model = train(algorithm, X, y, LearnerConfig(forest_trees=3))
             with pytest.raises(ValueError, match="features"):
-                predict(model, np.zeros(7))
+                predict_batch(model, np.zeros((1, 7)))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_scores_are_an_arithmetic_error(self):

@@ -1,38 +1,35 @@
 """Verb phrases, the two similarity measures, and matrix invariants."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_task
+from conftest import (
+    _oracle_phrase_similarity,
+    _oracle_required_action_similarity,
+    make_task,
+)
 from tasksim import semsim
-from tasksim.cli import generate_synthetic_corpus
 from tasksim.corpus import load_corpus
 from tasksim.semsim import (
-    COMPREHENSIBILITY_FEATURE_NAMES,
     SIMILARITY_MEASURES,
-    ComprehensibilityVector,
-    CorpusStats,
     SimilarityMatrix,
     VerbPhrase,
-    comprehensibility_similarity,
-    comprehensibility_stats,
-    comprehensibility_vector,
     default_wordlist,
     extract_verb_phrases,
     load_wordlist,
-    phrase_similarity,
     presence_document_frequencies,
-    required_action_similarity,
     similarity_matrix,
     unusual_word_ratio,
 )
 from tasksim import reports
-from tasksim.reports import _aligned, csv_text, render_matrix_csv, render_matrix_text
-from tasksim.text import sentence_items, split_sentences
+from tasksim.reports import _aligned, csv_text, matrix_text_chunks, render_matrix_csv
+from tasksim.synth import synthetic_corpus_text
+from tasksim.text import item_matches, split_sentences
 from tasksim.wordnet import NOUN, VERB, bundled_mini_wordnet_dir, lemmatize, load_wordnet
 
 
@@ -108,7 +105,7 @@ def _oracle_extract_verb_phrases(task, wn):
         task.description_text
     )
     for sentence in sentences:
-        items = sentence_items(sentence)
+        items = [(m.group(), m.start(), m.end()) for m in item_matches(sentence)]
         triggers = []
         for i, (text, _, _) in enumerate(items):
             if text == ",":
@@ -169,7 +166,7 @@ def test_phrases_match_the_item_tuple_scanner(wn, description, title):
 
 def test_phrases_match_the_item_tuple_scanner_on_the_synthetic_corpus(wn, tmp_path):
     path = tmp_path / "corpus.jsonl"
-    generate_synthetic_corpus(path, seed=7)
+    path.write_text(synthetic_corpus_text(seed=7), encoding="utf-8")
     tasks = list(load_corpus(path))
     found = [extract_verb_phrases(task, wn) for task in tasks]
     assert found == [_oracle_extract_verb_phrases(task, wn) for task in tasks]
@@ -184,17 +181,17 @@ def test_verb_only_phrase_similarity(wn):
     p = VerbPhrase("watch", (), "watch")
     q = VerbPhrase("download", (), "download")
     # Sibling verb groups under the shared root: path length 2.
-    assert phrase_similarity(p, q, wn) == pytest.approx(1 / 3, abs=1e-12)
+    assert _oracle_phrase_similarity(p, q, wn) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_argument_blending(wn):
     p = VerbPhrase("watch", ("dog",), "watch the dog")
     q = VerbPhrase("download", ("cat",), "download a cat")
     expected = 0.7 * (1 / 3) + 0.3 * (1 / 5)
-    assert phrase_similarity(p, q, wn) == pytest.approx(expected, abs=1e-12)
+    assert _oracle_phrase_similarity(p, q, wn) == pytest.approx(expected, abs=1e-12)
     # One side without arguments falls back to the verb alone.
     bare = VerbPhrase("download", (), "download")
-    assert phrase_similarity(p, bare, wn) == pytest.approx(1 / 3, abs=1e-12)
+    assert _oracle_phrase_similarity(p, bare, wn) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_identical_phrase_lists_score_one(wn):
@@ -202,23 +199,23 @@ def test_identical_phrase_lists_score_one(wn):
         text_task("Sign up and confirm your email."), wn
     )
     assert phrases
-    assert required_action_similarity(phrases, phrases, wn) == pytest.approx(
+    assert _oracle_required_action_similarity(phrases, phrases, wn) == pytest.approx(
         1.0, abs=1e-12
     )
 
 
 def test_empty_side_scores_zero(wn):
     phrases = [VerbPhrase("sign", (), "sign")]
-    assert required_action_similarity(phrases, [], wn) == 0.0
-    assert required_action_similarity([], phrases, wn) == 0.0
-    assert required_action_similarity([], [], wn) == 0.0
+    assert _oracle_required_action_similarity(phrases, [], wn) == 0.0
+    assert _oracle_required_action_similarity([], phrases, wn) == 0.0
+    assert _oracle_required_action_similarity([], [], wn) == 0.0
 
 
 def test_required_action_symmetric(wn):
     A = extract_verb_phrases(text_task("Watch the cat. Download the email."), wn)
     B = extract_verb_phrases(text_task("Register and rate the dog."), wn)
-    ab = required_action_similarity(A, B, wn)
-    ba = required_action_similarity(B, A, wn)
+    ab = _oracle_required_action_similarity(A, B, wn)
+    ba = _oracle_required_action_similarity(B, A, wn)
     assert ab == pytest.approx(ba, abs=1e-12)
     assert 0.0 <= ab <= 1.0
 
@@ -232,7 +229,7 @@ def test_required_action_hand_value(wn):
     # Forward: watch's best match is view (1.0). Backward: view matches 1.0,
     # download 1/3, mean 2/3. Symmetrized: (1 + 2/3)/2.
     expected = (1.0 + (1.0 + 1 / 3) / 2) / 2
-    assert required_action_similarity(A, B, wn) == pytest.approx(
+    assert _oracle_required_action_similarity(A, B, wn) == pytest.approx(
         expected, abs=1e-12
     )
 
@@ -310,42 +307,34 @@ def test_wordlist_with_byte_order_mark_loads_the_same(tmp_path):
 # ---------------------------------------------------------------- comprehensibility
 
 
-def test_vector_shape_and_validation():
-    task = text_task("Download the app now.")
-    df = presence_document_frequencies([task])
-    vec = comprehensibility_vector(task, df, default_wordlist())
-    assert vec.values.shape == (len(COMPREHENSIBILITY_FEATURE_NAMES),)
-    assert len(COMPREHENSIBILITY_FEATURE_NAMES) == 10
-    with pytest.raises(ValueError):
-        ComprehensibilityVector(np.zeros(9))
-    with pytest.raises(ValueError):
-        ComprehensibilityVector(np.append(np.zeros(9), 1.5))
+def _oracle_comprehensibility_similarity(a, b, mean, std):
+    """The comprehensibility measure of two vectors: 1/(1+d), d their
+    Euclidean distance once z-scored with the corpus mean and std, over the
+    square root of their length; squares summed left to right, as
+    `similarity_matrix` sums them."""
+    za = ((a - mean) / std).tolist()
+    zb = ((b - mean) / std).tolist()
+    squares = 0.0
+    for x, y in zip(za, zb):
+        squares += (x - y) * (x - y)
+    return 1.0 / (1.0 + math.sqrt(squares) / math.sqrt(len(za)))
 
 
 def test_identical_vectors_score_one():
-    stats = CorpusStats(np.zeros(10), np.ones(10))
-    u = ComprehensibilityVector(np.append(np.arange(9.0), 0.5))
-    assert comprehensibility_similarity(u, u, stats) == 1.0
+    u = np.append(np.arange(9.0), 0.5)
+    assert _oracle_comprehensibility_similarity(u, u, np.zeros(10), np.ones(10)) == 1.0
 
 
 def test_unit_zscore_distance_everywhere_halves():
-    stats = CorpusStats(np.zeros(10), np.ones(10))
+    mean, std = np.zeros(10), np.ones(10)
     u = np.zeros(10)
     v = np.ones(10)
-    assert comprehensibility_similarity(u, v, stats) == pytest.approx(
+    assert _oracle_comprehensibility_similarity(u, v, mean, std) == pytest.approx(
         0.5, abs=1e-12
     )
-    assert comprehensibility_similarity(v, u, stats) == pytest.approx(
+    assert _oracle_comprehensibility_similarity(v, u, mean, std) == pytest.approx(
         0.5, abs=1e-12
     )
-
-
-def test_dimension_mismatch_rejected():
-    stats = CorpusStats(np.zeros(4), np.ones(4))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        comprehensibility_similarity(np.zeros(10), np.zeros(10), stats)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        comprehensibility_similarity(np.zeros(3), np.zeros(4), stats)
 
 
 @pytest.mark.parametrize(
@@ -362,9 +351,6 @@ def test_stacked_rows_refuse_non_finite_features(monkeypatch, column, value, mes
     structural[column] = value
     bad = dataclasses.replace(tasks[1].analysis, structural=structural)
     monkeypatch.setitem(vars(tasks[1]), "analysis", bad)
-    words = default_wordlist()
-    with pytest.raises(ValueError, match=message):
-        comprehensibility_vector(tasks[1], presence_document_frequencies(tasks), words)
     with pytest.raises(ValueError, match=message):
         similarity_matrix(tasks, "comprehensibility")
 
@@ -381,18 +367,16 @@ def test_stacked_rows_refuse_a_bad_ratio(monkeypatch, ratio, message):
         return ratio if task is tasks[2] else real(task, corpus_df, wordlist)
 
     monkeypatch.setattr(semsim, "unusual_word_ratio", patched)
-    words = default_wordlist()
-    with pytest.raises(ValueError, match=message):
-        comprehensibility_vector(tasks[2], presence_document_frequencies(tasks), words)
     with pytest.raises(ValueError, match=message):
         similarity_matrix(tasks, "comprehensibility")
 
 
 def test_stats_floor_degenerate_std():
-    vecs = [ComprehensibilityVector(np.zeros(10)) for _ in range(3)]
-    stats = comprehensibility_stats(vecs)
-    assert np.all(stats.std == 1e-9)
-    assert comprehensibility_similarity(vecs[0], vecs[1], stats) == 1.0
+    # equal comprehensibility rows: every column's std is 0, floored at
+    # 1e-9, so every z-score is 0 and every pair fully similar
+    tasks = [text_task("Download the app now.", id=f"t{i}") for i in range(3)]
+    matrix = similarity_matrix(tasks, "comprehensibility")
+    assert np.all(matrix.values == 1.0)
 
 
 # ---------------------------------------------------------------- matrices
@@ -423,12 +407,13 @@ def test_identical_tasks_fully_similar(wn):
     ]
     for measure in ("required_action", "comprehensibility"):
         matrix = similarity_matrix(twins, measure, wn=wn)
-        assert matrix.pair("x", "y") == pytest.approx(1.0, abs=1e-12)
+        assert matrix.task_ids == ("x", "y")
+        assert matrix.values[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_matrices_equal_cold_and_warm(wn, tmp_path):
     path = tmp_path / "corpus.jsonl"
-    generate_synthetic_corpus(path, seed=3, per_category=6)
+    path.write_text(synthetic_corpus_text(seed=3, per_category=6), encoding="utf-8")
     tasks = [dataclasses.replace(task) for task in load_corpus(path)]
     assert not any("analysis" in vars(task) for task in tasks)
     cold = [similarity_matrix(tasks, m, wn=wn).values for m in SIMILARITY_MEASURES]
@@ -438,22 +423,27 @@ def test_matrices_equal_cold_and_warm(wn, tmp_path):
 
 
 def pairwise_reference(tasks, measure, wn):
-    """The matrix built from the pair functions, one call per pair."""
+    """The matrix built from the pair oracles, one call per pair."""
     n = len(tasks)
     expected = np.eye(n)
     if measure == "required_action":
         phrases = [extract_verb_phrases(t, wn) for t in tasks]
 
         def pair(i, j):
-            return required_action_similarity(phrases[i], phrases[j], wn)
+            return _oracle_required_action_similarity(phrases[i], phrases[j], wn)
     else:
         df = presence_document_frequencies(tasks)
         words = default_wordlist()
-        vectors = [comprehensibility_vector(t, df, words) for t in tasks]
-        stats = comprehensibility_stats(vectors) if vectors else None
+        vectors = [
+            np.append(t.analysis.structural, unusual_word_ratio(t, df, words))
+            for t in tasks
+        ]
+        if vectors:
+            mean = np.mean(vectors, axis=0)
+            std = np.maximum(np.std(vectors, axis=0), 1e-9)
 
         def pair(i, j):
-            return comprehensibility_similarity(vectors[i], vectors[j], stats)
+            return _oracle_comprehensibility_similarity(vectors[i], vectors[j], mean, std)
     for i in range(n):
         for j in range(n):
             if i != j:
@@ -506,7 +496,7 @@ def test_phraseless_tasks_keep_unit_diagonal(wn):
     tasks = [text_task("Quality assurance report", id=f"t{i}") for i in range(2)]
     matrix = similarity_matrix(tasks, "required_action", wn=wn)
     assert np.all(np.diag(matrix.values) == 1.0)
-    assert matrix.pair("t0", "t1") == 0.0
+    assert matrix.values[0, 1] == 0.0
 
 
 def test_matrix_refuses_oversized_corpora(wn, monkeypatch):
@@ -672,7 +662,7 @@ def _oracle_render_matrix_text(matrix):
 ], ids=["empty", "1x1", "1x1-long-id", "signed-zero"])
 def test_matrix_text_matches_aligned_table(ids, values):
     matrix = SimilarityMatrix(ids, values, "comprehensibility")
-    assert render_matrix_text(matrix) == _oracle_render_matrix_text(matrix)
+    assert "".join(matrix_text_chunks(matrix)) == _oracle_render_matrix_text(matrix)
 
 
 @settings(max_examples=30, deadline=None)
@@ -684,7 +674,7 @@ def test_matrix_text_matches_aligned_table(ids, values):
 @example(n=_SEVERAL_BLOCKS, share=0.1, seed=0)
 def test_matrix_text_matches_aligned_table_on_random_matrices(n, share, seed):
     matrix = _tricky_matrix(n, share, seed)
-    assert render_matrix_text(matrix) == _oracle_render_matrix_text(matrix)
+    assert "".join(matrix_text_chunks(matrix)) == _oracle_render_matrix_text(matrix)
 
 
 _WORD_POOL = [

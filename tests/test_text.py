@@ -11,7 +11,7 @@ from tasksim import text as text_module
 from tasksim.text import (
     TokenStream,
     count_syllables,
-    sentence_items,
+    item_matches,
     split_sentences,
     stem,
     stopwords,
@@ -65,7 +65,7 @@ def _oracle_split_sentences(text: str) -> list[str]:
 
 def _oracle_sentence_stream(sentence: str):
     """The verb-phrase scanner semsim once had of its own, kept as the
-    reference for sentence_items: word tokens and commas with character
+    reference for item_matches: word tokens and commas with character
     spans, in order."""
     items = []
     for match in re.finditer(r"[A-Za-z0-9'-]+|,", sentence):
@@ -74,6 +74,11 @@ def _oracle_sentence_stream(sentence: str):
             continue
         items.append((text, match.start(), match.end()))
     return items
+
+
+def _spans(text):
+    """Each of `item_matches(text)` as (text, start, end)."""
+    return [(m.group(), m.start(), m.end()) for m in item_matches(text)]
 
 
 # Texts built from the pieces that matter to sentence boundaries: initials,
@@ -204,17 +209,17 @@ class TestTokenize:
         stream = tokenize("One two. Three.")
         assert [t.sentence_index for t in stream] == [0, 0, 1]
 
-    def test_sentence_items_hand_example(self):
-        assert sentence_items("Go, e-mail it!") == [
+    def test_item_matches_hand_example(self):
+        assert _spans("Go, e-mail it!") == [
             ("Go", 0, 2), (",", 2, 3), ("e-mail", 4, 10), ("it", 11, 13),
         ]
 
     @given(TOKEN_TEXT)
     @settings(max_examples=300)
-    def test_sentence_items_match_old_stream(self, text):
-        assert sentence_items(text) == _oracle_sentence_stream(text)
+    def test_item_matches_match_old_stream(self, text):
+        assert _spans(text) == _oracle_sentence_stream(text)
         for sentence in split_sentences(text):
-            assert sentence_items(sentence) == _oracle_sentence_stream(sentence)
+            assert _spans(sentence) == _oracle_sentence_stream(sentence)
 
     @given(TOKEN_TEXT)
     @settings(max_examples=200)
@@ -231,7 +236,7 @@ class TestTokenize:
         def seconds(text):
             start = time.perf_counter()
             word_tokens(text)
-            sentence_items(text)
+            item_matches(text)
             return time.perf_counter() - start
 
         unit = "-'" * 2500
