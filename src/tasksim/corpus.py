@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
-from .text import split_sentences, word_tokens
+from .text import split_sentences
 
 __all__ = [
     "DocStructure",
@@ -35,11 +35,10 @@ class CorpusError(ValueError):
 
 @dataclass(frozen=True)
 class DocStructure:
-    """Layout metadata recovered from a task description's markup."""
+    """What only a task description's markup tells: its list items and
+    its link hostnames. Paragraphs and lines are read off the text."""
 
     bullet_count: int
-    paragraph_lengths: tuple[int, ...]
-    line_lengths: tuple[int, ...]
     url_hosts: tuple[str, ...]
 
 
@@ -223,7 +222,7 @@ def _scan_tag(raw: str, start: int) -> tuple[str, str, bool, int]:
 
 
 def strip_html(raw: str) -> tuple[str, DocStructure]:
-    """Strip markup from `raw`, returning visible text and layout metadata.
+    """Strip markup from `raw`, returning visible text and its DocStructure.
 
     Tags and comments are removed, entities decoded, and block elements
     rendered as line breaks (list items, rows) or blank lines (paragraphs,
@@ -298,16 +297,7 @@ def strip_html(raw: str) -> tuple[str, DocStructure]:
     flush(n)
 
     text = _defuse(_normalize_whitespace("".join(pieces)))
-
-    paragraphs = text.split("\n\n") if text else []
-    lines = [ln for ln in text.split("\n") if ln]
-    structure = DocStructure(
-        bullet_count=bullets,
-        paragraph_lengths=tuple(len(word_tokens(p)) for p in paragraphs),
-        line_lengths=tuple(len(ln) for ln in lines),
-        url_hosts=tuple(hosts),
-    )
-    return text, structure
+    return text, DocStructure(bullet_count=bullets, url_hosts=tuple(hosts))
 
 
 # ---------------------------------------------------------------------------

@@ -170,25 +170,22 @@ def _structural_row(
 ) -> np.ndarray:
     """The structural features of one task. Averages with a zero
     denominator are 0; the type-token ratio reads the first 100 lowercased
-    words, and is 0 if there are none."""
+    words, and is 0 if there are none. No word token crosses a newline, so
+    the blank-line-separated paragraphs' word counts sum to `len(words)`;
+    lines are the non-empty newline-separated parts, in characters."""
     text = task.description_text
     n_words = len(words)
-    struct = task.structure
+    lines = [len(line) for line in text.split("\n") if line]
     window = lower_words[:_TTR_WINDOW]
-
-    def mean(values) -> float:
-        values = list(values)
-        return sum(values) / len(values) if values else 0.0
-
     return np.array(
         [
             float(n_words),
-            float(struct.bullet_count),
+            float(task.structure.bullet_count),
             n_words / n_sents if n_sents else 0.0,
             text.count(",") / n_sents if n_sents else 0.0,
             sum(map(len, words)) / n_words if n_words else 0.0,
-            mean(struct.paragraph_lengths),
-            mean(struct.line_lengths),
+            n_words / (text.count("\n\n") + 1),
+            sum(lines) / len(lines) if lines else 0.0,
             gunning_fog(n_words, n_sents, complex_words),
             len(set(window)) / len(window) if window else 0.0,
         ]
@@ -496,14 +493,10 @@ def combine_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
 @dataclass(frozen=True)
 class FittedExtractor:
     """One feature set fitted on training tasks: `matrix` maps any task list,
-    empty too, to an `n_cols`-wide FeatureMatrix of its `rows` array."""
+    empty too, to an equally wide FeatureMatrix of its `rows` array."""
 
     set_name: str
     rows: Callable[[list[MicroTask]], np.ndarray]
-
-    @property
-    def n_cols(self) -> int:
-        return self.rows([]).shape[1]
 
     def matrix(self, tasks: Iterable[MicroTask]) -> FeatureMatrix:
         return FeatureMatrix(self.rows(list(tasks)), frozenset({self.set_name}))

@@ -16,7 +16,8 @@ _MODULES = dict(zip(ALGORITHMS, (naive_bayes, knn, tree, forest, svm)))
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Hyperparameters for all five algorithms; defaults are conventional.
+    """Hyperparameters of knn, tree, forest and svm_smo (naive_bayes has
+    none); defaults are conventional.
 
     forest_feature_fraction None means the square-root rule: per split,
     round(sqrt(n_features)) candidate features.
@@ -28,7 +29,6 @@ class LearnerConfig:
     forest_feature_fraction: float | None = None
     svm_C: float = 1.0
     svm_tol: float = 1e-3
-    nb_variance_floor: float = 1e-9
 
     def validate(self) -> None:
         if self.knn_k < 1:
@@ -43,8 +43,6 @@ class LearnerConfig:
             raise ValueError("svm_C must be positive")
         if self.svm_tol <= 0:
             raise ValueError("svm_tol must be positive")
-        if self.nb_variance_floor <= 0:
-            raise ValueError("nb_variance_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ def train(
     y_idx = np.array([class_index[label] for label in labels], dtype=np.intp)
 
     trainers = {
-        "naive_bayes": lambda: naive_bayes.fit(rows, y_idx, len(classes), config, provenance),
+        "naive_bayes": lambda: naive_bayes.fit(rows, y_idx, len(classes), provenance),
         "knn": lambda: knn.fit(rows, y_idx, config),
         "tree": lambda: tree.fit(rows, y_idx, len(classes), config),
         "forest": lambda: forest.fit(rows, y_idx, len(classes), config, seed),

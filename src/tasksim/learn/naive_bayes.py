@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+_VARIANCE_FLOOR = 1e-9  # the least per-class variance of a Gaussian column
+
 
 @np.errstate(over="ignore", invalid="ignore")
-def fit(rows: np.ndarray, y_idx: np.ndarray, n_classes: int, config, provenance) -> dict:
+def fit(rows: np.ndarray, y_idx: np.ndarray, n_classes: int, provenance) -> dict:
     counts = np.bincount(y_idx, minlength=n_classes).astype(float)
     log_prior = np.log(counts / counts.sum())
     if provenance == frozenset({"content"}):
@@ -33,7 +35,7 @@ def fit(rows: np.ndarray, y_idx: np.ndarray, n_classes: int, config, provenance)
         members = rows[y_idx == c]
         mean[c] = members.mean(axis=0)
         var[c] = members.var(axis=0)  # population variance
-    var = np.maximum(var, config.nb_variance_floor)
+    var = np.maximum(var, _VARIANCE_FLOOR)
     return {
         "event_model": "gaussian",
         "n_features": rows.shape[1],

@@ -30,13 +30,13 @@ analysis.
 pair definitions are kept as test oracles, which every matrix entry off
 the diagonal equals bit for bit: `_oracle_required_action_similarity` in
 tests/conftest.py and `_oracle_comprehensibility_similarity` in
-tests/test_semsim.py. For required action the matrix maps each phrase to
-its kind (verb lemma plus argument lemmas; a corpus repeats few kinds many
-times), asks WordNet once per distinct verb pair and noun pair, and turns
-the two lemma tables into one kind-by-kind phrase table. For
-comprehensibility it fills one (n, 10) array of every task's values and
-checks it once, refusing a non-finite value or an unusual-word ratio
-outside [0, 1]. Task rows are then filled in blocks of `_ROW_BLOCK`
+tests/test_semsim.py. For required action the matrix takes each distinct
+phrase as one kind (a phrase is its verb lemma and argument lemmas, and a
+corpus repeats few kinds many times), asks WordNet once per distinct verb
+pair and noun pair, and turns the two lemma tables into one kind-by-kind
+phrase table. For comprehensibility it fills one (n, 10) array of every
+task's values and checks it once, refusing a non-finite value or an
+unusual-word ratio outside [0, 1]. Task rows are then filled in blocks of `_ROW_BLOCK`
 straight into the n x n output, so no other n x n array is made. Corpora of more than `MAX_MATRIX_TASKS` tasks are refused up front.
 """
 
@@ -45,13 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from collections import Counter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import MicroTask
 from .features import STRUCTURAL_FEATURE_NAMES
-from .text import item_matches
+from .text import items
 from .wordnet import NOUN, VERB, WordNetGraph, lemmatize, word_similarity
 
 SIMILARITY_MEASURES = ("required_action", "comprehensibility")
@@ -77,14 +77,12 @@ MAX_MATRIX_TASKS = 16384
 _ROW_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class VerbPhrase:
-    """One action mention: the trigger's verb lemma, noun lemmas from the
-    rest of the span, and the covered source text."""
+class VerbPhrase(NamedTuple):
+    """One action mention: the trigger's verb lemma and noun lemmas from
+    the rest of the span. Equal phrases are one phrase kind."""
 
     verb_lemma: str
     argument_lemmas: tuple[str, ...]
-    surface: str
 
 
 def extract_verb_phrases(task: MicroTask, wn: WordNetGraph) -> list[VerbPhrase]:
@@ -96,16 +94,14 @@ def extract_verb_phrases(task: MicroTask, wn: WordNetGraph) -> list[VerbPhrase]:
     non-trigger tokens with a noun lemmatization become arguments.
 
     The sentences are the task's `sentences`, split once per task object and
-    shared with its analysis; each sentence's items are scanned once, and
-    character spans are read only for the ends of each phrase's surface.
+    shared with its analysis; each sentence's items are scanned once.
     """
     phrases: list[VerbPhrase] = []
     title_sentences, description_sentences = task.sentences
     for sentence in title_sentences + description_sentences:
-        matches = item_matches(sentence)
-        if not matches:
+        words = items(sentence)
+        if not words:
             continue
-        words = [m.group() for m in matches]
         # the first item, and every item after a preceder
         candidates = [0] + [
             i
@@ -124,22 +120,16 @@ def extract_verb_phrases(task: MicroTask, wn: WordNetGraph) -> list[VerbPhrase]:
             )
             arguments = []
             words_taken = 1  # the trigger itself
-            last_included = start_item
-            for j in range(start_item + 1, end_item):
-                word = words[j]
+            for word in words[start_item + 1 : end_item]:
                 if word == ",":
                     continue
                 if words_taken >= _PHRASE_SPAN_CAP:
                     break
                 words_taken += 1
-                last_included = j
                 noun = lemmatize(word, NOUN, wn)
                 if noun is not None:
                     arguments.append(noun)
-            surface = sentence[
-                matches[start_item].start() : matches[last_included].end()
-            ]
-            phrases.append(VerbPhrase(verb, tuple(arguments), surface))
+            phrases.append(VerbPhrase(verb, tuple(arguments)))
     return phrases
 
 
@@ -200,14 +190,10 @@ def _fill_required_action(values, phrase_sets, wn: WordNetGraph) -> None:
     """Off-diagonal required-action similarity of every two tasks into
     `values`, whose rows and columns of phraseless tasks are left as they
     are (they score 0)."""
-    keys = [
-        (p.verb_lemma, p.argument_lemmas)
-        for phrases in phrase_sets
-        for p in phrases
-    ]
-    kinds = _positions(keys)
-    phrase_kinds = np.array([kinds[key] for key in keys], dtype=np.intp)
-    lens = np.array([len(phrases) for phrases in phrase_sets], dtype=np.intp)
+    phrases = [p for task_phrases in phrase_sets for p in task_phrases]
+    kinds = _positions(phrases)
+    phrase_kinds = np.array([kinds[p] for p in phrases], dtype=np.intp)
+    lens = np.array([len(ps) for ps in phrase_sets], dtype=np.intp)
     tasks = np.flatnonzero(lens)
     if not tasks.size:
         return

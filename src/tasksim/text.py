@@ -7,8 +7,9 @@ This is the only module that defines what a word token and a sentence are.
 The scans cost per match, not per character: sentence splitting visits only
 the candidate boundaries one compiled regex finds (and reads at most a few
 characters before a period to rule out an abbreviation), and word tokens
-(with commas, for `item_matches`) are the matches of one compiled regex. `stem`
-and `count_syllables` are memoized, since a corpus repeats few words often.
+(with commas, for `items`) are the matches of one compiled regex. `stem` is
+memoized, since a corpus repeats few words often; `count_syllables` is not,
+as its one caller memoizes per word.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from functools import lru_cache
 from importlib import resources
 
 __all__ = [
-    "Token",
     "TokenStream",
     "stopwords",
     "split_sentences",
-    "item_matches",
+    "items",
     "tokenize",
     "word_tokens",
     "stem",
@@ -56,41 +56,15 @@ _ITEM_RE = re.compile(_WORD + "|,")
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
 
-# Nothing in the package reads Token, TokenStream or tokenize: the analysis
-# reads `word_tokens`. They stay while the benchmark's text probe
+# Nothing in the package reads TokenStream or tokenize: the analysis reads
+# `word_tokens`. They stay while the benchmark's text probe
 # (perfbench/child.py) times tokenize, and go once it times build_analysis.
 @dataclass(frozen=True)
-class Token:
-    surface: str
-    normalized: str
-    sentence_index: int
-
-
-@dataclass(frozen=True)
 class TokenStream:
-    """Ordered tokens of a text, and the sentences of that text.
+    """The lowercased (and perhaps filtered and stemmed) word tokens of a
+    text, in order."""
 
-    Normalized forms are lowercase. Each token's sentence index points into
-    `sentences`; indices are non-decreasing in stream order, and a sentence
-    with no word token has no token pointing at it.
-    """
-
-    tokens: tuple[Token, ...]
-    sentences: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    @property
-    def normalized(self) -> tuple[str, ...]:
-        return tuple(t.normalized for t in self.tokens)
-
-    @property
-    def surfaces(self) -> tuple[str, ...]:
-        return tuple(t.surface for t in self.tokens)
+    normalized: tuple[str, ...]
 
 
 @lru_cache(maxsize=1)
@@ -143,16 +117,16 @@ def split_sentences(text: str) -> list[str]:
     return [s for s in (s.strip() for s in sentences) if s]
 
 
-def item_matches(sentence: str) -> list[re.Match]:
-    """The word tokens and commas of `sentence` in order, as the matches of
-    one regex scan. Word tokens are maximal runs of letters, digits,
-    apostrophes and hyphens that contain at least one letter or digit;
-    every other character is dropped."""
-    return list(_ITEM_RE.finditer(sentence))
+def items(sentence: str) -> list[str]:
+    """The word tokens and commas of `sentence` in order, from one regex
+    scan. Word tokens are maximal runs of letters, digits, apostrophes and
+    hyphens that contain at least one letter or digit; every other
+    character is dropped."""
+    return _ITEM_RE.findall(sentence)
 
 
 def word_tokens(text: str) -> list[str]:
-    """The word tokens of `text`, as `item_matches` finds them."""
+    """The word tokens of `text`, as `items` finds them."""
     return _WORD_RE.findall(text)
 
 
@@ -162,21 +136,17 @@ def tokenize(
     drop_stopwords: bool = False,
     stem_tokens: bool = False,
 ) -> TokenStream:
-    """Split markup-free text into sentences once and tokenize each into
-    lowercased words (the `word_tokens`; punctuation is dropped). Options
-    are applied in order: drop_stopwords, stem."""
-    stops = stopwords() if drop_stopwords else None
-    sentences = tuple(split_sentences(text))
-    out: list[Token] = []
-    for s_idx, sentence in enumerate(sentences):
-        for surface in word_tokens(sentence):
-            normalized = surface.lower()
-            if stops is not None and normalized in stops:
-                continue
-            if stem_tokens:
-                normalized = stem(normalized)
-            out.append(Token(surface, normalized, s_idx))
-    return TokenStream(tuple(out), sentences)
+    """The lowercased word tokens of markup-free text (the `word_tokens` of
+    each sentence; punctuation is dropped). Options are applied in order:
+    drop_stopwords, stem."""
+    stops = stopwords() if drop_stopwords else ()
+    out: list[str] = []
+    for sentence in split_sentences(text):
+        for word in word_tokens(sentence):
+            normalized = word.lower()
+            if normalized not in stops:
+                out.append(stem(normalized) if stem_tokens else normalized)
+    return TokenStream(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +314,10 @@ def stem(word: str) -> str:
     return word
 
 
-@lru_cache(maxsize=None)
 def count_syllables(word: str) -> int:
     """Heuristic syllable count: maximal vowel-group runs (aeiouy), minus one
     for a terminal silent 'e' unless the word ends in consonant + "le";
-    never less than one. Memoized, as `stem` is."""
+    never less than one."""
     w = word.lower()
     groups = len(_VOWEL_GROUP_RE.findall(w))
     if w.endswith("e") and not (

@@ -16,7 +16,8 @@ from tasksim.corpus import (
     load_corpus,
     strip_html,
 )
-from tasksim.text import word_tokens
+
+from conftest import make_task
 
 
 def write_jsonl(path, records):
@@ -116,16 +117,7 @@ def _oracle_strip_html(raw):
         pieces.append(chunk)
 
     text = c._defuse(c._normalize_whitespace("".join(pieces)))
-
-    paragraphs = text.split("\n\n") if text else []
-    lines = [ln for ln in text.split("\n") if ln]
-    structure = DocStructure(
-        bullet_count=bullets,
-        paragraph_lengths=tuple(len(word_tokens(p)) for p in paragraphs),
-        line_lengths=tuple(len(ln) for ln in lines),
-        url_hosts=tuple(hosts),
-    )
-    return text, structure
+    return text, DocStructure(bullet_count=bullets, url_hosts=tuple(hosts))
 
 
 # Markup built from what the one-pass merge of breaks and text reads:
@@ -172,12 +164,16 @@ class TestStripHtml:
         text, structure = strip_html("plain text")
         assert text == "plain text"
         assert structure.bullet_count == 0
-        assert structure.paragraph_lengths == (2,)
+        # one paragraph of two words (structural column 5)
+        assert make_task(html="plain text").analysis.structural[5] == 2.0
 
     def test_paragraph_breaks(self):
-        text, structure = strip_html("<p>one two</p><p>three</p>")
+        text, _ = strip_html("<p>one two</p><p>three</p>")
         assert text == "one two\n\nthree"
-        assert structure.paragraph_lengths == (2, 1)
+        # mean words per paragraph (2 and 1), mean characters per line (7 and 5)
+        structural = make_task(html="<p>one two</p><p>three</p>").analysis.structural
+        assert structural[5] == 1.5
+        assert structural[6] == 6.0
 
     def test_entities_decoded(self):
         text, _ = strip_html("a &amp; b &lt;tag&gt; &#65;")
@@ -216,8 +212,10 @@ class TestStripHtml:
         assert text == "a\nb\nc"
 
     def test_line_lengths(self):
-        _, structure = strip_html("<li>ab</li><li>cdef</li>")
-        assert structure.line_lengths == (2, 4)
+        # lines of 2 and 4 characters (structural column 6), one paragraph
+        structural = make_task(html="<li>ab</li><li>cdef</li>").analysis.structural
+        assert structural[6] == 3.0
+        assert structural[5] == 2.0
 
     def test_hosts_lowercased_multiset(self):
         _, structure = strip_html(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tasksim import features
@@ -35,7 +35,7 @@ from tasksim import text as text_module
 from tasksim.semsim import SIMILARITY_MEASURES, extract_verb_phrases, similarity_matrix
 from tasksim.synth import synthetic_corpus_text
 from tasksim.wordnet import bundled_mini_wordnet_dir, load_wordnet
-from tasksim.text import split_sentences, stem, stopwords, tokenize
+from tasksim.text import split_sentences, stem, stopwords, word_tokens
 
 from conftest import TOKEN_TEXT, make_task
 from test_text import _SENTENCE_TEXT
@@ -58,16 +58,21 @@ def _oracle_named_entity_count(description: str) -> int:
 
 
 def _oracle_analysis(task):
-    """The analysis as it was built from `tokenize` token streams, kept as
-    the reference: (title stems, description stems, lower words, structural
-    row, named entities)."""
+    """The analysis rebuilt word by word from `split_sentences` and
+    `word_tokens`, kept as the reference: (title stems, description stems,
+    lower words, structural row, named entities). Paragraph and line means
+    are taken as they once were, from each paragraph's word count and each
+    line's length."""
     stops = stopwords()
-    stream = tokenize(task.description_text)
-    tokens = stream.tokens
-    words = stream.surfaces
-    n_words, n_sents = len(words), len(stream.sentences)
-    window = stream.normalized[:100]
-    complex_words = sum(1 for w in words if features.count_syllables(w) >= 3)
+    text = task.description_text
+    per_sentence = [word_tokens(s) for s in split_sentences(text)]
+    words = [w for sentence in per_sentence for w in sentence]
+    lower = tuple(w.lower() for w in words)
+    n_words, n_sents = len(words), len(per_sentence)
+    window = lower[:100]
+    complex_words = sum(1 for w in words if text_module.count_syllables(w) >= 3)
+    paragraphs = text.split("\n\n") if text else []
+    lines = [ln for ln in text.split("\n") if ln]
 
     def mean(values):
         values = list(values)
@@ -77,24 +82,24 @@ def _oracle_analysis(task):
         float(n_words),
         float(task.structure.bullet_count),
         n_words / n_sents if n_sents else 0.0,
-        task.description_text.count(",") / n_sents if n_sents else 0.0,
+        text.count(",") / n_sents if n_sents else 0.0,
         sum(len(w) for w in words) / n_words if n_words else 0.0,
-        mean(task.structure.paragraph_lengths),
-        mean(task.structure.line_lengths),
+        mean(len(word_tokens(p)) for p in paragraphs),
+        mean(len(ln) for ln in lines),
         gunning_fog(n_words, n_sents, complex_words),
         len(set(window)) / len(window) if window else 0.0,
     ])
     named_entities = sum(
         1
-        for prev, tok in zip(tokens, tokens[1:])
-        if tok.sentence_index == prev.sentence_index
-        and tok.surface[0].isupper()
-        and tok.normalized not in stops
+        for sentence in per_sentence
+        for w in sentence[1:]
+        if w[0].isupper() and w.lower() not in stops
     )
+    title = [w.lower() for s in split_sentences(task.title) for w in word_tokens(s)]
     return (
-        tuple(stem(t) for t in tokenize(task.title).normalized if t not in stops),
-        tuple(stem(t) for t in stream.normalized if t not in stops),
-        stream.normalized,
+        tuple(stem(t) for t in title if t not in stops),
+        tuple(stem(t) for t in lower if t not in stops),
+        lower,
         structural,
         named_entities,
     )
@@ -194,7 +199,42 @@ class TestLexicalDiversity:
         assert make_task(html="").analysis.structural[8] == 0.0
 
 
+# Markup whose text has paragraphs, lines and sentences of every shape the
+# structural means read: block tags, blank lines in the source, terminator
+# runs, abbreviations, hyphen and apostrophe words, and entities.
+_LAYOUT_HTML = st.lists(
+    st.one_of(
+        st.sampled_from(["<p>", "</p>", "<li>", "</li>", "<br>", "<br/>", "<div>", "</div>"]),
+        st.sampled_from([" ", "  ", "\n", "\n\n", " \n\n ", "\n\n\n", "\t"]),
+        st.sampled_from([".", "..", "...", "!", "?!", "!?.", ","]),
+        st.sampled_from([
+            "e.g.", "i.e.", "Dr.", "J.", "etc.", "sign-up", "don't", "'tis",
+            "--", "-'", "Word", "x,y", "3rd", "well-known", "it's",
+        ]),
+        st.sampled_from(["&amp;", "&nbsp;", "&#65;", "&lt;p&gt;", "&apos;", "&#x2D;", "&bogus;"]),
+    ),
+    max_size=40,
+).map("".join)
+
+
 class TestStructural:
+    @given(_LAYOUT_HTML)
+    @example("<li>a</li><li>b c</li>")
+    @example("<p>one two</p>\n\n<p>three</p>")
+    @settings(max_examples=300)
+    def test_paragraph_and_line_means_match_per_part_counts(self, html):
+        # columns 5 and 6 are the mean word count of the blank-line
+        # separated paragraphs and the mean length of the non-empty lines
+        task = make_task(html=html)
+        text = task.description_text
+        words = [len(word_tokens(p)) for p in (text.split("\n\n") if text else [])]
+        lines = [len(line) for line in text.split("\n") if line]
+        expected = np.array([
+            sum(words) / len(words) if words else 0.0,
+            sum(lines) / len(lines) if lines else 0.0,
+        ])
+        assert task.analysis.structural[5:7].tobytes() == expected.tobytes()
+
     def test_comma_average(self):
         task = make_task(html="a, b. c d.")
         vec = task.analysis.structural
@@ -635,7 +675,7 @@ def test_row_builders_match_the_per_task_oracles(tasks, n_train, lexicon):
         ext = fit_extractor(set_name, train, sentiment_lexicon=lexicon)
         oracle = _oracle_rows(set_name, train, lexicon)
         width = len(oracle(probe))
-        assert ext.n_cols == width, set_name
+        assert ext.matrix([]).n_cols == width, set_name
         for some in (tasks[:0], tasks[:1], tasks):
             expected = np.array([oracle(t) for t in some]).reshape(len(some), width)
             got = ext.rows(some)
@@ -721,12 +761,14 @@ class TestFittedExtractor:
         ]
         for set_name in FEATURE_SET_NAMES:
             ext = fit_extractor(set_name, tasks[:2])
+            empty = ext.matrix([])
+            width = empty.n_cols
+            assert empty.n_rows == 0, set_name
             whole = ext.matrix(tasks)
-            assert whole.n_cols == ext.n_cols, set_name
-            assert ext.matrix([]).rows.shape == (0, ext.n_cols), set_name
+            assert whole.n_cols == width, set_name
             for i, task in enumerate(tasks):
                 alone = ext.matrix([task])
-                assert alone.n_cols == ext.n_cols, set_name
+                assert alone.n_cols == width, set_name
                 np.testing.assert_array_equal(alone.rows[0], whole.rows[i], err_msg=set_name)
 
     def test_extractor_has_only_set_name_and_rows(self):

@@ -29,7 +29,7 @@ from tasksim.semsim import (
 from tasksim import reports
 from tasksim.reports import _aligned, csv_text, matrix_text_chunks, render_matrix_csv
 from tasksim.synth import synthetic_corpus_text
-from tasksim.text import item_matches, split_sentences
+from tasksim.text import items, split_sentences
 from tasksim.wordnet import NOUN, VERB, bundled_mini_wordnet_dir, lemmatize, load_wordnet
 
 
@@ -53,7 +53,6 @@ def test_sign_up_and_confirm(wn):
     assert [p.verb_lemma for p in phrases] == ["sign", "confirm"]
     assert phrases[0].argument_lemmas == ()
     assert phrases[1].argument_lemmas == ("email",)
-    assert phrases[0].surface.startswith("Sign")
 
 
 def test_empty_text_has_no_phrases(wn):
@@ -80,7 +79,6 @@ def test_phrase_span_caps_at_six_words(wn):
     )
     assert len(phrases) == 1
     assert phrases[0].argument_lemmas == ()  # email is past the cap
-    assert phrases[0].surface == "Run aa bb cc dd ee"
 
 
 def test_title_sentences_are_scanned_too(wn):
@@ -99,18 +97,18 @@ def test_mid_sentence_verb_without_preceder_is_skipped(wn):
 
 def _oracle_extract_verb_phrases(task, wn):
     """The scanner as it was before tasks kept their sentences: it splits
-    both fields itself and reads (text, start, end) items."""
+    both fields itself and tests each item for a preceder in turn."""
     phrases = []
     sentences = split_sentences(task.title) + split_sentences(
         task.description_text
     )
     for sentence in sentences:
-        items = [(m.group(), m.start(), m.end()) for m in item_matches(sentence)]
+        words = items(sentence)
         triggers = []
-        for i, (text, _, _) in enumerate(items):
+        for i, text in enumerate(words):
             if text == ",":
                 continue
-            preceded = i > 0 and items[i - 1][0].lower() in {
+            preceded = i > 0 and words[i - 1].lower() in {
                 "to", "and", "or", "then", ",", "please",
             }
             if not (i == 0 or preceded):
@@ -120,24 +118,21 @@ def _oracle_extract_verb_phrases(task, wn):
                 triggers.append((i, verb))
         for t, (start_item, verb) in enumerate(triggers):
             end_item = (
-                triggers[t + 1][0] if t + 1 < len(triggers) else len(items)
+                triggers[t + 1][0] if t + 1 < len(triggers) else len(words)
             )
             arguments = []
             words_taken = 1
-            last_included = start_item
             for j in range(start_item + 1, end_item):
-                text = items[j][0]
+                text = words[j]
                 if text == ",":
                     continue
                 if words_taken >= 6:
                     break
                 words_taken += 1
-                last_included = j
                 noun = lemmatize(text, NOUN, wn)
                 if noun is not None:
                     arguments.append(noun)
-            surface = sentence[items[start_item][1] : items[last_included][2]]
-            phrases.append(VerbPhrase(verb, tuple(arguments), surface))
+            phrases.append(VerbPhrase(verb, tuple(arguments)))
     return phrases
 
 
@@ -178,19 +173,19 @@ def test_phrases_match_the_item_tuple_scanner_on_the_synthetic_corpus(wn, tmp_pa
 
 
 def test_verb_only_phrase_similarity(wn):
-    p = VerbPhrase("watch", (), "watch")
-    q = VerbPhrase("download", (), "download")
+    p = VerbPhrase("watch", ())
+    q = VerbPhrase("download", ())
     # Sibling verb groups under the shared root: path length 2.
     assert _oracle_phrase_similarity(p, q, wn) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_argument_blending(wn):
-    p = VerbPhrase("watch", ("dog",), "watch the dog")
-    q = VerbPhrase("download", ("cat",), "download a cat")
+    p = VerbPhrase("watch", ("dog",))
+    q = VerbPhrase("download", ("cat",))
     expected = 0.7 * (1 / 3) + 0.3 * (1 / 5)
     assert _oracle_phrase_similarity(p, q, wn) == pytest.approx(expected, abs=1e-12)
     # One side without arguments falls back to the verb alone.
-    bare = VerbPhrase("download", (), "download")
+    bare = VerbPhrase("download", ())
     assert _oracle_phrase_similarity(p, bare, wn) == pytest.approx(1 / 3, abs=1e-12)
 
 
@@ -205,7 +200,7 @@ def test_identical_phrase_lists_score_one(wn):
 
 
 def test_empty_side_scores_zero(wn):
-    phrases = [VerbPhrase("sign", (), "sign")]
+    phrases = [VerbPhrase("sign", ())]
     assert _oracle_required_action_similarity(phrases, [], wn) == 0.0
     assert _oracle_required_action_similarity([], phrases, wn) == 0.0
     assert _oracle_required_action_similarity([], [], wn) == 0.0
@@ -221,10 +216,10 @@ def test_required_action_symmetric(wn):
 
 
 def test_required_action_hand_value(wn):
-    A = [VerbPhrase("watch", (), "watch")]
+    A = [VerbPhrase("watch", ())]
     B = [
-        VerbPhrase("view", (), "view"),  # same synset as watch: 1.0
-        VerbPhrase("download", (), "download"),  # 1/3
+        VerbPhrase("view", ()),  # same synset as watch: 1.0
+        VerbPhrase("download", ()),  # 1/3
     ]
     # Forward: watch's best match is view (1.0). Backward: view matches 1.0,
     # download 1/3, mean 2/3. Symmetrized: (1 + 2/3)/2.

@@ -11,7 +11,7 @@ from tasksim import text as text_module
 from tasksim.text import (
     TokenStream,
     count_syllables,
-    item_matches,
+    items,
     split_sentences,
     stem,
     stopwords,
@@ -65,20 +65,12 @@ def _oracle_split_sentences(text: str) -> list[str]:
 
 def _oracle_sentence_stream(sentence: str):
     """The verb-phrase scanner semsim once had of its own, kept as the
-    reference for item_matches: word tokens and commas with character
-    spans, in order."""
-    items = []
-    for match in re.finditer(r"[A-Za-z0-9'-]+|,", sentence):
-        text = match.group(0)
-        if text != "," and not any(ch.isalnum() for ch in text):
-            continue
-        items.append((text, match.start(), match.end()))
-    return items
-
-
-def _spans(text):
-    """Each of `item_matches(text)` as (text, start, end)."""
-    return [(m.group(), m.start(), m.end()) for m in item_matches(text)]
+    reference for `items`: word tokens and commas, in order."""
+    return [
+        text
+        for text in re.findall(r"[A-Za-z0-9'-]+|,", sentence)
+        if text == "," or any(ch.isalnum() for ch in text)
+    ]
 
 
 # Texts built from the pieces that matter to sentence boundaries: initials,
@@ -205,29 +197,15 @@ class TestTokenize:
     def test_apostrophe_stays_inside_word(self):
         assert tokenize("don't stop").normalized == ("don't", "stop")
 
-    def test_sentence_indices(self):
-        stream = tokenize("One two. Three.")
-        assert [t.sentence_index for t in stream] == [0, 0, 1]
-
     def test_item_matches_hand_example(self):
-        assert _spans("Go, e-mail it!") == [
-            ("Go", 0, 2), (",", 2, 3), ("e-mail", 4, 10), ("it", 11, 13),
-        ]
+        assert items("Go, e-mail it!") == ["Go", ",", "e-mail", "it"]
 
     @given(TOKEN_TEXT)
     @settings(max_examples=300)
     def test_item_matches_match_old_stream(self, text):
-        assert _spans(text) == _oracle_sentence_stream(text)
+        assert items(text) == _oracle_sentence_stream(text)
         for sentence in split_sentences(text):
-            assert _spans(sentence) == _oracle_sentence_stream(sentence)
-
-    @given(TOKEN_TEXT)
-    @settings(max_examples=200)
-    def test_stream_keeps_its_sentences(self, text):
-        stream = tokenize(text)
-        assert stream.sentences == tuple(split_sentences(text))
-        for tok in stream:
-            assert tok.surface in word_tokens(stream.sentences[tok.sentence_index])
+            assert items(sentence) == _oracle_sentence_stream(sentence)
 
     def test_long_hyphen_run_is_linear(self):
         # a run of hyphens and apostrophes with no letter or digit holds no
@@ -236,7 +214,7 @@ class TestTokenize:
         def seconds(text):
             start = time.perf_counter()
             word_tokens(text)
-            item_matches(text)
+            items(text)
             return time.perf_counter() - start
 
         unit = "-'" * 2500
@@ -259,9 +237,7 @@ class TestTokenize:
     def test_word_surfaces_are_the_word_tokens(self, text):
         # sentence splitting never cuts a word token, so the per-sentence
         # stream holds exactly the word tokens of the whole text
-        stream = tokenize(text)
-        assert stream.surfaces == tuple(word_tokens(text))
-        assert stream.normalized == tuple(w.lower() for w in word_tokens(text))
+        assert tokenize(text).normalized == tuple(w.lower() for w in word_tokens(text))
 
     def test_stopword_list_loaded(self):
         stops = stopwords()
@@ -271,9 +247,9 @@ class TestTokenize:
     @given(st.text(max_size=200))
     @settings(max_examples=200)
     def test_default_tokens_lowercase_wordlike(self, text):
-        for tok in tokenize(text):
-            assert re.fullmatch(r"[a-z0-9'-]+", tok.normalized)
-            assert re.search(r"[a-z0-9]", tok.normalized)
+        for tok in tokenize(text).normalized:
+            assert re.fullmatch(r"[a-z0-9'-]+", tok)
+            assert re.search(r"[a-z0-9]", tok)
 
     @given(st.text(max_size=200))
     @settings(max_examples=100)
@@ -282,12 +258,6 @@ class TestTokenize:
         once = tokenize(text).normalized
         again = tokenize(" ".join(once)).normalized
         assert again == once
-
-    @given(st.text(max_size=200))
-    @settings(max_examples=100)
-    def test_sentence_indices_nondecreasing(self, text):
-        idx = [t.sentence_index for t in tokenize(text)]
-        assert idx == sorted(idx)
 
 
 class TestStem:
@@ -389,16 +359,6 @@ class TestCountSyllables:
 
 
 class TestTokenStream:
-    def test_len_and_iter(self):
-        stream = tokenize("one two three")
-        assert len(stream) == 3
-        assert [t.normalized for t in stream] == ["one", "two", "three"]
-
-    def test_surfaces_preserved(self):
-        stream = tokenize("Hello World")
-        assert stream.surfaces == ("Hello", "World")
-        assert stream.normalized == ("hello", "world")
-
     def test_is_value_object(self):
         a = tokenize("x y")
         b = tokenize("x y")
