@@ -5,7 +5,8 @@ with no coordinate embedding, so centroid methods do not apply.
 Dissimilarity is 1 - similarity throughout.
 
 PAM is deterministic: greedy seeding and fixed tie orders, no random draws.
-The seed argument is recorded in the result for config echo.
+`k_medoids` keeps its seed argument in the result, and nothing reads it
+there; report headers echo the CLI's `--seed` instead.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .semsim import SimilarityMatrix
 _BUILD_CELLS = 1 << 16
 _SWAP_CELLS = 1 << 14
 _MIN_BLOCK_ROWS = 32
-# The most rows per block in the swap search.
-_SWAP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ def _swap_costs(d: np.ndarray, medoid_cols: np.ndarray) -> np.ndarray:
     ds = np.partition(by_cluster, 1, axis=1)[:, 1:2]
     # cluster p's rows end at ends[p] in `order`
     ends = np.cumsum(np.bincount(near, minlength=k)).tolist()
-    rows = min(_block_rows(n, _SWAP_CELLS), _SWAP_BLOCK)
+    rows = _block_rows(n, _SWAP_CELLS)
     shared = np.zeros(n)
     costs = np.zeros((k, n))
     to_near = np.empty((min(rows, n), n))
@@ -205,21 +204,15 @@ def _best_swap(d: np.ndarray, medoids: list, cost: float):
     # gathered columns are column-major, so each one sums on its own, in
     # the same order as in PAM's full candidate block
     to_cols = d[:, cols]
-    # medoids whose removal moves no point (duplicates, zero-cost
-    # clusterings) leave the same distances behind and share one scoring
-    scored = {}
     best = None
     for p in np.flatnonzero(tied.any(axis=1)):
         rest_min = np.delete(medoid_cols, p, axis=1).min(axis=1)
-        key = rest_min.tobytes()
-        if key not in scored:
-            scored[key] = np.minimum(rest_min[:, None], to_cols).sum(axis=0)
-        swap_costs = scored[key]
+        swap_costs = np.minimum(rest_min[:, None], to_cols).sum(axis=0)
         c = int(np.argmin(swap_costs))
         candidate = (float(swap_costs[c]), medoids[p], int(cols[c]), int(p))
         if best is None or candidate[:3] < best[:3]:
             best = candidate
-    if best is None or best[0] >= cost:
+    if best[0] >= cost:
         return None
     return best[0], best[3], best[2]
 

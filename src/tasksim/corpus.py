@@ -44,24 +44,22 @@ class DocStructure:
 
 @dataclass(frozen=True)
 class MicroTask:
-    """One task record. What is derived from its text is made on first use
-    and kept with the task object, outside its fields, so equality, hash and
-    repr read the fields only: `sentences`, each text field split once, and
-    `analysis`, built from those sentences."""
+    """One task record, holding only what a run reads: the loader checks a
+    record's raw HTML, proof, jobs done and success rate, but keeps none of
+    them. What is derived from its text is made on first use and kept with
+    the task object, outside its fields, so equality, hash and repr read the
+    fields only: `sentences`, each text field split once, and `analysis`,
+    built from those sentences."""
 
     id: str
     title: str
-    description_html: str
     description_text: str
-    proof: str
     category: str
     employer: str
     payment: float
     time_to_finish: float
     time_to_rate: float
     positions: int
-    jobs_done: int
-    success_rate: float
     countries: tuple[str, ...]
     structure: DocStructure
 
@@ -385,17 +383,13 @@ def _parse_record(
     task = MicroTask(
         id=record["id"],
         title=strings["title"],
-        description_html=record["description_html"],
         description_text=text,
-        proof=strings["proof"],
         category=record["category"],
         employer=strings["employer"],
         payment=numbers["payment"],
         time_to_finish=numbers["time_to_finish"],
         time_to_rate=numbers["time_to_rate"],
         positions=int(numbers["positions"]),
-        jobs_done=int(numbers["jobs_done"]),
-        success_rate=numbers["success_rate"],
         countries=tuple(c.upper() for c in countries),
         structure=structure,
     )

@@ -180,7 +180,8 @@ def grow(
 
     `columns(node_tree)` is called once per depth with the tree index of
     each open node, in node order, and returns a (len(node_tree), m) array
-    of each node's candidate columns, sorted.
+    of each node's candidate columns, sorted. With no column in X, no node
+    opens and `columns` is never called.
     """
     onehot = np.zeros((X.shape[0], n_classes), dtype=np.intp)
     onehot[np.arange(X.shape[0]), y_idx] = 1
@@ -202,7 +203,7 @@ def grow(
         ).reshape(n_nodes, n_classes)
         open_nodes = np.flatnonzero((counts.max(axis=1) < size) & (size >= 2 * min_leaf))
         split, feature_at, threshold_at = open_nodes[:0], open_nodes[:0], np.zeros(0)
-        if open_nodes.size:
+        if open_nodes.size and X.shape[1]:  # no column, no split
             split, feature_at, threshold_at = _best_splits(
                 X, rank, onehot, xlog2x, rows, node_start, size, counts, open_nodes,
                 columns(node_tree[open_nodes]), min_leaf,

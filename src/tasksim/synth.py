@@ -135,8 +135,9 @@ def _factual_fields(rng: random.Random, index: int) -> dict:
         "time_to_rate": float(rng.randint(1, 3 + index)),
         "positions": positions,
         "jobs_done": rng.randint(0, positions),
-        "success_rate": round(rng.uniform(0.50 + 0.04 * index,
-                                          0.80 + 0.04 * index), 3),
+        # from the sixth category on the band stays [0.70, 1.0], inside [0, 1]
+        "success_rate": round(rng.uniform(min(0.50 + 0.04 * index, 0.70),
+                                          min(0.80 + 0.04 * index, 1.0)), 3),
     }
     if rng.random() < 0.6:
         fields["countries"] = []

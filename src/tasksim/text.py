@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
+from pathlib import Path
 
 __all__ = [
     "TokenStream",
@@ -70,7 +70,7 @@ class TokenStream:
 @lru_cache(maxsize=1)
 def stopwords() -> frozenset[str]:
     """The built-in English stopword list (one word per line resource file)."""
-    data = resources.files("tasksim.resources").joinpath("stopwords.txt").read_text("utf-8")
+    data = (Path(__file__).resolve().parent / "resources" / "stopwords.txt").read_text("utf-8")
     return frozenset(w for w in (line.strip() for line in data.splitlines()) if w)
 
 

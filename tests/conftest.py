@@ -31,26 +31,19 @@ def make_task(
     time_to_finish=10.0,
     time_to_rate=3.0,
     positions=5,
-    jobs_done=2,
-    success_rate=0.9,
     countries=(),
-    proof="screenshot",
 ) -> MicroTask:
     text, structure = strip_html(html)
     return MicroTask(
         id=id,
         title=title,
-        description_html=html,
         description_text=text,
-        proof=proof,
         category=category,
         employer=employer,
         payment=payment,
         time_to_finish=time_to_finish,
         time_to_rate=time_to_rate,
         positions=positions,
-        jobs_done=jobs_done,
-        success_rate=success_rate,
         countries=tuple(countries),
         structure=structure,
     )

@@ -84,6 +84,16 @@ def test_synth_supports_extra_categories(tmp_path):
     assert {"extra1", "extra2"} <= set(corpus.category_counts)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 7, 11])
+def test_synth_records_all_load_at_many_categories(tmp_path, seed):
+    # the success-rate band rises with the category index but stops below 1
+    path = tmp_path / "wide.jsonl"
+    path.write_text(
+        synthetic_corpus_text(seed, categories=12, per_category=20), encoding="utf-8"
+    )
+    assert len(load_corpus(path, strict=True)) == 240
+
+
 def test_synth_factual_fields_shift_by_category(tmp_path):
     path = tmp_path / "s.jsonl"
     path.write_text(synthetic_corpus_text(11, per_category=30), encoding="utf-8")
@@ -446,6 +456,20 @@ def test_overflowing_scores_are_a_fold_error(tmp_path, capsys, algo):
     assert re.fullmatch(
         r"error: fold \d+ failed: non-finite prediction scores\n", captured.err
     )
+
+
+@pytest.mark.parametrize("algo", ["naive_bayes", "knn", "tree", "forest", "svm_smo"])
+def test_cv_runs_when_a_fold_has_no_content_vocabulary(tmp_path, capsys, algo):
+    # no word appears in two tasks, so no content column survives a fold
+    corpus = tmp_path / "corpus.jsonl"
+    words = "alpha bravo charlie delta echo foxtrot golf hotel".split()
+    corpus.write_text("".join(
+        json.dumps({"id": f"t{i}", "description_html": word, "category": "ab"[i % 2]}) + "\n"
+        for i, word in enumerate(words)
+    ))
+    assert dispatch(["cv", "--corpus", str(corpus), "--sets", "content",
+                     "--algo", algo, "--folds", "2"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.fixture(scope="module")

@@ -264,7 +264,8 @@ def dissimilarity(kind, rng, n):
 )
 def test_swap_search_makes_pams_exact_choices(kind, block_rows, monkeypatch):
     if block_rows is not None:  # many row blocks per step, not one
-        monkeypatch.setattr("tasksim.cluster._SWAP_BLOCK", block_rows)
+        monkeypatch.setattr("tasksim.cluster._SWAP_CELLS", 1)
+        monkeypatch.setattr("tasksim.cluster._MIN_BLOCK_ROWS", block_rows)
     rng = np.random.default_rng(sum(map(ord, kind)))
     for _ in range(40):
         n = int(rng.integers(4, 81))
@@ -329,7 +330,8 @@ def test_a_zero_cost_seeding_is_converged_without_scoring(max_iter, monkeypatch)
 
 @pytest.mark.parametrize("kind", ["uniform", "thirds", "duplicates"])
 def test_swap_costs_equal_each_swaps_cost(kind, monkeypatch):
-    monkeypatch.setattr("tasksim.cluster._SWAP_BLOCK", 7)
+    monkeypatch.setattr("tasksim.cluster._SWAP_CELLS", 1)
+    monkeypatch.setattr("tasksim.cluster._MIN_BLOCK_ROWS", 7)
     rng = np.random.default_rng(sum(map(ord, kind)) + 2)
     n, k = 50, 6
     d = dissimilarity(kind, rng, n)

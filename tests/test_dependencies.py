@@ -1,6 +1,7 @@
 """What the package is made of: numpy is the only runtime dependency
 (every absolute import in the package names a standard-library module or
-numpy), and every public function and class has a caller outside the tests."""
+numpy), every public function and class has a caller outside the tests, and
+every public class member has a reader outside them."""
 
 import ast
 import re
@@ -86,3 +87,46 @@ def _uncalled_public_names():
 
 def test_every_public_function_and_class_has_a_caller():
     assert _uncalled_public_names() == []
+
+
+# Every public method, property and annotated field of a package class is
+# read as an attribute in the package, the benchmark or the acceptance
+# tests. Bare names stand for any member of that name. NamedTuple fields
+# are exempt: unpacking reads them by position.
+def _is_namedtuple(node: ast.ClassDef) -> bool:
+    return any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
+
+
+def _public_members():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and not _is_namedtuple(node):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield f"{path.relative_to(PACKAGE)}:{node.name}.{name}"
+
+
+def _read_attributes():
+    paths = [
+        *PACKAGE.rglob("*.py"),
+        *(REPO / "perfbench").rglob("*.py"),
+        REPO / "tests" / "test_acceptance.py",
+    ]
+    return {
+        sub.attr
+        for path in paths
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store)
+    }
+
+
+def test_every_public_member_has_a_reader():
+    read = _read_attributes()
+    assert [m for m in _public_members() if m.rsplit(".", 1)[1] not in read] == []

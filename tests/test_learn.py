@@ -811,6 +811,14 @@ class TestTrainValidation:
             with pytest.raises(ValueError, match="features"):
                 predict_batch(model, np.zeros((1, 7)))
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_rows_with_no_column(self, algorithm):
+        # as in a content fold whose vocabulary is empty
+        model = train(algorithm, np.zeros((6, 0)), ["a", "b"] * 3, LearnerConfig(forest_trees=3))
+        labels, scores = predict_batch(model, np.zeros((4, 0)))
+        assert set(labels) <= {"a", "b"}
+        assert scores.shape == (4, 2)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_scores_are_an_arithmetic_error(self):
         # the Gaussian variance overflows, so every class scores NaN
