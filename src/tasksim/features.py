@@ -15,10 +15,13 @@ The content set reads a term table. Each distinct n-gram term gets an
 integer id the first time any task's analysis asks for it, from one table
 shared by all tasks; ids are never reused or renumbered. Once per task and
 n-gram range, the analysis keeps its distinct term ids and their counts as
-two arrays. A fold's fit is then one `np.bincount` over the training tasks'
-ids for the document frequencies, and a fold's matrix is one scatter of
-`tf * idf` into the kept columns. The sentiment score is likewise counted
-once per task and lexicon.
+two arrays. A fold's fit is then a fixed number of array calls: one
+`np.bincount` over the training tasks' ids for the document frequencies,
+one integer sort of the kept ids by their lexicographic rank (the ranks of
+the whole table, kept until the table grows) and one `math.log` per
+distinct document frequency. A fold's matrix is one scatter of `tf * idf`
+into the kept columns and one batched row norm. The sentiment score is
+likewise counted once per task and lexicon.
 """
 
 from __future__ import annotations
@@ -275,24 +278,46 @@ def _term_id(term: str) -> int:
     return term_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContentModel:
-    """A fitted tf-idf vocabulary: `vocabulary` maps each kept term to its
-    column (columns in lexicographic term order), `doc_freq` gives its
-    document frequency among the `n_docs` training tasks.
+    """A fitted tf-idf vocabulary over `n_docs` training tasks, in the form a
+    matrix reads: `columns` (term-table id -> column, -1 where the term has
+    no column) and `idf` (ln(n_docs/df) per column); a term that entered the
+    term table after the fit lies past the end of `columns` and so has no
+    column either. Columns are in lexicographic term order.
 
-    The fit also stores the same model in the form a matrix reads:
-    `columns` (term-table id -> column, -1 where the term has no column) and
-    `idf` (ln(n_docs/df) per column); a term that entered the term table
-    after the fit lies past the end of `columns` and so has no column
-    either."""
+    `vocabulary` (each kept term -> its column) and `doc_freq` (each kept
+    term -> its document frequency) are made from the kept ids on first
+    read; a CV fold never reads them."""
 
-    vocabulary: dict[str, int]
-    doc_freq: dict[str, int]
     n_docs: int
     ngram_range: tuple[int, int]
-    columns: np.ndarray = field(repr=False, compare=False)
-    idf: np.ndarray = field(repr=False, compare=False)
+    columns: np.ndarray = field(repr=False)
+    idf: np.ndarray = field(repr=False)
+    # the kept term-table ids in column order, and their document frequencies
+    _kept: np.ndarray = field(repr=False)
+    _kept_df: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def vocabulary(self) -> dict[str, int]:
+        return {_TERMS[i]: column for column, i in enumerate(self._kept.tolist())}
+
+    @functools.cached_property
+    def doc_freq(self) -> dict[str, int]:
+        return dict(zip(self.vocabulary, self._kept_df.tolist()))
+
+
+# Each term-table id's position in the lexicographic order of the whole
+# table, rebuilt when the table has grown since it was made.
+_RANK = np.empty(0, dtype=np.intp)
+
+
+def _term_ranks() -> np.ndarray:
+    global _RANK
+    if len(_RANK) != len(_TERMS):
+        _RANK = np.empty(len(_TERMS), dtype=np.intp)
+        _RANK[sorted(range(len(_TERMS)), key=_TERMS.__getitem__)] = np.arange(len(_TERMS))
+    return _RANK
 
 
 def fit_content_model(
@@ -308,24 +333,24 @@ def fit_content_model(
         raise ValueError("cannot fit a content model on an empty training set")
     ids = [task.analysis.term_ids(config.ngram_range)[0] for task in tasks]
     df = np.bincount(np.concatenate(ids), minlength=len(_TERMS))
-    eligible = np.flatnonzero(df >= max(config.min_df, 1)).tolist()
-    kept = sorted(eligible, key=_TERMS.__getitem__)
+    eligible = np.flatnonzero(df >= max(config.min_df, 1))
+    kept = eligible[np.argsort(_term_ranks()[eligible])]
     if len(kept) > config.max_features:
         # a stable sort by -df over lexicographic order ranks by (-df, term)
         ranked = np.argsort(-df[kept], kind="stable")[: config.max_features]
-        kept = [kept[i] for i in sorted(ranked.tolist())]
-    terms = [_TERMS[i] for i in kept]
-    kept_df = df[kept].tolist()
+        kept = kept[np.sort(ranked)]
+    kept_df = df[kept]
+    distinct, which = np.unique(kept_df, return_inverse=True)
     columns = np.full(len(_TERMS), -1, dtype=np.intp)
     columns[kept] = np.arange(len(kept))
     return ContentModel(
-        vocabulary=dict(zip(terms, range(len(terms)))),
-        doc_freq=dict(zip(terms, kept_df)),
         n_docs=len(tasks),
         ngram_range=config.ngram_range,
         columns=columns,
         # math.log, not np.log: their last bits can differ
-        idf=np.array([math.log(len(tasks) / d) for d in kept_df]),
+        idf=np.array([math.log(len(tasks) / d) for d in distinct.tolist()])[which],
+        _kept=kept,
+        _kept_df=kept_df,
     )
 
 
@@ -334,7 +359,7 @@ def content_matrix(model: ContentModel, tasks: Iterable[MicroTask]) -> np.ndarra
     L2-normalized when nonzero, scattered into one matrix; out-of-vocabulary
     terms are ignored."""
     tables = [task.analysis.term_ids(model.ngram_range) for task in tasks]
-    out = np.zeros((len(tables), len(model.vocabulary)))
+    out = np.zeros((len(tables), len(model.idf)))
     if not tables:
         return out
     ids = np.concatenate([ids for ids, _ in tables])
@@ -345,9 +370,10 @@ def content_matrix(model: ContentModel, tasks: Iterable[MicroTask]) -> np.ndarra
     hit = cols >= 0
     cols = cols[hit]
     out[rows[known][hit], cols] = tf[known][hit] * model.idf[cols]
-    # np.linalg.norm of each dense row on its own, whose bits a norm along
-    # axis 1 need not match; a zero row is divided by 1 and stays as it is
-    norms = np.array([np.linalg.norm(row) for row in out])
+    # each row's dot with itself, the same BLAS ddot as np.linalg.norm of
+    # that row alone (einsum's sum need not match its bits); a zero row is
+    # divided by 1 and stays as it is
+    norms = np.sqrt(np.vecdot(out, out))
     out /= np.where(norms > 0, norms, 1.0)[:, None]
     return out
 
@@ -392,7 +418,10 @@ class TaskAnalysis:
     def term_ids(self, ngram_range: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """The distinct `terms(ngram_range)` as term-table ids, and their
         counts as floats, in the same order; made once per range."""
-        key = tuple(ngram_range)
+        try:
+            return self._term_ids[ngram_range]
+        except (KeyError, TypeError):  # not made yet, or a list for a range
+            key = tuple(ngram_range)
         table = self._term_ids.get(key)
         if table is None:
             counts = self.terms(key)
@@ -478,9 +507,12 @@ def build_analysis(task: MicroTask) -> TaskAnalysis:
 
 def combine_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
     """Column-wise concatenation in the order given (CV passes the sets in
-    FEATURE_SET_NAMES order), tagged with the union of the parts' tags."""
+    FEATURE_SET_NAMES order), tagged with the union of the parts' tags; a
+    single part is returned as it is."""
     if not parts:
         raise ValueError("no feature matrices to combine")
+    if len(parts) == 1:
+        return parts[0]
     n_rows = parts[0].n_rows
     for part in parts:
         if part.n_rows != n_rows:

@@ -1,6 +1,10 @@
 """Naive Bayes: multinomial event model on pure tf-idf content features,
 Gaussian everywhere else.
 
+The multinomial fit totals each class's rows with one running sum per
+class, which adds them in row order and so gives the bits of adding each
+row into its class's total in turn.
+
 Both steps run with numpy's overflow and invalid-value warnings off: a
 column whose variance overflows gives non-finite scores, which
 `predict_batch` refuses with one error instead.
@@ -20,7 +24,9 @@ def fit(rows: np.ndarray, y_idx: np.ndarray, n_classes: int, provenance) -> dict
     if provenance == frozenset({"content"}):
         # fractional tf-idf weights are treated as (non-integer) event counts
         totals = np.zeros((n_classes, rows.shape[1]))
-        np.add.at(totals, y_idx, rows)
+        for c in range(n_classes):
+            # not members.sum(axis=0), which may pair the rows up
+            totals[c] = np.cumsum(rows[y_idx == c], axis=0)[-1]
         smoothed = totals + 1.0
         log_prob = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
         return {

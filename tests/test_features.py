@@ -574,6 +574,60 @@ def test_content_model_and_matrix_match_the_counter_definition(
     assert not content_matrix(model, evaluated[-1:]).any()
 
 
+def _assert_fit_matches_the_oracle(tasks, config):
+    model = fit_content_model(tasks, config)
+    vocabulary, doc_freq, n_docs = _oracle_fit_content_model(tasks, config)
+    assert list(model.vocabulary.items()) == list(vocabulary.items())
+    assert model.doc_freq == doc_freq
+    ids = [features._TERM_IDS[term] for term in vocabulary]
+    assert model.columns[ids].tolist() == list(vocabulary.values())
+    assert np.count_nonzero(model.columns >= 0) == len(vocabulary)
+    assert model.idf.tolist() == [math.log(n_docs / doc_freq[t]) for t in vocabulary]
+    return model
+
+
+def test_fit_orders_terms_the_table_gained_since_the_last_fit():
+    n = next(_UNSEEN)
+    first = [
+        make_task(id="a1", title="", html=f"k{n}a k{n}c"),
+        make_task(id="a2", title="", html=f"k{n}a k{n}c"),
+        make_task(id="a3", title="", html=f"k{n}a"),
+    ]
+    fit_content_model(first)
+    # terms that sort before, between and after the first fit's terms
+    later = [
+        make_task(id="b1", title="", html=f"b{n}a k{n}b x{n}a"),
+        make_task(id="b2", title="", html=f"b{n}a k{n}b x{n}a"),
+        make_task(id="b3", title="", html=f"b{n}a"),
+    ]
+    size = len(features._TERMS)
+    for task in later:
+        task.analysis.term_ids(ContentConfig().ngram_range)
+    assert len(features._TERMS) > size
+    unigrams = set(_assert_fit_matches_the_oracle(first + later, ContentConfig()).vocabulary)
+    assert {f"b{n}a", f"k{n}a", f"k{n}b", f"k{n}c", f"x{n}a"} <= unigrams
+    capped = _assert_fit_matches_the_oracle(first + later, ContentConfig(max_features=3))
+    assert list(capped.vocabulary) == [f"b{n}a", f"b{n}a k{n}b", f"k{n}a"]
+
+
+def test_wide_content_rows_match_the_counter_definition(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(synthetic_corpus_text(seed=7), encoding="utf-8")
+    tasks = list(load_corpus(path))
+    train, held_out = tasks[:250], tasks[250:]
+    config = ContentConfig()
+    model = _assert_fit_matches_the_oracle(train, config)
+    assert len(model.idf) > 1000
+    for part in (train, held_out):
+        expected = np.array([
+            _oracle_content_vector(
+                model.vocabulary, model.doc_freq, model.n_docs, config.ngram_range, task
+            )
+            for task in part
+        ])
+        assert np.array_equal(content_matrix(model, part), expected)
+
+
 # The per-task row functions as they were before every set built a task
 # list's rows in one array, kept as the reference for the row builders.
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tasksim.corpus import load_corpus
@@ -17,7 +17,7 @@ from tasksim.learn import (
     predict_batch,
     train,
 )
-from tasksim.learn import forest, svm, tree
+from tasksim.learn import forest, naive_bayes, svm, tree
 from tasksim.synth import synthetic_corpus_text
 
 
@@ -263,6 +263,28 @@ class TestNaiveBayes:
         model = train("naive_bayes", X, ["a", "a", "b", "b"])
         _, (scores,) = predict_batch(model, np.array([[1.0, 5.5]]))
         assert np.all(np.isfinite(scores))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 40),
+        n_cols=st.integers(1, 3),
+        n_classes=st.integers(1, 4),
+    )
+    @example(seed=0, n_rows=40, n_cols=1, n_classes=2)
+    def test_multinomial_totals_add_rows_as_add_at_does(self, seed, n_rows, n_cols, n_classes):
+        rng = np.random.default_rng(seed)
+        rows = rng.random((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.7)
+        # every class has a member, as in `train`; one has exactly one
+        _, y_idx = np.unique(rng.integers(0, n_classes, n_rows - 1), return_inverse=True)
+        single = y_idx.max(initial=-1) + 1
+        y_idx = np.insert(y_idx, rng.integers(0, n_rows), single)
+        params = naive_bayes.fit(rows, y_idx, single + 1, frozenset({"content"}))
+        totals = np.zeros((single + 1, n_cols))
+        np.add.at(totals, y_idx, rows)
+        smoothed = totals + 1.0
+        expected = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
+        assert np.array_equal(params["feature_log_prob"], expected)
 
 
 class TestKnn:
