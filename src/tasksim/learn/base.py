@@ -69,7 +69,9 @@ def train(
     seed: int = 0,
 ) -> TrainedModel:
     """Fit `algorithm` on feature rows X (FeatureMatrix or 2-D array) and
-    labels y. Training is single-threaded and fully determined by the seed."""
+    labels y. The Python code runs on one thread, though numpy's BLAS may
+    split a product such as the SVM Gram matrix over threads of its own; the
+    fit is fully determined by the seed."""
     config = config or LearnerConfig()
     config.validate()
     rows, provenance = _as_rows(X)
