@@ -2,11 +2,21 @@
 
 Partitioning around medoids (PAM): the inputs are pairwise similarities
 with no coordinate embedding, so centroid methods do not apply.
-Dissimilarity is 1 - similarity throughout.
+Dissimilarity is 1 - similarity throughout, so every entry of d lies in
+[0, 1].
 
 PAM is deterministic: greedy seeding and fixed tie orders, no random draws.
 `k_medoids` keeps its seed argument in the result, and nothing reads it
 there; report headers echo the CLI's `--seed` instead.
+
+Both phases make exactly classic PAM's choices without a full pass over
+d per step. Each keeps its scores from one step to the next (the seeding's
+gains, the swap search's FastPAM1 table) and updates them from the points
+whose nearest medoid moved. Alongside, it keeps a proven bound on how far a
+kept score can lie from the float PAM's own sum gives. Only the candidates
+inside that error window of the best kept score are scored again, with
+PAM's sum; PAM's choice is always among them, since a kept score errs by at
+most the bound.
 """
 
 from __future__ import annotations
@@ -26,6 +36,17 @@ from .semsim import SimilarityMatrix
 _BUILD_CELLS = 1 << 16
 _SWAP_CELLS = 1 << 14
 _MIN_BLOCK_ROWS = 32
+# When kept scores stop paying: the seeding scores every candidate afresh
+# once its window holds more than n / _WINDOW_SHARE of them, and for good
+# once a fresh pass ties that many at the best gain; the swap search
+# rebuilds its table after a swap that moves more than n / _MOVED_SHARE
+# points, or once its error bound passes _REBUILD_SHARE of the tolerance.
+_WINDOW_SHARE = 8
+_MOVED_SHARE = 4
+_REBUILD_SHARE = 0.25
+# twice the unit roundoff: one float64 rounding errs by at most half this
+# of its result
+_ULP = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -91,47 +112,137 @@ def _block_rows(n: int, cells: int) -> int:
     return max(cells // n, _MIN_BLOCK_ROWS)
 
 
+def _gains(
+    d: np.ndarray, nearest: np.ndarray, cols, work: np.ndarray
+) -> np.ndarray:
+    """PAM's seeding gains, each the sum over the rows of
+    max(nearest - d, 0), of every point (`cols` None) or of the points
+    `cols` (at least two).
+
+    The rows are scored in blocks of as many rows as the flat buffer `work`
+    holds next to the running gains, and each block is summed together
+    with the running gains, kept as the first row of its buffer. numpy sums
+    a C-ordered array of two or more columns over axis 0 one row after
+    another, so the rows still add in order, and every gain is
+    bit-identical to one sum over the whole n x n array."""
+    n = d.shape[0]
+    width = n if cols is None else len(cols)
+    rows = len(work) // width - 1
+    gains = None
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        w = work[: (hi - lo + 1) * width].reshape(hi - lo + 1, width)
+        block = w[1:]
+        if cols is None:
+            np.subtract(nearest[lo:hi, None], d[lo:hi], out=block)
+        else:
+            np.take(d[lo:hi], cols, axis=1, out=block, mode="clip")
+            np.subtract(nearest[lo:hi, None], block, out=block)
+        np.maximum(block, 0.0, out=block)
+        if gains is None:
+            gains = block.sum(axis=0)
+        else:
+            w[0] = gains
+            gains = w.sum(axis=0)
+    return gains
+
+
+def _drop_gains(
+    d: np.ndarray, kept: np.ndarray, old: np.ndarray, new: np.ndarray,
+    rows: int, work: np.ndarray,
+) -> None:
+    """Take from each kept gain what the rows whose nearest distance fell
+    from `old` to `new` no longer add: max(old - d, 0) - max(new - d, 0),
+    which is min(max(old - d, 0), old - new)."""
+    n = d.shape[0]
+    moved = np.flatnonzero(new < old)
+    drop = old - new
+    for lo in range(0, len(moved), rows):
+        idx = moved[lo : lo + rows]
+        block = work[: len(idx) * n].reshape(len(idx), n)
+        np.take(d, idx, axis=0, out=block, mode="clip")
+        np.subtract(old[idx, None], block, out=block)
+        np.maximum(block, 0.0, out=block)
+        np.minimum(block, drop[idx, None], out=block)
+        kept -= block.sum(axis=0)
+
+
 def _greedy_build(d: np.ndarray, k: int) -> list:
     """Classic PAM seeding: first the point with minimum total distance,
     then whichever point reduces the cost most. Ties go to the lowest
     index.
 
-    Each gain is the sum over the rows of max(nearest - d, 0). The rows are
-    scored in cache-sized blocks, and each block is summed together with
-    the running gains, kept as the first row of its buffer. numpy sums a
-    C-ordered array of two or more columns over axis 0 one row after
-    another, so the rows still add in order, and every gain is
-    bit-identical to one sum over the whole n x n array. Once every point
-    sits on a medoid, every gain is 0: the remaining medoids are then the
-    lowest free indices, and no more passes are made."""
+    A point's gain G is the float PAM's sum gives, adding the rows in
+    order, of max(nearest - d, 0); `_gains` scores it bit for bit. The first
+    gains are scored in one such pass, and then kept: when a medoid is
+    added, each kept gain loses the terms of the rows whose nearest
+    distance fell. Kept gains drift from G by rounding, so a bound E on
+    |kept - G| is kept too. It is 0 after a full pass, and each update adds
+    the rounding of three sums of at most n + 2 terms in [0, 1] (PAM's sum
+    before and after, and the update), 3 (n + 2) 2**-52 max(1, largest
+    gain + E). PAM's choice has the largest G, so its kept gain is at least
+    the largest kept gain minus 2E, and so is that of any point tied with
+    it. So PAM's choice is the one point of a window of one; a wider
+    window is scored again with `_gains`, and its best point, lowest index
+    on ties, is PAM's choice.
+
+    A window of more than n / _WINDOW_SHARE points is scored in a full
+    pass. If a full pass ties that many points at the best gain (a matrix
+    with few distinct rows), no gains are kept from then on: every later
+    step is a full pass, as in plain PAM. Once every point sits on a
+    medoid, every gain is 0: the remaining medoids are then the lowest
+    free indices, and no more passes are made."""
     n = d.shape[0]
     totals = d.sum(axis=0)
     medoids = [int(np.argmin(totals))]
     nearest = d[:, medoids[0]].copy()
-    rows = _block_rows(n, _BUILD_CELLS)
-    work = np.empty((min(rows, n) + 1, n))
+    rows = min(_block_rows(n, _BUILD_CELLS), n)
+    work = np.empty((rows + 1) * n)
+    kept = None  # gains kept from the last step, -inf at the medoids
+    keep, err = True, 0.0
     while len(medoids) < k:
         if not nearest.any():
             free = np.ones(n, dtype=bool)
             free[medoids] = False
             medoids += np.flatnonzero(free)[: k - len(medoids)].tolist()
             break
-        gains = None
-        for lo in range(0, n, rows):
-            block = d[lo : lo + rows]
-            w = work[1 : len(block) + 1]
-            np.subtract(nearest[lo : lo + rows, None], block, out=w)
-            np.maximum(w, 0.0, out=w)
-            if gains is None:
-                gains = w.sum(axis=0)
-            else:
-                work[0] = gains
-                gains = work[: len(block) + 1].sum(axis=0)
-        gains[medoids] = -1.0
-        best = int(np.argmax(gains))
+        if kept is not None:
+            top = float(kept.max())
+            window = np.flatnonzero(kept >= top - 2.0 * err)
+            if len(window) * _WINDOW_SHARE > n:
+                kept = None
+        if kept is None:
+            gains = _gains(d, nearest, None, work)
+            gains[medoids] = -np.inf
+            best = int(np.argmax(gains))
+            top = float(gains[best])
+            if keep and np.count_nonzero(gains == top) * _WINDOW_SHARE > n:
+                keep = False
+            if keep:
+                kept, err = gains, 0.0
+        elif len(window) == 1:
+            best = int(window[0])
+        else:
+            best = int(window[np.argmax(_gains(d, nearest, window, work))])
         medoids.append(best)
-        nearest = np.minimum(nearest, d[:, best])
+        new = np.minimum(nearest, d[:, best])
+        if kept is not None and len(medoids) < k:
+            kept[best] = -np.inf
+            err += 3 * (n + 2) * _ULP * max(1.0, top + err)
+            _drop_gains(d, kept, nearest, new, rows, work)
+        nearest = new
     return medoids
+
+
+def _nearest_two(medoid_cols: np.ndarray):
+    """Each point's nearest medoid position (lowest on ties), and its
+    nearest and second-nearest medoid distance."""
+    near = np.argmin(medoid_cols, axis=1)
+    at_near = (np.arange(len(near)), near)
+    dn = medoid_cols[at_near]
+    rest = medoid_cols.copy()
+    rest[at_near] = np.inf
+    return near, dn, rest.min(axis=1)
 
 
 def _swap_costs(d: np.ndarray, medoid_cols: np.ndarray) -> np.ndarray:
@@ -143,14 +254,13 @@ def _swap_costs(d: np.ndarray, medoid_cols: np.ndarray) -> np.ndarray:
     nearest (dn) and second-nearest (ds) medoid distance, the cost is the
     sum over all points of min(d, dn), shared by every p, plus, over the
     points of p alone, min(d, ds) - min(d, dn), since they lose p. d is
-    read once per step, in blocks of whole rows taken cluster by cluster,
-    so that the rows of one cluster in a block are one sum over axis 0."""
+    read once, in blocks of whole rows taken cluster by cluster, so that
+    the rows of one cluster in a block are one sum over axis 0."""
     n, k = medoid_cols.shape
-    near = np.argmin(medoid_cols, axis=1)
+    near, dn, ds = _nearest_two(medoid_cols)
     order = np.argsort(near, kind="stable")
-    by_cluster = medoid_cols[order]
-    dn = by_cluster[np.arange(n), near[order]][:, None]
-    ds = np.partition(by_cluster, 1, axis=1)[:, 1:2]
+    dn = dn[order][:, None]
+    ds = ds[order][:, None]
     # cluster p's rows end at ends[p] in `order`
     ends = np.cumsum(np.bincount(near, minlength=k)).tolist()
     rows = _block_rows(n, _SWAP_CELLS)
@@ -177,25 +287,112 @@ def _swap_costs(d: np.ndarray, medoid_cols: np.ndarray) -> np.ndarray:
     return costs
 
 
-def _best_swap(d: np.ndarray, medoids: list, cost: float):
+def _group_sums(groups: np.ndarray, terms: np.ndarray):
+    """The distinct values of sorted `groups`, and the sum of the rows of
+    `terms` in each one's run."""
+    first = np.empty(len(groups), dtype=bool)
+    first[0] = True
+    np.not_equal(groups[1:], groups[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return groups[starts], np.add.reduceat(terms, starts, axis=0)
+
+
+class _SwapTable:
+    """A swap search's FastPAM1 table, kept across accepted swaps.
+
+    A point's terms in the table depend only on its nearest medoid
+    position and its nearest and second-nearest medoid distance: it adds
+    min(d, ds) to its own position's row and min(d, dn) to every other.
+    After a swap, only the points where one of the three changed have
+    their old terms taken out and their new ones put in, grouped by medoid
+    position. `err` bounds how far the updates have moved the table from
+    the one `_swap_costs` would build: each update of m points adds at
+    most the rounding of three sums of m terms in [-1, 1] and of its adds
+    into entries of at most n."""
+
+    def __init__(self, d: np.ndarray):
+        self.d = d
+        self.medoid_cols = self.costs = None
+        self.err = 0.0
+
+    def scores(self, medoids: list, tol: float) -> np.ndarray:
+        """The table of `medoids`, built afresh when there is none or when
+        its error bound has passed _REBUILD_SHARE of `tol`."""
+        if self.medoid_cols is None:
+            self.medoid_cols = self.d[:, medoids]
+            self.near, self.dn, self.ds = _nearest_two(self.medoid_cols)
+        if self.costs is None or self.err > _REBUILD_SHARE * tol:
+            self.costs = _swap_costs(self.d, self.medoid_cols)
+            self.err = 0.0
+        return self.costs
+
+    def swap(self, p: int, candidate: int) -> None:
+        """Move medoid position p to `candidate`, and update the table.
+        Called only after `scores`, as a swap is only taken from it."""
+        d = self.d
+        n = d.shape[0]
+        near, dn, ds = self.near, self.dn, self.ds
+        self.medoid_cols[:, p] = d[:, candidate]
+        self.near, self.dn, self.ds = _nearest_two(self.medoid_cols)
+        if self.costs is None:
+            return
+        moved = np.flatnonzero(
+            (self.near != near) | (self.dn != dn) | (self.ds != ds)
+        )
+        if len(moved) * _MOVED_SHARE > n:
+            self.costs = None
+            return
+        moved = moved[np.argsort(near[moved], kind="stable")]
+        rows = _block_rows(n, _SWAP_CELLS)
+        r, a, b = np.empty((3, min(rows, len(moved)), n))
+        shared = np.zeros(n)
+        blocks = 0
+        for lo in range(0, len(moved), rows):
+            idx = moved[lo : lo + rows]
+            rb, ab, bb = r[: len(idx)], a[: len(idx)], b[: len(idx)]
+            np.take(d, idx, axis=0, out=rb, mode="clip")
+            # the old terms, grouped by the old nearest position
+            np.minimum(rb, dn[idx, None], out=ab)
+            np.minimum(rb, ds[idx, None], out=bb)
+            bb -= ab
+            ps, sums = _group_sums(near[idx], bb)
+            self.costs[ps] -= sums
+            # the change in the shared terms
+            np.minimum(rb, self.dn[idx, None], out=bb)
+            np.subtract(bb, ab, out=ab)
+            shared += ab.sum(axis=0)
+            # the new terms, grouped by the new nearest position
+            np.minimum(rb, self.ds[idx, None], out=rb)
+            rb -= bb
+            by_new = np.argsort(self.near[idx], kind="stable")
+            np.take(rb, by_new, axis=0, out=ab, mode="clip")
+            ps, sums = _group_sums(self.near[idx][by_new], ab)
+            self.costs[ps] += sums
+            blocks += 1
+        self.costs += shared
+        self.err += _ULP * (3 * (len(moved) + 1) ** 2 + (2 * blocks + 1) * n)
+
+
+def _best_swap(d: np.ndarray, medoids: list, cost: float, table: _SwapTable):
     """The swap PAM accepts next, as (cost, medoid position, candidate), or
     None when no swap lowers the cost.
 
     The accepted swap is the lowest (cost, medoid index, candidate index)
     triple, each cost summed as min(rest, d[:, candidate]).sum(axis=0).
-    `_swap_costs` sums in another order, so every swap within `tol` of its
-    lowest cost is re-scored that way. Both sums add non-negative terms,
-    so each errs by at most about n * 2**-53 of the swap's cost; for the
-    swaps near the lowest, that is far below `tol` = 1e-9 * (1 + cost) at
-    any n that fits in memory, so the winner is always among them."""
+    The kept table sums in another order, so every swap within `tol` of its
+    lowest cost is re-scored that way. A fresh table and PAM's sum both add
+    non-negative terms, so each errs by at most about n * 2**-53 of the
+    swap's cost, far below `tol` = 1e-9 * (1 + cost) at any n that fits in
+    memory; the table's updates add at most its bound `err`, which is kept
+    below tol / 4 by rebuilding. So any swap's table cost is within tol / 2
+    of PAM's, and the winner is always among the swaps re-scored."""
     n = d.shape[0]
     # d is never negative, so no swap lowers a zero cost
     if cost == 0.0 or len(medoids) == n:
         return None
-    medoid_cols = d[:, medoids]
-    costs = _swap_costs(d, medoid_cols)
-    costs[:, medoids] = np.inf
     tol = 1e-9 * (1.0 + cost)
+    costs = table.scores(medoids, tol).copy()
+    costs[:, medoids] = np.inf
     low = costs.min()
     if low > cost + tol:
         return None
@@ -206,7 +403,8 @@ def _best_swap(d: np.ndarray, medoids: list, cost: float):
     to_cols = d[:, cols]
     best = None
     for p in np.flatnonzero(tied.any(axis=1)):
-        rest_min = np.delete(medoid_cols, p, axis=1).min(axis=1)
+        # the nearest distance without p: ds where p is nearest, else dn
+        rest_min = np.where(table.near == p, table.ds, table.dn)
         swap_costs = np.minimum(rest_min[:, None], to_cols).sum(axis=0)
         c = int(np.argmin(swap_costs))
         candidate = (float(swap_costs[c]), medoids[p], int(cols[c]), int(p))
@@ -224,15 +422,19 @@ def _swap_passes(d: np.ndarray, medoids: list, max_iter: int, trace):
     cost = _cost(d, medoids)
     if trace is not None:
         trace.append(cost)
+    table = _SwapTable(d)
     for _ in range(max_iter):
-        best = _best_swap(d, medoids, cost)
+        best = _best_swap(d, medoids, cost, table)
         if best is None:
             return medoids, cost, True
         cost, p, candidate = best
         medoids[p] = candidate
+        table.swap(p, candidate)
         if trace is not None:
             trace.append(cost)
-    return medoids, cost, _best_swap(d, medoids, cost) is None
+    return medoids, cost, _best_swap(d, medoids, cost, table) is None
+
+
 
 
 def _as_clustering(

@@ -85,6 +85,21 @@ class VerbPhrase(NamedTuple):
     argument_lemmas: tuple[str, ...]
 
 
+def _item_facts(word: str, wn: WordNetGraph) -> tuple:
+    """Whether a trigger may follow `word`, and its verb and noun lemmas
+    (None for a comma), memoized per graph and item string."""
+    if word == ",":
+        facts = (True, None, None)
+    else:
+        facts = (
+            word.lower() in _TRIGGER_PRECEDERS,
+            lemmatize(word, VERB, wn),
+            lemmatize(word, NOUN, wn),
+        )
+    wn._item_facts[word] = facts
+    return facts
+
+
 def extract_verb_phrases(task: MicroTask, wn: WordNetGraph) -> list[VerbPhrase]:
     """Verb phrases from every sentence of title plus description.
 
@@ -94,41 +109,33 @@ def extract_verb_phrases(task: MicroTask, wn: WordNetGraph) -> list[VerbPhrase]:
     non-trigger tokens with a noun lemmatization become arguments.
 
     The sentences are the task's `sentences`, split once per task object and
-    shared with its analysis; each sentence's items are scanned once.
+    shared with its analysis. Each sentence's items are walked once, and
+    each distinct item string is looked up once per graph.
     """
     phrases: list[VerbPhrase] = []
+    facts_of = wn._item_facts
     title_sentences, description_sentences = task.sentences
     for sentence in title_sentences + description_sentences:
-        words = items(sentence)
-        if not words:
-            continue
-        # the first item, and every item after a preceder
-        candidates = [0] + [
-            i
-            for i, word in enumerate(map(str.lower, words[:-1]), 1)
-            if word in _TRIGGER_PRECEDERS
-        ]
-        triggers = []
-        for i in candidates:
-            if words[i] != ",":
-                verb = lemmatize(words[i], VERB, wn)
-                if verb is not None:
-                    triggers.append((i, verb))
-        for t, (start_item, verb) in enumerate(triggers):
-            end_item = (
-                triggers[t + 1][0] if t + 1 < len(triggers) else len(words)
+        verb = None  # the open phrase's verb lemma
+        may_trigger = True  # the first item, and every item after a preceder
+        for word in items(sentence):
+            precedes, verb_lemma, noun = facts_of.get(word) or _item_facts(
+                word, wn
             )
-            arguments = []
-            words_taken = 1  # the trigger itself
-            for word in words[start_item + 1 : end_item]:
-                if word == ",":
-                    continue
-                if words_taken >= _PHRASE_SPAN_CAP:
-                    break
+            if may_trigger and verb_lemma is not None:
+                if verb is not None:
+                    phrases.append(VerbPhrase(verb, tuple(arguments)))
+                verb, arguments, words_taken = verb_lemma, [], 1
+            elif (
+                verb is not None
+                and word != ","
+                and words_taken < _PHRASE_SPAN_CAP
+            ):
                 words_taken += 1
-                noun = lemmatize(word, NOUN, wn)
                 if noun is not None:
                     arguments.append(noun)
+            may_trigger = precedes
+        if verb is not None:
             phrases.append(VerbPhrase(verb, tuple(arguments)))
     return phrases
 

@@ -50,6 +50,9 @@ class WordNetGraph:
     _ancestors: dict = field(default_factory=dict, init=False, repr=False)
     _pair_lengths: dict = field(default_factory=dict, init=False, repr=False)
     _lemmas: dict = field(default_factory=dict, init=False, repr=False)
+    # semsim's verb-phrase scanner: item string -> (precedes a trigger,
+    # verb lemma, noun lemma)
+    _item_facts: dict = field(default_factory=dict, init=False, repr=False)
 
     def synset_count(self) -> int:
         return len(self.synsets)

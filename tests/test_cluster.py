@@ -1,6 +1,7 @@
 """Partitioning around medoids and cluster summaries (purity, category
 distribution, rendered tables)."""
 
+import collections
 import csv
 import io
 import itertools
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tasksim.cluster as pam
 from conftest import make_task
 from tasksim.cluster import (
     Clustering,
@@ -342,6 +344,87 @@ def test_swap_costs_equal_each_swaps_cost(kind, monkeypatch):
             swapped = medoids[:p] + [c] + medoids[p + 1 :]
             cost = d[:, swapped].min(axis=1).sum()
             assert got[p, c] == pytest.approx(cost, rel=1e-12, abs=1e-12)
+
+
+def assert_pams_choices(d, k):
+    seeded = pam_greedy_build(d, k)
+    assert _greedy_build(d, k) == seeded
+    expected, got = [], []
+    medoids, cost = pam_swap_passes(d, list(seeded), 100, expected)
+    assert _swap_passes(d, list(seeded), 100, got) == (medoids, cost, True)
+    assert got == expected
+
+
+def count_calls(monkeypatch, name, key=lambda *args: True):
+    """Replace tasksim.cluster's `name` with a spy that counts, per value
+    of key(*args), the calls it passes on."""
+    real = getattr(pam, name)
+    counts = collections.Counter()
+
+    def spy(*args):
+        counts[key(*args)] += 1
+        return real(*args)
+
+    monkeypatch.setattr(pam, name, spy)
+    return counts
+
+
+@pytest.mark.parametrize("k", [15, 40])
+@pytest.mark.parametrize("kind", ["uniform", "rounded", "near_symmetric"])
+def test_kept_scores_make_pams_exact_choices_at_scale(kind, k):
+    # 300 points: the seeding keeps its gains for dozens of steps, and the
+    # swap search keeps its table across swaps
+    d = dissimilarity(kind, np.random.default_rng(sum(map(ord, kind)) + k), 300)
+    assert_pams_choices(d, k)
+
+
+@pytest.mark.parametrize("kind", ["thirds", "duplicates", "clumps"])
+def test_seeding_fallbacks_make_pams_exact_choices(kind, monkeypatch):
+    passes = count_calls(monkeypatch, "_gains", lambda d, near, cols, work: cols is None)
+    updates = count_calls(monkeypatch, "_drop_gains")
+    rng = np.random.default_rng(sum(map(ord, kind)) + 3)
+    tie_rule = window_fallback = 0
+    for _ in range(40):
+        n = int(rng.integers(4, 121))
+        k = int(rng.integers(2, min(n, 40) + 1))
+        d = dissimilarity(kind, rng, n)
+        passes.clear()
+        updates.clear()
+        assert_pams_choices(d, k)
+        if passes[True] >= 2:
+            # a fresh pass after the first: either gains were never kept
+            # (the first pass tied too many points), or a window was too wide
+            tie_rule += not updates
+            window_fallback += bool(updates)
+    assert tie_rule and window_fallback
+
+
+def test_a_swap_that_moves_many_points_rebuilds_the_table(monkeypatch):
+    builds = count_calls(monkeypatch, "_swap_costs")
+    rng = np.random.default_rng(6)
+    rebuilt = 0
+    for _ in range(20):
+        n = int(rng.integers(50, 71))
+        d = dissimilarity("rounded", rng, n)
+        for k in (2, 3):
+            builds.clear()
+            assert_pams_choices(d, k)
+            rebuilt += builds[True] > 1
+    assert rebuilt
+
+
+@pytest.mark.parametrize("kind", ["uniform", "rounded", "near_symmetric", "thirds"])
+def test_kept_scores_in_many_blocks_make_pams_exact_choices(kind, monkeypatch):
+    # blocks of 7 rows: the gain and table updates run in many short blocks
+    # and a ragged last one
+    monkeypatch.setattr("tasksim.cluster._BUILD_CELLS", 1)
+    monkeypatch.setattr("tasksim.cluster._SWAP_CELLS", 1)
+    monkeypatch.setattr("tasksim.cluster._MIN_BLOCK_ROWS", 7)
+    rng = np.random.default_rng(sum(map(ord, kind)) + 4)
+    for _ in range(6):
+        n = int(rng.integers(100, 201))
+        k = int(rng.integers(2, 41))
+        assert_pams_choices(dissimilarity(kind, rng, n), k)
 
 
 def test_a_swap_only_rounding_favours_is_taken_as_pam_takes_it():
