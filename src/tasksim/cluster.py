@@ -435,8 +435,6 @@ def _swap_passes(d: np.ndarray, medoids: list, max_iter: int, trace):
     return medoids, cost, _best_swap(d, medoids, cost, table) is None
 
 
-
-
 def _as_clustering(
     d: np.ndarray, medoids: list, task_ids, seed: int, converged: bool
 ) -> Clustering:
