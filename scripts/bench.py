@@ -5,7 +5,7 @@ Each command in COMMANDS runs as its own process, `python -m tasksim.cli`,
 on the seed-7 synthetic corpora of 300 and 3000 tasks. Every checkout
 named with --side is timed in the same session: the sides take turns on
 each command, so that a drift in machine speed falls on all of them alike.
-Per command and side the file records the median of --repeats wall times,
+Per command and side the file records the median of REPEATS wall times,
 the peak RSS of the command's process (its own rusage, as wait4 returns it
 for that child), and the SHA-256 of what it wrote, so that equal outputs
 can be checked across sides. It also records the machine (cores, Python,
@@ -50,6 +50,8 @@ COMMON_ARGS = ["--corpus", "{corpus}", "--wordnet", "{wordnet}",
                "--seed", "7", "--out", "{out}"]
 # tasks per category of each corpus size, for `tasksim synth --seed 7`
 CORPORA = {300: 60, 3000: 600}
+# runs of each command per side
+REPEATS = 3
 
 
 def command_name(size: int, argv: list) -> str:
@@ -87,7 +89,6 @@ def main() -> None:
     parser.add_argument("--side", action="append", required=True,
                         metavar="NAME=DIR", help="a source checkout to time")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
     sides = dict(s.split("=", 1) for s in args.side)
     sides = {name: Path(d).resolve() for name, d in sides.items()}
@@ -106,7 +107,7 @@ def main() -> None:
         for size, argv in COMMANDS:
             name = command_name(size, argv)
             walls = {side: [] for side in sides}
-            for _ in range(args.repeats):
+            for _ in range(REPEATS):
                 for side, root in sides.items():
                     fill = {
                         "corpus": str(corpora[size]),
@@ -140,7 +141,7 @@ def main() -> None:
             "corpora": {str(size): {"tasks": size, "synth": f"--seed 7 --per-category {pc}",
                                     "sha256": sha256(corpora[size])}
                         for size, pc in CORPORA.items()},
-            "repeats": args.repeats,
+            "repeats": REPEATS,
             "sides": results,
             "same_output": same_output,
         }

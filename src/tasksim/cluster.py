@@ -39,10 +39,9 @@ _MIN_BLOCK_ROWS = 32
 # When kept scores stop paying: the seeding scores every candidate afresh
 # once its window holds more than n / _WINDOW_SHARE of them, and for good
 # once a fresh pass ties that many at the best gain; the swap search
-# rebuilds its table after a swap that moves more than n / _MOVED_SHARE
-# points, or once its error bound passes _REBUILD_SHARE of the tolerance.
+# rebuilds its table once its error bound passes _REBUILD_SHARE of the
+# tolerance.
 _WINDOW_SHARE = 8
-_MOVED_SHARE = 4
 _REBUILD_SHARE = 0.25
 # twice the unit roundoff: one float64 rounding errs by at most half this
 # of its result
@@ -334,14 +333,9 @@ class _SwapTable:
         near, dn, ds = self.near, self.dn, self.ds
         self.medoid_cols[:, p] = d[:, candidate]
         self.near, self.dn, self.ds = _nearest_two(self.medoid_cols)
-        if self.costs is None:
-            return
         moved = np.flatnonzero(
             (self.near != near) | (self.dn != dn) | (self.ds != ds)
         )
-        if len(moved) * _MOVED_SHARE > n:
-            self.costs = None
-            return
         moved = moved[np.argsort(near[moved], kind="stable")]
         rows = _block_rows(n, _SWAP_CELLS)
         r, a, b = np.empty((3, min(rows, len(moved)), n))

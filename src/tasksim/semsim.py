@@ -52,7 +52,7 @@ import numpy as np
 from .corpus import MicroTask
 from .features import STRUCTURAL_FEATURE_NAMES
 from .text import items
-from .wordnet import NOUN, VERB, WordNetGraph, lemmatize, word_similarity
+from .wordnet import NOUN, VERB, WordNetGraph, item_lemmas, word_similarity
 
 SIMILARITY_MEASURES = ("required_action", "comprehensibility")
 
@@ -85,21 +85,6 @@ class VerbPhrase(NamedTuple):
     argument_lemmas: tuple[str, ...]
 
 
-def _item_facts(word: str, wn: WordNetGraph) -> tuple:
-    """Whether a trigger may follow `word`, and its verb and noun lemmas
-    (None for a comma), memoized per graph and item string."""
-    if word == ",":
-        facts = (True, None, None)
-    else:
-        facts = (
-            word.lower() in _TRIGGER_PRECEDERS,
-            lemmatize(word, VERB, wn),
-            lemmatize(word, NOUN, wn),
-        )
-    wn._item_facts[word] = facts
-    return facts
-
-
 def extract_verb_phrases(task: MicroTask, wn: WordNetGraph) -> list[VerbPhrase]:
     """Verb phrases from every sentence of title plus description.
 
@@ -109,20 +94,20 @@ def extract_verb_phrases(task: MicroTask, wn: WordNetGraph) -> list[VerbPhrase]:
     non-trigger tokens with a noun lemmatization become arguments.
 
     The sentences are the task's `sentences`, split once per task object and
-    shared with its analysis. Each sentence's items are walked once, and
-    each distinct item string is looked up once per graph.
+    shared with its analysis. Each sentence's items are walked once, with
+    one look-up per item in the graph's lemma memo (`item_lemmas`).
     """
     phrases: list[VerbPhrase] = []
-    facts_of = wn._item_facts
+    lemmas_of = wn._lemmas
     title_sentences, description_sentences = task.sentences
     for sentence in title_sentences + description_sentences:
         verb = None  # the open phrase's verb lemma
-        may_trigger = True  # the first item, and every item after a preceder
+        previous = None  # the item before, None at the sentence start
         for word in items(sentence):
-            precedes, verb_lemma, noun = facts_of.get(word) or _item_facts(
-                word, wn
-            )
-            if may_trigger and verb_lemma is not None:
+            verb_lemma, noun = lemmas_of.get(word) or item_lemmas(word, wn)
+            if verb_lemma is not None and (
+                previous is None or previous.lower() in _TRIGGER_PRECEDERS
+            ):
                 if verb is not None:
                     phrases.append(VerbPhrase(verb, tuple(arguments)))
                 verb, arguments, words_taken = verb_lemma, [], 1
@@ -134,7 +119,7 @@ def extract_verb_phrases(task: MicroTask, wn: WordNetGraph) -> list[VerbPhrase]:
                 words_taken += 1
                 if noun is not None:
                     arguments.append(noun)
-            may_trigger = precedes
+            previous = word
         if verb is not None:
             phrases.append(VerbPhrase(verb, tuple(arguments)))
     return phrases

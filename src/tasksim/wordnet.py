@@ -19,8 +19,6 @@ _POS_FILE = {NOUN: "noun", VERB: "verb", ADJ: "adj", ADV: "adv"}
 # Satellite adjectives ('s') live in the adjective files and behave as 'a'.
 _SS_TO_POS = {"n": NOUN, "v": VERB, "a": ADJ, "s": ADJ, "r": ADV}
 _HYPERNYM_SYMBOLS = {"@", "@i"}
-# marks a lemma cache miss; None is a cached answer
-_UNSEEN = object()
 
 
 class WordNetError(ValueError):
@@ -39,8 +37,8 @@ class Synset(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class WordNetGraph:
-    """Immutable after load; `lemmatize` and the similarity helpers memoize
-    into private caches."""
+    """Immutable after load; `item_lemmas` and the similarity helpers
+    memoize into private caches."""
 
     synsets: dict
     hypernym_edges: dict
@@ -49,10 +47,8 @@ class WordNetGraph:
     # caches start empty in every graph, also one made by dataclasses.replace
     _ancestors: dict = field(default_factory=dict, init=False, repr=False)
     _pair_lengths: dict = field(default_factory=dict, init=False, repr=False)
+    # item string, as written -> (verb lemma, noun lemma), see `item_lemmas`
     _lemmas: dict = field(default_factory=dict, init=False, repr=False)
-    # semsim's verb-phrase scanner: item string -> (precedes a trigger,
-    # verb lemma, noun lemma)
-    _item_facts: dict = field(default_factory=dict, init=False, repr=False)
 
     def synset_count(self) -> int:
         return len(self.synsets)
@@ -263,15 +259,25 @@ def lemmatize(word: str, pos: str, wn: WordNetGraph):
 
     Exception lists are consulted first and are final; otherwise detachment
     rules are applied repeatedly until a candidate is found in the index.
-    Memoized per graph and (lowercased form, pos).
+    Not memoized; `item_lemmas` keeps each item string's verb and noun
+    lemmas.
     """
     if pos not in _POS_FILE:
         raise ValueError(f"unknown part of speech '{pos}'")
-    key = (word.lower().replace(" ", "_"), pos)
-    lemma = wn._lemmas.get(key, _UNSEEN)
-    if lemma is _UNSEEN:
-        lemma = wn._lemmas[key] = _lemmatize(*key, wn)
-    return lemma
+    return _lemmatize(word.lower().replace(" ", "_"), pos, wn)
+
+
+def item_lemmas(word: str, wn: WordNetGraph) -> tuple:
+    """`word`'s verb and noun lemmas from `lemmatize`, memoized per graph
+    and item string as written. The verb-phrase scanner reads the memo
+    directly, one look-up per item."""
+    lemmas = wn._lemmas.get(word)
+    if lemmas is None:
+        lemmas = wn._lemmas[word] = (
+            lemmatize(word, VERB, wn),
+            lemmatize(word, NOUN, wn),
+        )
+    return lemmas
 
 
 def _lemmatize(form: str, pos: str, wn: WordNetGraph):

@@ -260,25 +260,35 @@ def dissimilarity(kind, rng, n):
     return 1.0 - sim_from(m).values
 
 
-@pytest.mark.parametrize("block_rows", [None, 5])
+def assert_pams_choices(d, k):
+    seeded = pam_greedy_build(d, k)
+    assert _greedy_build(d, k) == seeded
+    expected, got = [], []
+    medoids, cost = pam_swap_passes(d, list(seeded), 100, expected)
+    assert _swap_passes(d, list(seeded), 100, got) == (medoids, cost, True)
+    assert got == expected
+
+
+@pytest.mark.parametrize("block_rows", [None, 5, 7])
 @pytest.mark.parametrize(
     "kind", ["uniform", "thirds", "duplicates", "rounded", "near_symmetric"]
 )
 def test_swap_search_makes_pams_exact_choices(kind, block_rows, monkeypatch):
     if block_rows is not None:  # many row blocks per step, not one
+        monkeypatch.setattr("tasksim.cluster._BUILD_CELLS", 1)
         monkeypatch.setattr("tasksim.cluster._SWAP_CELLS", 1)
         monkeypatch.setattr("tasksim.cluster._MIN_BLOCK_ROWS", block_rows)
     rng = np.random.default_rng(sum(map(ord, kind)))
     for _ in range(40):
         n = int(rng.integers(4, 81))
         k = int(rng.integers(2, min(n, 20) + 1))
-        d = dissimilarity(kind, rng, n)
-        seeded = pam_greedy_build(d, k)
-        assert _greedy_build(d, k) == seeded
-        expected, got = [], []
-        medoids, cost = pam_swap_passes(d, list(seeded), 100, expected)
-        assert _swap_passes(d, list(seeded), 100, got) == (medoids, cost, True)
-        assert got == expected
+        assert_pams_choices(dissimilarity(kind, rng, n), k)
+    # larger instances: the kept gains and table are updated in many steps,
+    # and in blocks of 7 rows, a ragged last block
+    for _ in range(3):
+        n = int(rng.integers(100, 201))
+        k = int(rng.integers(2, 41))
+        assert_pams_choices(dissimilarity(kind, rng, n), k)
 
 
 @pytest.mark.parametrize("kind", ["uniform", "thirds", "duplicates", "clumps"])
@@ -346,15 +356,6 @@ def test_swap_costs_equal_each_swaps_cost(kind, monkeypatch):
             assert got[p, c] == pytest.approx(cost, rel=1e-12, abs=1e-12)
 
 
-def assert_pams_choices(d, k):
-    seeded = pam_greedy_build(d, k)
-    assert _greedy_build(d, k) == seeded
-    expected, got = [], []
-    medoids, cost = pam_swap_passes(d, list(seeded), 100, expected)
-    assert _swap_passes(d, list(seeded), 100, got) == (medoids, cost, True)
-    assert got == expected
-
-
 def count_calls(monkeypatch, name, key=lambda *args: True):
     """Replace tasksim.cluster's `name` with a spy that counts, per value
     of key(*args), the calls it passes on."""
@@ -399,32 +400,42 @@ def test_seeding_fallbacks_make_pams_exact_choices(kind, monkeypatch):
     assert tie_rule and window_fallback
 
 
-def test_a_swap_that_moves_many_points_rebuilds_the_table(monkeypatch):
+def test_a_swap_that_moves_many_points_updates_the_table(monkeypatch):
+    # at k = 2-3 one swap can change most points' nearest medoids; the
+    # table is still updated from them, not built afresh
     builds = count_calls(monkeypatch, "_swap_costs")
+    moved_shares = []
+    real_swap = pam._SwapTable.swap
+
+    def swap(table, p, candidate):
+        before = table.near, table.dn, table.ds
+        real_swap(table, p, candidate)
+        after = table.near, table.dn, table.ds
+        changed = np.logical_or.reduce([x != y for x, y in zip(before, after)])
+        moved_shares.append(changed.mean())
+
+    monkeypatch.setattr(pam._SwapTable, "swap", swap)
     rng = np.random.default_rng(6)
-    rebuilt = 0
     for _ in range(20):
         n = int(rng.integers(50, 71))
         d = dissimilarity("rounded", rng, n)
         for k in (2, 3):
             builds.clear()
             assert_pams_choices(d, k)
-            rebuilt += builds[True] > 1
-    assert rebuilt
+            assert builds[True] <= 1
+    assert max(moved_shares) > 0.25
 
 
-@pytest.mark.parametrize("kind", ["uniform", "rounded", "near_symmetric", "thirds"])
-def test_kept_scores_in_many_blocks_make_pams_exact_choices(kind, monkeypatch):
-    # blocks of 7 rows: the gain and table updates run in many short blocks
-    # and a ragged last one
-    monkeypatch.setattr("tasksim.cluster._BUILD_CELLS", 1)
-    monkeypatch.setattr("tasksim.cluster._SWAP_CELLS", 1)
-    monkeypatch.setattr("tasksim.cluster._MIN_BLOCK_ROWS", 7)
-    rng = np.random.default_rng(sum(map(ord, kind)) + 4)
-    for _ in range(6):
-        n = int(rng.integers(100, 201))
-        k = int(rng.integers(2, 41))
-        assert_pams_choices(dissimilarity(kind, rng, n), k)
+def test_a_table_past_its_error_bound_is_built_afresh(monkeypatch):
+    # with no error allowed, every update's bound forces a fresh table
+    monkeypatch.setattr("tasksim.cluster._REBUILD_SHARE", 0.0)
+    builds = count_calls(monkeypatch, "_swap_costs")
+    d = dissimilarity("uniform", np.random.default_rng(8), 120)
+    trace = []
+    _swap_passes(d, pam_greedy_build(d, 20), 100, trace)
+    assert len(trace) > 10  # one table per step: a first one, and one per swap
+    assert builds[True] == len(trace)
+    assert_pams_choices(d, 20)
 
 
 def test_a_swap_only_rounding_favours_is_taken_as_pam_takes_it():

@@ -19,6 +19,7 @@ from tasksim.wordnet import (
     WordNetError,
     WordNetGraph,
     bundled_mini_wordnet_dir,
+    item_lemmas,
     lemmatize,
     load_wordnet,
     synset_path_length,
@@ -150,30 +151,35 @@ def test_lemma_cache_matches_the_rules(tmp_path):
     graph = load_wordnet(bundled_mini_wordnet_dir())
     listed = {form for forms in graph.exception_lists.values() for form in forms}
     assert listed
+    surfaces = set()
     for word in sorted(words | listed):
         for surface in (word, word.upper()):
-            for pos in (VERB, NOUN):
-                expected = wordnet._lemmatize(word.lower(), pos, graph)
-                assert lemmatize(surface, pos, graph) == expected  # first call
-                assert lemmatize(surface, pos, graph) == expected  # cached
+            expected = tuple(
+                wordnet._lemmatize(word.lower(), pos, graph) for pos in (VERB, NOUN)
+            )
+            for pos, lemma in zip((VERB, NOUN), expected):
+                assert lemmatize(surface, pos, graph) == lemma
+            assert item_lemmas(surface, graph) == expected  # first call
+            assert item_lemmas(surface, graph) == expected  # cached
+            surfaces.add(surface)
     assert graph._lemmas
     with pytest.raises(ValueError, match="unknown part of speech 'x'"):
         lemmatize("run", "x", graph)
     with pytest.raises(ValueError, match="unknown part of speech 'x'"):
         lemmatize("run", "x", graph)
-    assert all(pos in (VERB, NOUN) for _, pos in graph._lemmas)
+    assert set(graph._lemmas) == surfaces
 
 
 def test_graphs_do_not_share_lemma_caches():
     a = load_wordnet(bundled_mini_wordnet_dir())
     b = load_wordnet(bundled_mini_wordnet_dir())
-    assert lemmatize("dogs", NOUN, a) == "dog"
+    assert item_lemmas("dogs", a)[1] == "dog"
     assert not b._lemmas
     # a graph made from a warm one starts cold, so it reads its own index
     index = {key: ids for key, ids in a.lemma_index.items() if key != ("dog", NOUN)}
     c = dataclasses.replace(a, lemma_index=index)
-    assert lemmatize("dogs", NOUN, c) is None
-    assert lemmatize("dogs", NOUN, a) == "dog"
+    assert item_lemmas("dogs", c)[1] is None
+    assert item_lemmas("dogs", a)[1] == "dog"
 
 
 # ---------------------------------------------------------------- similarity
