@@ -2,9 +2,11 @@
 """End-to-end timings of tasksim CLI subcommands, written to a BENCH_*.json.
 
 Each command in COMMANDS runs as its own process, `python -m tasksim.cli`,
-on the seed-7 synthetic corpora of 300 and 3000 tasks. Every checkout
-named with --side is timed in the same session: the sides take turns on
-each command, so that a drift in machine speed falls on all of them alike.
+on the seed-7 synthetic corpora of 300 and 3000 tasks: `sim` and `cluster`
+for both measures, and a few `cv` and `grid` cells. `report` is left out,
+since one run takes about 100 s at 300 tasks. Every checkout named with
+--side is timed in the same session: the sides take turns on each command,
+so that a drift in machine speed falls on all of them alike.
 Per command and side the file records the median of REPEATS wall times,
 the peak RSS of the command's process (its own rusage, as wait4 returns it
 for that child), and the SHA-256 of what it wrote, so that equal outputs
@@ -15,6 +17,9 @@ numpy, OPENBLAS_NUM_THREADS) and each side's `src/` line count.
         --out BENCH_NN.json
 
 Run it on a quiet machine; the commands at 3000 tasks take seconds each.
+Under PYTHONDONTWRITEBYTECODE=1, give the sides the same bytecode state,
+such as fresh `git archive` copies: a side with a `__pycache__` skips
+recompiling `src/` in every command.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ from pathlib import Path
 import numpy as np
 
 # (corpus tasks, argv after `python -m tasksim.cli`); {corpus}, {wordnet}
-# and {out} are filled in per run. A later harness adds cv, grid and report
-# rows here.
+# and {out} are filled in per run. The cv and grid rows run no similarity
+# or clustering code, so they time the rest of the command line.
 COMMANDS = [
-    (size, [sub, "--measure", measure, *extra])
+    (size, [sub, "--measure", measure, *extra, "--wordnet", "{wordnet}"])
     for size in (300, 3000)
     for measure in ("required_action", "comprehensibility")
     for sub, extra in (
@@ -45,9 +50,14 @@ COMMANDS = [
         ("cluster", ["--k", "15"]),
         ("cluster", ["--k", "40"]),
     )
+] + [
+    (size, ["cv", "--sets", sets, "--algo", algo, "--folds", "10"])
+    for size in (300, 3000)
+    for sets, algo in (("content", "naive_bayes"), ("structural", "svm_smo"))
+] + [
+    (300, ["grid", "--algo", "naive_bayes,knn", "--folds", "10"]),
 ]
-COMMON_ARGS = ["--corpus", "{corpus}", "--wordnet", "{wordnet}",
-               "--seed", "7", "--out", "{out}"]
+COMMON_ARGS = ["--corpus", "{corpus}", "--seed", "7", "--out", "{out}"]
 # tasks per category of each corpus size, for `tasksim synth --seed 7`
 CORPORA = {300: 60, 3000: 600}
 # runs of each command per side

@@ -11,12 +11,12 @@ there; report headers echo the CLI's `--seed` instead.
 
 Both phases make exactly classic PAM's choices without a full pass over
 d per step. Each keeps its scores from one step to the next (the seeding's
-gains, the swap search's FastPAM1 table) and updates them from the points
-whose nearest medoid moved. Alongside, it keeps a proven bound on how far a
-kept score can lie from the float PAM's own sum gives. Only the candidates
-inside that error window of the best kept score are scored again, with
-PAM's sum; PAM's choice is always among them, since a kept score errs by at
-most the bound.
+gains, the swap search's FastPAM1 table, whose fresh build and updates use
+one routine, `_add_terms`) and updates them from the points whose nearest
+medoid moved, with a proven bound on how far a kept score can lie from the
+float PAM's own sum gives. Only the candidates inside that error window of
+the best kept score are scored again, with PAM's sum; PAM's choice is
+always among them, since a kept score errs by at most the bound.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .semsim import SimilarityMatrix
 
 # PAM reads the dissimilarity matrix in blocks of whole rows, sized to stay
 # in a core's cache while each block is scored: about _BUILD_CELLS or
-# _SWAP_CELLS float64 cells (the swap search keeps three such arrays), but
+# _SWAP_CELLS float64 cells (the swap table's terms use two such arrays), but
 # never fewer than _MIN_BLOCK_ROWS rows, since numpy's per-call cost
 # outweighs the cache misses of longer blocks.
 _BUILD_CELLS = 1 << 16
@@ -101,10 +101,6 @@ def _check_matrix(sim: SimilarityMatrix, k: int) -> np.ndarray:
         raise ValueError("similarity matrix has duplicate task ids")
     check_k(k, n)
     return 1.0 - sim.values
-
-
-def _cost(d: np.ndarray, medoids: list) -> float:
-    return float(d[:, medoids].min(axis=1).sum())
 
 
 def _block_rows(n: int, cells: int) -> int:
@@ -239,9 +235,45 @@ def _nearest_two(medoid_cols: np.ndarray):
     near = np.argmin(medoid_cols, axis=1)
     at_near = (np.arange(len(near)), near)
     dn = medoid_cols[at_near]
-    rest = medoid_cols.copy()
+    # gathered columns are column-major; a row-wise min is faster on them
+    rest = medoid_cols.copy(order="K")
     rest[at_near] = np.inf
     return near, dn, rest.min(axis=1)
+
+
+def _add_terms(costs, d, points, near, dn, ds, op=np.add) -> np.ndarray:
+    """Add to `costs` (`op` np.subtract: take out) the FastPAM1 terms that
+    `points` put in their nearest medoid position's row, min(d, ds) -
+    min(d, dn), given every point's `near`, `dn` and `ds`; return the sum
+    of their shared terms, min(d, dn), which belong in every row. The rows
+    of d are read in blocks, in order of nearest position, so that one
+    position's rows in a block are one sum over axis 0."""
+    n = d.shape[0]
+    owner = near[points]
+    points = points[np.argsort(owner, kind="stable")]
+    # position p's points end at ends[p] in `points`
+    ends = np.cumsum(np.bincount(owner, minlength=len(costs))).tolist()
+    rows = _block_rows(n, _SWAP_CELLS)
+    shared = np.zeros(n)
+    to_near = np.empty((min(rows, len(points)), n))
+    p = 0
+    for lo in range(0, len(points), rows):
+        idx = points[lo : lo + rows]
+        r = d[idx]
+        hi = lo + len(r)
+        a = to_near[: len(r)]
+        np.minimum(r, dn[idx, None], out=a)
+        shared += a.sum(axis=0)
+        np.minimum(r, ds[idx, None], out=r)
+        np.subtract(r, a, out=r)
+        at = lo
+        while at < hi:
+            while ends[p] <= at:
+                p += 1
+            stop = min(ends[p], hi)
+            op(costs[p], r[at - lo : stop - lo].sum(axis=0), out=costs[p])
+            at = stop
+    return shared
 
 
 def _swap_costs(d: np.ndarray, medoid_cols: np.ndarray) -> np.ndarray:
@@ -252,74 +284,40 @@ def _swap_costs(d: np.ndarray, medoid_cols: np.ndarray) -> np.ndarray:
     the PAM, CLARA, and CLARANS Algorithms", SISAP 2019): from each point's
     nearest (dn) and second-nearest (ds) medoid distance, the cost is the
     sum over all points of min(d, dn), shared by every p, plus, over the
-    points of p alone, min(d, ds) - min(d, dn), since they lose p. d is
-    read once, in blocks of whole rows taken cluster by cluster, so that
-    the rows of one cluster in a block are one sum over axis 0."""
+    points of p alone, min(d, ds) - min(d, dn), since they lose p. Every
+    term is put in by `_add_terms`, in one pass over d."""
     n, k = medoid_cols.shape
-    near, dn, ds = _nearest_two(medoid_cols)
-    order = np.argsort(near, kind="stable")
-    dn = dn[order][:, None]
-    ds = ds[order][:, None]
-    # cluster p's rows end at ends[p] in `order`
-    ends = np.cumsum(np.bincount(near, minlength=k)).tolist()
-    rows = _block_rows(n, _SWAP_CELLS)
-    shared = np.zeros(n)
     costs = np.zeros((k, n))
-    to_near = np.empty((min(rows, n), n))
-    p = 0
-    for lo in range(0, n, rows):
-        r = d[order[lo : lo + rows]]
-        hi = lo + len(r)
-        a = to_near[: len(r)]
-        np.minimum(r, dn[lo:hi], out=a)
-        shared += a.sum(axis=0)
-        np.minimum(r, ds[lo:hi], out=r)
-        np.subtract(r, a, out=r)
-        at = lo
-        while at < hi:
-            while ends[p] <= at:
-                p += 1
-            stop = min(ends[p], hi)
-            costs[p] += r[at - lo : stop - lo].sum(axis=0)
-            at = stop
-    costs += shared
+    costs += _add_terms(costs, d, np.arange(n), *_nearest_two(medoid_cols))
     return costs
 
 
-def _group_sums(groups: np.ndarray, terms: np.ndarray):
-    """The distinct values of sorted `groups`, and the sum of the rows of
-    `terms` in each one's run."""
-    first = np.empty(len(groups), dtype=bool)
-    first[0] = True
-    np.not_equal(groups[1:], groups[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return groups[starts], np.add.reduceat(terms, starts, axis=0)
-
-
 class _SwapTable:
-    """A swap search's FastPAM1 table, kept across accepted swaps.
+    """A swap search's medoid columns, each point's nearest medoid position
+    and nearest and second-nearest medoid distance (`near`, `dn`, `ds`),
+    and its FastPAM1 table (`costs`), kept across accepted swaps.
 
-    A point's terms in the table depend only on its nearest medoid
-    position and its nearest and second-nearest medoid distance: it adds
-    min(d, ds) to its own position's row and min(d, dn) to every other.
-    After a swap, only the points where one of the three changed have
-    their old terms taken out and their new ones put in, grouped by medoid
-    position. `err` bounds how far the updates have moved the table from
-    the one `_swap_costs` would build: each update of m points adds at
-    most the rounding of three sums of m terms in [-1, 1] and of its adds
-    into entries of at most n."""
+    After a swap, `_add_terms` takes out the old terms of the m points
+    whose three values changed and puts in their new ones, in b blocks per
+    call, and the change in their shared terms goes into every row. `err`
+    bounds how far the updates have moved the table from the one
+    `_swap_costs` would build; each adds 2**-52 (4 (m + 1)**2 + (2 b + 1) n).
+    The four sums of at most m terms in [0, 1] (own and shared, old and
+    new) each err by about m**2 2**-53 and their shared difference by
+    m 2**-53, which the first part covers with room for second-order terms.
+    Each entry takes an add per block and call, and one for the shared
+    change, each within 2**-53 of a value of at most 2n (a moved point adds
+    at most 1 to the shared sum and 1 to its own row)."""
 
-    def __init__(self, d: np.ndarray):
+    def __init__(self, d: np.ndarray, medoids: list):
         self.d = d
-        self.medoid_cols = self.costs = None
-        self.err = 0.0
+        self.medoid_cols = d[:, medoids]
+        self.near, self.dn, self.ds = _nearest_two(self.medoid_cols)
+        self.costs, self.err = None, 0.0
 
-    def scores(self, medoids: list, tol: float) -> np.ndarray:
-        """The table of `medoids`, built afresh when there is none or when
-        its error bound has passed _REBUILD_SHARE of `tol`."""
-        if self.medoid_cols is None:
-            self.medoid_cols = self.d[:, medoids]
-            self.near, self.dn, self.ds = _nearest_two(self.medoid_cols)
+    def scores(self, tol: float) -> np.ndarray:
+        """The table, built afresh if there is none or `err` has passed
+        _REBUILD_SHARE of `tol`."""
         if self.costs is None or self.err > _REBUILD_SHARE * tol:
             self.costs = _swap_costs(self.d, self.medoid_cols)
             self.err = 0.0
@@ -328,43 +326,15 @@ class _SwapTable:
     def swap(self, p: int, candidate: int) -> None:
         """Move medoid position p to `candidate`, and update the table.
         Called only after `scores`, as a swap is only taken from it."""
-        d = self.d
-        n = d.shape[0]
-        near, dn, ds = self.near, self.dn, self.ds
+        d, old = self.d, (self.near, self.dn, self.ds)
         self.medoid_cols[:, p] = d[:, candidate]
-        self.near, self.dn, self.ds = _nearest_two(self.medoid_cols)
-        moved = np.flatnonzero(
-            (self.near != near) | (self.dn != dn) | (self.ds != ds)
-        )
-        moved = moved[np.argsort(near[moved], kind="stable")]
-        rows = _block_rows(n, _SWAP_CELLS)
-        r, a, b = np.empty((3, min(rows, len(moved)), n))
-        shared = np.zeros(n)
-        blocks = 0
-        for lo in range(0, len(moved), rows):
-            idx = moved[lo : lo + rows]
-            rb, ab, bb = r[: len(idx)], a[: len(idx)], b[: len(idx)]
-            np.take(d, idx, axis=0, out=rb, mode="clip")
-            # the old terms, grouped by the old nearest position
-            np.minimum(rb, dn[idx, None], out=ab)
-            np.minimum(rb, ds[idx, None], out=bb)
-            bb -= ab
-            ps, sums = _group_sums(near[idx], bb)
-            self.costs[ps] -= sums
-            # the change in the shared terms
-            np.minimum(rb, self.dn[idx, None], out=bb)
-            np.subtract(bb, ab, out=ab)
-            shared += ab.sum(axis=0)
-            # the new terms, grouped by the new nearest position
-            np.minimum(rb, self.ds[idx, None], out=rb)
-            rb -= bb
-            by_new = np.argsort(self.near[idx], kind="stable")
-            np.take(rb, by_new, axis=0, out=ab, mode="clip")
-            ps, sums = _group_sums(self.near[idx][by_new], ab)
-            self.costs[ps] += sums
-            blocks += 1
-        self.costs += shared
-        self.err += _ULP * (3 * (len(moved) + 1) ** 2 + (2 * blocks + 1) * n)
+        new = self.near, self.dn, self.ds = _nearest_two(self.medoid_cols)
+        moved = np.flatnonzero(np.any([o != w for o, w in zip(old, new)], 0))
+        gone = _add_terms(self.costs, d, moved, *old, np.subtract)
+        self.costs += _add_terms(self.costs, d, moved, *new) - gone
+        m, n = len(moved), len(d)
+        blocks = -(-m // _block_rows(n, _SWAP_CELLS))
+        self.err += _ULP * (4 * (m + 1) ** 2 + (2 * blocks + 1) * n)
 
 
 def _best_swap(d: np.ndarray, medoids: list, cost: float, table: _SwapTable):
@@ -385,7 +355,7 @@ def _best_swap(d: np.ndarray, medoids: list, cost: float, table: _SwapTable):
     if cost == 0.0 or len(medoids) == n:
         return None
     tol = 1e-9 * (1.0 + cost)
-    costs = table.scores(medoids, tol).copy()
+    costs = table.scores(tol).copy()
     costs[:, medoids] = np.inf
     low = costs.min()
     if low > cost + tol:
@@ -413,10 +383,11 @@ def _swap_passes(d: np.ndarray, medoids: list, max_iter: int, trace):
     """Best-improvement SWAP until no swap lowers the cost (or max_iter).
     Cost is strictly decreasing so the loop terminates. Returns the
     medoids, their cost, and whether no improving swap was left."""
-    cost = _cost(d, medoids)
+    table = _SwapTable(d, medoids)
+    # the same values in the same order as d[:, medoids].min(axis=1).sum()
+    cost = float(table.dn.sum())
     if trace is not None:
         trace.append(cost)
-    table = _SwapTable(d)
     for _ in range(max_iter):
         best = _best_swap(d, medoids, cost, table)
         if best is None:
@@ -463,6 +434,8 @@ def k_medoids(
     record the cost after seeding and after each accepted swap. The
     result's `converged` is False when `max_iter` swaps ran and an
     improving swap was still left."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     d = _check_matrix(sim, k)
     medoids = _greedy_build(d, k)
     medoids, _, converged = _swap_passes(d, medoids, max_iter, trace)

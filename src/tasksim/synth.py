@@ -9,6 +9,7 @@ bundled verb lexicon), descriptions mix signature and shared noise tokens
 from __future__ import annotations
 
 import json
+import operator
 import random
 
 # Five curated categories. Each signature set has 15 words: 5 verbs the
@@ -152,7 +153,11 @@ def synthetic_corpus_text(
     seed: int, categories: int = 5, per_category: int = 60
 ) -> str:
     """The JSONL content for a labeled synthetic corpus, one record per
-    line, no header. Same arguments, same string."""
+    line, no header. Same arguments, same string. A negative `seed` is
+    refused, since random.Random would seed with its absolute value."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if categories < 1:
         raise ValueError("categories must be at least 1")
     if per_category < 1:

@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tasksim.cli import CliError, _parse_sets, dispatch
@@ -65,6 +66,15 @@ def test_synth_rejects_bad_counts():
         synthetic_corpus_text(0, categories=0)
     with pytest.raises(ValueError, match="per_category"):
         synthetic_corpus_text(0, per_category=0)
+
+
+def test_synth_rejects_a_bad_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
+        synthetic_corpus_text(-5)
+    for seed in (1.5, "7", None):
+        with pytest.raises(TypeError):
+            synthetic_corpus_text(seed)
+    assert synthetic_corpus_text(np.int64(3)) == synthetic_corpus_text(3)
 
 
 def test_synth_loads_cleanly_as_a_corpus(tmp_path):
@@ -696,11 +706,15 @@ def test_negative_seed_is_checked_before_any_work(small_corpus, tmp_path,
     assert not out_dir.exists()
 
 
-def test_synth_accepts_a_negative_seed(tmp_path):
+def test_synth_rejects_a_negative_seed(tmp_path, capsys):
+    # random.Random(-5) seeds like Random(5): the two corpora would be one
     out = tmp_path / "s.jsonl"
-    assert dispatch(["synth", "--out", str(out), "--seed", "-1",
-                     "--categories", "2", "--per-category", "2"]) == 0
-    assert len(load_corpus(out, strict=True)) == 4
+    assert dispatch(["synth", "--out", str(out), "--seed", "-5",
+                     "--categories", "2", "--per-category", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be non-negative, got -5\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_output_directory_names_the_target(small_corpus, tmp_path,

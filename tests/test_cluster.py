@@ -192,6 +192,11 @@ def test_max_iter_zero_keeps_the_seeding():
     assert bare.total_dissimilarity > full.total_dissimilarity
 
 
+def test_a_negative_max_iter_is_refused():
+    with pytest.raises(ValueError, match="max_iter must be non-negative, got -1"):
+        k_medoids(random_sim(3, 3), 2, max_iter=-1)
+
+
 def test_converged_flags_a_search_cut_short():
     assert not k_medoids(random_sim(3, 7), 3, max_iter=0).converged
     assert k_medoids(random_sim(3, 7), 3).converged
@@ -424,6 +429,34 @@ def test_a_swap_that_moves_many_points_updates_the_table(monkeypatch):
             assert_pams_choices(d, k)
             assert builds[True] <= 1
     assert max(moved_shares) > 0.25
+
+
+@pytest.mark.parametrize("many_blocks", [False, True])
+@pytest.mark.parametrize(
+    "kind", ["uniform", "thirds", "duplicates", "rounded", "near_symmetric"]
+)
+def test_the_kept_table_stays_within_its_bound_of_a_fresh_one(
+    kind, many_blocks, monkeypatch
+):
+    # ("clumps" is left out: its cost is 0 from k = 3, so it never swaps)
+    if many_blocks:
+        monkeypatch.setattr("tasksim.cluster._SWAP_CELLS", 1)
+        monkeypatch.setattr("tasksim.cluster._MIN_BLOCK_ROWS", 3)
+    swaps = 0
+    real_swap = pam._SwapTable.swap
+
+    def swap(table, p, candidate):
+        nonlocal swaps
+        real_swap(table, p, candidate)
+        fresh = _swap_costs(table.d, table.medoid_cols)
+        assert np.abs(table.costs - fresh).max() <= table.err
+        swaps += 1
+
+    monkeypatch.setattr(pam._SwapTable, "swap", swap)
+    for k in (15, 40):
+        d = dissimilarity(kind, np.random.default_rng(sum(map(ord, kind)) + k), 300)
+        _swap_passes(d, _greedy_build(d, k), 100, [])
+    assert swaps
 
 
 def test_a_table_past_its_error_bound_is_built_afresh(monkeypatch):
