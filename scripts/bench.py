@@ -9,17 +9,19 @@ since one run takes about 100 s at 300 tasks. Every checkout named with
 so that a drift in machine speed falls on all of them alike.
 Per command and side the file records the median of REPEATS wall times,
 the peak RSS of the command's process (its own rusage, as wait4 returns it
-for that child), and the SHA-256 of what it wrote, so that equal outputs
-can be checked across sides. It also records the machine (cores, Python,
-numpy, OPENBLAS_NUM_THREADS) and each side's `src/` line count.
+for that child; on Linux that also counts the peak of this script's own
+process, so the script neither imports numpy nor reads an output whole),
+and the SHA-256 of what it wrote, so that equal outputs can be checked
+across sides. It also records the machine (cores, Python, numpy,
+OPENBLAS_NUM_THREADS) and each side's `src/` line count.
 
     python3 scripts/bench.py --side parent=../parent --side change=. \\
         --out BENCH_NN.json
 
 Run it on a quiet machine; the commands at 3000 tasks take seconds each.
-Under PYTHONDONTWRITEBYTECODE=1, give the sides the same bytecode state,
-such as fresh `git archive` copies: a side with a `__pycache__` skips
-recompiling `src/` in every command.
+Under PYTHONDONTWRITEBYTECODE=1 the script refuses a side whose `src/`
+holds a `__pycache__`, which would skip recompiling `src/` in every
+command; time fresh `git archive` copies instead.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ import subprocess
 import sys
 import tempfile
 import time
+from importlib.metadata import version
 from pathlib import Path
-
-import numpy as np
 
 # (corpus tasks, argv after `python -m tasksim.cli`); {corpus}, {wordnet}
 # and {out} are filled in per run. The cv and grid rows run no similarity
@@ -54,6 +55,9 @@ COMMANDS = [
     (size, ["cv", "--sets", sets, "--algo", algo, "--folds", "10"])
     for size in (300, 3000)
     for sets, algo in (("content", "naive_bayes"), ("structural", "svm_smo"))
+] + [
+    (300, ["cv", "--sets", "structural", "--algo", algo, "--folds", "10"])
+    for algo in ("tree", "forest")
 ] + [
     (300, ["grid", "--algo", "naive_bayes,knn", "--folds", "10"]),
 ]
@@ -86,7 +90,13 @@ def run(side: Path, argv: list) -> tuple[float, float]:
 
 
 def sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's SHA-256, read in chunks: a child's peak RSS counts this
+    process's own peak."""
+    digest = hashlib.sha256()
+    with path.open("rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def src_lines(side: Path) -> int:
@@ -102,6 +112,14 @@ def main() -> None:
     args = parser.parse_args()
     sides = dict(s.split("=", 1) for s in args.side)
     sides = {name: Path(d).resolve() for name, d in sides.items()}
+    if os.environ.get("PYTHONDONTWRITEBYTECODE"):
+        stale = [str(d) for d in sides.values() if any((d / "src").rglob("__pycache__"))]
+        if stale:
+            raise SystemExit(
+                "PYTHONDONTWRITEBYTECODE is set and these sides' src/ hold a "
+                f"__pycache__, which would skip recompiling src/: {', '.join(stale)}; "
+                "time fresh copies (git archive) instead"
+            )
     first = next(iter(sides.values()))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -145,7 +163,7 @@ def main() -> None:
             "machine": {
                 "cores": os.cpu_count(),
                 "python": platform.python_version(),
-                "numpy": np.__version__,
+                "numpy": version("numpy"),
                 "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             },
             "corpora": {str(size): {"tasks": size, "synth": f"--seed 7 --per-category {pc}",

@@ -309,9 +309,9 @@ class _SwapTable:
     change, each within 2**-53 of a value of at most 2n (a moved point adds
     at most 1 to the shared sum and 1 to its own row)."""
 
-    def __init__(self, d: np.ndarray, medoids: list):
+    def __init__(self, d: np.ndarray, medoid_cols: np.ndarray):
         self.d = d
-        self.medoid_cols = d[:, medoids]
+        self.medoid_cols = medoid_cols
         self.near, self.dn, self.ds = _nearest_two(self.medoid_cols)
         self.costs, self.err = None, 0.0
 
@@ -350,9 +350,8 @@ def _best_swap(d: np.ndarray, medoids: list, cost: float, table: _SwapTable):
     memory; the table's updates add at most its bound `err`, which is kept
     below tol / 4 by rebuilding. So any swap's table cost is within tol / 2
     of PAM's, and the winner is always among the swaps re-scored."""
-    n = d.shape[0]
     # d is never negative, so no swap lowers a zero cost
-    if cost == 0.0 or len(medoids) == n:
+    if cost == 0.0:
         return None
     tol = 1e-9 * (1.0 + cost)
     costs = table.scores(tol).copy()
@@ -383,11 +382,14 @@ def _swap_passes(d: np.ndarray, medoids: list, max_iter: int, trace):
     """Best-improvement SWAP until no swap lowers the cost (or max_iter).
     Cost is strictly decreasing so the loop terminates. Returns the
     medoids, their cost, and whether no improving swap was left."""
-    table = _SwapTable(d, medoids)
-    # the same values in the same order as d[:, medoids].min(axis=1).sum()
-    cost = float(table.dn.sum())
+    medoid_cols = d[:, medoids]
+    cost = float(medoid_cols.min(axis=1).sum())
     if trace is not None:
         trace.append(cost)
+    # d is never negative, so no swap lowers a zero cost
+    if cost == 0.0 or len(medoids) == len(d):
+        return medoids, cost, True
+    table = _SwapTable(d, medoid_cols)
     for _ in range(max_iter):
         best = _best_swap(d, medoids, cost, table)
         if best is None:

@@ -12,16 +12,20 @@ more than _MAX_STEPS steps (scaled up past 100 000 samples, as LIBSVM does)
 raises instead of returning a model that never converged. Features are
 standardized internally on training statistics.
 
-A step does vector work only where every entry changes. It keeps the
-violations -y G themselves and updates them in O(n) from two Gram rows;
+A step does vector work only where every entry changes, and allocates
+nothing: each vector result goes into one preallocated buffer. It keeps the
+violations -y G themselves, in two bounded copies: `up` holds them on I_up
+and -inf elsewhere, `low` on I_low and +inf elsewhere, so i is an argmax of
+`up` and M a min of `low`. Both are updated in O(n) from two Gram rows;
 since y = +-1 and rounding is symmetric, they equal -y G of the updated
-gradient up to the sign of a zero. I_up and I_low are kept as additive
-masks (0 inside, -inf or +inf outside) that change only at i and j, so a
-step rewrites just those two entries, and it does the pair's box
-arithmetic in Python floats. The floored curvature of a pair depends on
-the Gram matrix alone, so `fit` builds the n x n table once, every class
-machine shares it, and a step reads one row. Each machine records its step
-count and final KKT gap.
+gradient up to the sign of a zero. The sets change only at i and j, so a
+step rewrites just those entries of each copy; as C > 0 every row is in
+I_up or I_low, and a row entering one set takes its -y G from the other.
+Gains of at most 0 clamp to 0, which never wins, as the best gain is at
+least svm_tol. The pair's box arithmetic is done in Python floats. The
+floored curvature of a pair depends on the Gram matrix alone, so `fit`
+builds the n x n table once, every class machine shares it, and a step
+reads one row. Each machine records its step count and final KKT gap.
 """
 
 from __future__ import annotations
@@ -46,16 +50,22 @@ def _solve(K: np.ndarray, curv: np.ndarray, y: np.ndarray, C: float, tol: float,
     pos = (y > 0).tolist()
     signs = y.tolist()
     alpha = [0.0] * n
-    # I_up and I_low as additive masks, 0 inside and -inf / +inf outside; at
-    # alpha = 0 (and C > 0) they hold the positive and the negative rows
-    out_up = np.where(y > 0, 0.0, -np.inf)
-    out_low = np.where(y > 0, np.inf, 0.0)
-    viol = y.copy()  # -y G, with G = Q alpha - e and Q = y y' * K
+    # -y G (G = Q alpha - e, Q = y y' * K) on I_up and -inf elsewhere, and
+    # on I_low and +inf elsewhere; at alpha = 0 (and C > 0) I_up holds the
+    # positive rows and I_low the negative ones
+    up = np.where(y > 0, y, -np.inf)
+    low = np.where(y > 0, np.inf, y)
+    buf = np.empty(n)
     steps = 0
     while True:
-        i = int((viol + out_up).argmax())
-        viol_low = viol + out_low
-        m, M = viol.item(i), viol.item(viol_low.argmin())
+        i, lo = int(up.argmax()), int(low.argmin())
+        m, M = up.item(i), low.item(lo)
+        # with one class only, I_up or I_low is empty: read -y G from the
+        # other copy, so that the gap is 0
+        if m == -np.inf:
+            m = low.item(i)
+        if M == np.inf:
+            M = up.item(lo)
         if m - M < tol:
             break
         if steps == max_steps:
@@ -64,26 +74,36 @@ def _solve(K: np.ndarray, curv: np.ndarray, y: np.ndarray, C: float, tol: float,
                 f"(KKT gap {m - M:.3g} > tol {tol:g})"
             )
         steps += 1
-        gain = m - viol_low  # -inf outside I_low
+        # second-order choice of j; gains of at most 0, those outside I_low
+        # among them, clamp to 0
         curv_i = curv[i]
-        j = int(np.where(gain > 0.0, gain * gain / curv_i, -np.inf).argmax())
+        np.subtract(m, low, out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        np.multiply(buf, buf, out=buf)
+        np.divide(buf, curv_i, out=buf)
+        j = int(buf.argmax())
         # move y_i a_i up and y_j a_j down by lam, clipped to the box
+        v_j = low.item(j)
         a_i, a_j = alpha[i], alpha[j]
         room_i = C - a_i if pos[i] else a_i
         room_j = a_j if pos[j] else C - a_j
-        lam = min(gain.item(j) / curv_i.item(j), room_i, room_j)
+        lam = min((m - v_j) / curv_i.item(j), room_i, room_j)
         # a multiplier whose room ran out lands exactly on its bound, so it
         # leaves I_up or I_low instead of being picked again for a null step
         a_i = alpha[i] = (C if pos[i] else 0.0) if lam == room_i else a_i + signs[i] * lam
         a_j = alpha[j] = (0.0 if pos[j] else C) if lam == room_j else a_j - signs[j] * lam
-        for k, a in ((i, a_i), (j, a_j)):
-            out_up[k] = 0.0 if (a < C if pos[k] else a > 0.0) else -np.inf
-            out_low[k] = 0.0 if (a > 0.0 if pos[k] else a < C) else np.inf
-        viol -= lam * (K[i] - K[j])  # K is symmetric: rows are columns
+        # i was in I_up and j in I_low, so their -y G is m and v_j
+        for k, a, v in ((i, a_i, m), (j, a_j, v_j)):
+            up[k] = v if (a < C if pos[k] else a > 0.0) else -np.inf
+            low[k] = v if (a > 0.0 if pos[k] else a < C) else np.inf
+        np.subtract(K[i], K[j], out=buf)  # K is symmetric: rows are columns
+        np.multiply(buf, lam, out=buf)
+        up -= buf
+        low -= buf
     alpha = np.array(alpha, dtype=float)
-    yg = -viol
     free = (alpha > 0.0) & (alpha < C)
-    rho = yg[free].mean() if free.any() else -(m + M) / 2.0
+    # a free row is in both sets; up holds its -y G
+    rho = (-up[free]).mean() if free.any() else -(m + M) / 2.0
     return alpha, -rho, steps, m - M
 
 

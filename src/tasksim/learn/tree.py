@@ -15,7 +15,10 @@ splits every open node of one depth, across all the trees it is given, with
 array code. A node is open when it is impure and holds at least 2 * min_leaf
 rows. Each column's values are ranked once; at each depth the rows of every
 (open node, candidate column) pair are sorted by rank with one stable
-argsort, and class counts come from one cumulative sum. Candidate columns
+argsort, and class counts come from one cumulative sum. That argsort, and
+the one that partitions rows among children, sort their keys in the
+narrowest unsigned dtype that holds them: keys below 2**16 are then
+radix-sorted. Candidate columns
 come from a column rule: `tree` offers every column, `forest` draws a
 subset. Columns constant over a node's rows are dropped before scoring.
 Each tree is the tree a depth-first build makes, bit for bit. All the
@@ -52,6 +55,13 @@ def _runs(weights: np.ndarray):
         start = stop
 
 
+def _narrow(key: np.ndarray, bound: int) -> np.ndarray:
+    """`key`, whose entries lie in [0, bound), in the narrowest unsigned
+    dtype that holds them: a stable argsort of 8- or 16-bit keys is a radix
+    sort, and it orders equal keys as a wider sort does."""
+    return key.astype(np.min_scalar_type(max(bound - 1, 0)), copy=False)
+
+
 def _gather(rank, rows, node_start, size, pair_node, pair_col):
     """Each pair's node rows, flattened pair after pair in node order, with
     sort keys that order them by pair, then by value in the pair's column;
@@ -83,7 +93,7 @@ def _score_block(rank, onehot, xlog2x, rows, node_start, size, counts, pair_node
     block) and the rows holding the values either side of it.
     """
     elem_row, key, starts, ends = _gather(rank, rows, node_start, size, pair_node, pair_col)
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(_narrow(key, pair_node.size * rank.shape[1]), kind="stable")
     elem_row, key = elem_row[order], key[order]
     n_int = size[pair_node]
     left_int = np.arange(1, key.size + 1) - np.repeat(starts, n_int)
@@ -223,7 +233,7 @@ def grow(
         split_rows, split_node = rows[member], elem_node[member]
         go_right = ~(X[split_rows, feature[split_node]] <= threshold[split_node])
         child = child_of[split_node] + go_right
-        rows = split_rows[np.argsort(child, kind="stable")]
+        rows = split_rows[np.argsort(_narrow(child, 2 * split.size), kind="stable")]
         size = np.bincount(child, minlength=2 * split.size)
         node_tree = np.repeat(node_tree[split], 2)
     feature, threshold, left, dist = (np.concatenate(x) for x in zip(*levels))

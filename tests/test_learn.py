@@ -218,6 +218,21 @@ def seeded_folds(tmp_path_factory):
     return folds
 
 
+@pytest.fixture(scope="module")
+def structural_fold_300(tmp_path_factory):
+    """Training rows of fold 0 of a seeded 300-task corpus, structural set."""
+    path = tmp_path_factory.mktemp("learn") / "synthetic300.jsonl"
+    path.write_text(synthetic_corpus_text(7, categories=5, per_category=60), encoding="utf-8")
+    tasks = list(load_corpus(path))
+    labels = [task.category for task in tasks]
+    classes = sorted(set(labels))
+    held_out = set(stratified_folds(labels, 10, 7)[0])
+    train_tasks = [t for i, t in enumerate(tasks) if i not in held_out]
+    y_idx = np.array([classes.index(t.category) for t in train_tasks])
+    X = fit_extractor("structural", train_tasks).matrix(train_tasks).rows
+    return X, y_idx, len(classes)
+
+
 class TestNaiveBayes:
     def test_gaussian_posterior_closed_form(self):
         X = np.array([[-1.0], [0.0], [1.0], [1.0], [2.0], [3.0]])
@@ -523,6 +538,31 @@ class TestForest:
             assert_same_tree(table, t, expected)
             assert_same_tree(table, t, oracle_tree(X[sample], y_idx[sample], 3, 2))
 
+    def test_trees_match_oracle_with_keys_either_side_of_16_bits(self, monkeypatch):
+        # 300 rows: a level's sort keys fit 16 bits while it has few (node,
+        # column) pairs, and need 32 once it has more than 2**16 / 300
+        narrowed = []
+        narrow = tree._narrow
+
+        def recorded(key, bound):
+            out = narrow(key, bound)
+            narrowed.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(tree, "_narrow", recorded)
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 8, size=(300, 5)).astype(float)
+        y_idx = rng.integers(0, 3, size=300)
+        y = [f"c{i}" for i in y_idx]
+        config = LearnerConfig(forest_trees=6, forest_feature_fraction=1.0, tree_min_leaf=1)
+        single = tree.fit(X, y_idx, 3, config)
+        assert_same_tree(single, 0, oracle_tree(X, y_idx, 3, 1))
+        table = train("forest", X, y, config, seed=8).parameters
+        for t in range(6):
+            sample = np.random.default_rng(8 + t).integers(0, 300, size=300)
+            assert_same_tree(table, t, oracle_tree(X[sample], y_idx[sample], 3, 1))
+        assert {np.dtype(np.uint16), np.dtype(np.uint32)} <= set(narrowed)
+
     def test_table_is_numbered_level_by_level(self):
         rng = np.random.default_rng(4)
         X = rng.integers(0, 4, size=(50, 5)).astype(float)
@@ -716,6 +756,27 @@ class TestSvmSmo:
     def test_feature_set_fold_matches_oracle(self, seeded_folds, sets):
         X, y_idx, n_classes = seeded_folds[sets]
         assert_svm_matches_oracle(X, y_idx, n_classes, LearnerConfig())
+
+    @pytest.mark.parametrize("C", [1.0, 0.05])
+    def test_long_structural_fold_matches_oracle(self, structural_fold_300, C):
+        # thousands of steps, with multipliers leaving and re-entering their
+        # bounds, where the other oracle cases stop at 46 rows
+        X, y_idx, n_classes = structural_fold_300
+        params = assert_svm_matches_oracle(X, y_idx, n_classes, LearnerConfig(svm_C=C))
+        assert sum(m["steps"] for m in params["machines"]) > 1000
+        for machine in params["machines"]:
+            assert np.any(machine["alpha"] == C)
+            assert np.any((machine["alpha"] > 0.0) & (machine["alpha"] < C))
+
+    def test_one_class_machines_take_no_step(self):
+        # a class absent from the rows, or the only class: I_up or I_low is
+        # empty, so the machine stops at once with a gap of 0
+        X = np.random.default_rng(2).normal(size=(12, 3))
+        params = assert_svm_matches_oracle(X, np.resize([0, 1], 12), 3, LearnerConfig())
+        assert params["machines"][2]["steps"] == 0
+        (machine,) = svm.fit(X, np.zeros(12, dtype=int), 1, LearnerConfig())["machines"]
+        assert (machine["steps"], machine["kkt_gap"], machine["b"]) == (0, 0.0, 1.0)
+        assert not machine["alpha"].any()
 
     def test_two_separable_points(self):
         X = np.array([[0.0, 0.0], [2.0, 2.0]])
