@@ -21,6 +21,7 @@ always among them, since a kept score errs by at most the bound.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -88,7 +89,12 @@ class Clustering:
 
 
 def check_k(k: int, n: int) -> None:
-    """Raise ValueError unless k_medoids accepts k clusters of n tasks."""
+    """Raise TypeError unless k is an integer (a numpy one too), and
+    ValueError unless k_medoids accepts k clusters of n tasks."""
+    try:
+        operator.index(k)
+    except TypeError:
+        raise TypeError(f"k must be an integer, got {k!r}") from None
     if n < 2:
         raise ValueError(f"clustering needs at least 2 tasks, got {n}")
     if not 2 <= k <= n:
@@ -405,22 +411,17 @@ def _swap_passes(d: np.ndarray, medoids: list, max_iter: int, trace):
 def _as_clustering(
     d: np.ndarray, medoids: list, task_ids, seed: int, converged: bool
 ) -> Clustering:
-    order = sorted(medoids)
+    order = np.array(sorted(medoids))  # np.sort pages in 0.25 MB more of numpy
     nearest = np.argmin(d[:, order], axis=1)
-    assignments = {}
-    for i, task_id in enumerate(task_ids):
-        assignments[task_id] = int(nearest[i])
     # A medoid always sits at dissimilarity 0 from itself; pin it to its own
     # cluster in case another medoid ties at 0.
-    for cluster, m in enumerate(order):
-        assignments[task_ids[m]] = cluster
-    total = sum(
-        float(d[i, order[assignments[task_ids[i]]]])
-        for i in range(len(task_ids))
-    )
-    medoid_map = {cluster: task_ids[m] for cluster, m in enumerate(order)}
+    nearest[order] = np.arange(len(order))
+    # summed in task order, as Python floats
+    total = sum(d[np.arange(len(d)), order[nearest]].tolist())
     return Clustering(
-        assignments, medoid_map, len(order), total, seed, converged
+        dict(zip(task_ids, nearest.tolist())),
+        {cluster: task_ids[m] for cluster, m in enumerate(order.tolist())},
+        len(order), total, seed, converged,
     )
 
 
@@ -444,22 +445,25 @@ def k_medoids(
     return _as_clustering(d, medoids, sim.task_ids, seed, converged)
 
 
+def _category_counts(clustering: Clustering, category_of: Mapping):
+    """The clustered tasks' categories, sorted, and how many members of
+    each cluster have each one, as a (cluster x category) array."""
+    categories = [category_of[tid] for tid in clustering.assignments]
+    names = sorted(set(categories))  # np.unique pages in 0.25 MB more of numpy
+    column = {name: j for j, name in enumerate(names)}
+    pairs = zip(clustering.assignments.values(), categories)
+    keys = [cluster * len(names) + column[category] for cluster, category in pairs]
+    counts = np.bincount(keys, minlength=clustering.k * len(names))
+    return names, counts.reshape(clustering.k, len(names))
+
+
 def purity(clustering: Clustering, labels: Mapping[str, str]) -> float:
     """Fraction of tasks in their cluster's majority category."""
     missing = [tid for tid in clustering.assignments if tid not in labels]
     if missing:
         raise ValueError(f"id mismatch: no label for {missing[0]!r}")
-    if not clustering.assignments:
-        return 0.0
-    agreeing = 0
-    for ids in clustering.groups():
-        counts: dict = {}
-        for tid in ids:
-            category = labels[tid]
-            counts[category] = counts.get(category, 0) + 1
-        if counts:
-            agreeing += max(counts.values())
-    return agreeing / len(clustering.assignments)
+    _, counts = _category_counts(clustering, labels)
+    return int(counts.max(axis=1).sum()) / len(clustering.assignments)
 
 
 def category_distribution(clustering: Clustering, corpus) -> dict:
@@ -470,13 +474,9 @@ def category_distribution(clustering: Clustering, corpus) -> dict:
         raise ValueError(
             "id mismatch: clustering and corpus cover different tasks"
         )
-    table: dict = {}
-    for cluster, ids in enumerate(clustering.groups()):
-        row: dict = {}
-        for tid in ids:
-            category = by_id[tid]
-            row[category] = row.get(category, 0) + 1
-        table[cluster] = {
-            category: count / len(ids) for category, count in sorted(row.items())
-        }
-    return table
+    names, counts = _category_counts(clustering, by_id)
+    sizes = counts.sum(axis=1).tolist()
+    return {
+        cluster: {name: n / sizes[cluster] for name, n in zip(names, row) if n}
+        for cluster, row in enumerate(counts.tolist())
+    }

@@ -191,8 +191,9 @@ def compute_metrics(
 ) -> EvaluationReport:
     """Per-class precision/recall/F1 and weighted F1 from a confusion matrix.
 
-    Rows are actual, columns predicted. Every 0/0 ratio (empty class, class
-    never predicted) is defined as 0.
+    Rows are actual, columns predicted; every entry must be a non-negative
+    whole number (3.0 is one, 2.5 and NaN are not). Every 0/0 ratio (empty
+    class, class never predicted) is defined as 0.
     """
     matrix = np.asarray(confusion)
     classes = tuple(classes)
@@ -205,7 +206,11 @@ def compute_metrics(
         )
     if np.any(matrix < 0):
         raise ValueError("confusion matrix entries must be non-negative")
-    matrix = matrix.astype(np.int64)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, refused below
+        counts = matrix.astype(np.int64)
+    if not np.array_equal(counts, matrix):
+        raise ValueError("confusion matrix entries must be finite whole numbers")
+    matrix = counts
 
     per_class: dict[str, ClassMetrics] = {}
     total = int(matrix.sum())
@@ -285,10 +290,11 @@ def cross_validate(
         raise ValueError(f"unknown algorithm '{algorithm}'")
     labels = [task.category for task in tasks]
     classes = tuple(sorted(set(labels)))
+    n = len(classes)
     index = {name: i for i, name in enumerate(classes)}
     folds = stratified_folds(labels, k, seed)
 
-    pooled = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    pooled = np.zeros((n, n), dtype=np.int64)
     fold_scores: list[float] = []
     for fold_no, eval_idx in enumerate(folds):
         if not eval_idx:
@@ -313,9 +319,8 @@ def cross_validate(
             predicted, _ = predict_batch(model, eval_x)
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             raise EvaluationError(f"fold {fold_no} failed: {exc}") from exc
-        fold_confusion = np.zeros_like(pooled)
-        for i, label in zip(eval_idx, predicted):
-            fold_confusion[index[labels[i]], index[label]] += 1
+        keys = [index[labels[i]] * n + index[p] for i, p in zip(eval_idx, predicted)]
+        fold_confusion = np.bincount(keys, minlength=n * n).reshape(n, n)
         pooled += fold_confusion
         fold_scores.append(compute_metrics(fold_confusion, classes).weighted_f1)
 

@@ -53,12 +53,9 @@ class TrainedModel:
 
 
 def _as_rows(X) -> tuple[np.ndarray, frozenset]:
-    if isinstance(X, FeatureMatrix):
-        return X.rows, X.provenance
-    rows = np.asarray(X, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("feature input must be 2-dimensional")
-    return rows, frozenset()
+    if not isinstance(X, FeatureMatrix):
+        X = FeatureMatrix(np.asarray(X, dtype=float), frozenset())  # checks the rows
+    return X.rows, X.provenance
 
 
 def train(
@@ -69,9 +66,10 @@ def train(
     seed: int = 0,
 ) -> TrainedModel:
     """Fit `algorithm` on feature rows X (FeatureMatrix or 2-D array) and
-    labels y. The Python code runs on one thread, though numpy's BLAS may
-    split a product such as the SVM Gram matrix over threads of its own; the
-    fit is fully determined by the seed."""
+    labels y; rows are checked (2-D, finite) only where they become a
+    FeatureMatrix. The Python code runs on one thread, though numpy's BLAS
+    may split a product such as the SVM Gram matrix over threads of its
+    own; the fit is fully determined by the seed."""
     config = config or LearnerConfig()
     config.validate()
     rows, provenance = _as_rows(X)
@@ -80,8 +78,6 @@ def train(
         raise ValueError(
             f"label count {len(labels)} does not match row count {rows.shape[0]}"
         )
-    if rows.size and not np.all(np.isfinite(rows)):
-        raise ValueError("training features contain non-finite values")
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise ValueError("training data must contain at least two classes")
@@ -104,7 +100,8 @@ def train(
 def predict_batch(model: TrainedModel, X) -> tuple[list[str], np.ndarray]:
     """Labels and per-class score rows for every row of X (as wide as the
     training rows). The label is the argmax score; exact ties go to the
-    earlier class in model.classes. A score that is not finite raises
+    earlier class in model.classes. X is checked as in `train`, so a
+    non-finite value raises ValueError; a score that is not finite raises
     FloatingPointError (an ArithmeticError)."""
     rows, _ = _as_rows(X)
     width = model.parameters["n_features"]

@@ -541,6 +541,38 @@ def test_k_bounds_and_duplicate_ids_rejected():
         k_medoids(dup, 2)
 
 
+def test_k_must_be_an_integer():
+    sim = block_sim([3, 3])
+    # refused, not rounded up to some number of clusters
+    with pytest.raises(TypeError, match="k must be an integer, got 2.5"):
+        k_medoids(sim, 2.5)
+    with pytest.raises(TypeError, match="got '2'"):
+        check_k("2", 6)
+    assert k_medoids(sim, np.int64(2)).k == 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_total_is_the_task_order_sum_of_each_tasks_dissimilarity(seed):
+    # rows repeat, so medoids tie at 0 from each other's duplicates and each
+    # must still be pinned to its own cluster
+    rng = np.random.default_rng(seed)
+    base = random_sim(seed, 6).values
+    pick = np.concatenate([np.arange(6), rng.integers(0, 6, 18)])
+    values = base[np.ix_(pick, pick)]
+    np.fill_diagonal(values, 1.0)
+    sim = sim_from(values)
+    for k in (2, 6, 12, 24):
+        result = k_medoids(sim, k)
+        medoids = medoid_positions(result, sim)
+        d = 1.0 - values
+        expected = sum(
+            float(d[i, medoids[result.assignments[tid]]])
+            for i, tid in enumerate(sim.task_ids)
+        )
+        assert type(result.total_dissimilarity) is float
+        assert result.total_dissimilarity.hex() == expected.hex()
+
+
 def test_clustering_rejects_malformed_partitions():
     with pytest.raises(ValueError, match="at least 1"):
         Clustering({}, {}, 0, 0.0, 0)

@@ -224,6 +224,17 @@ def test_metrics_validation():
         compute_metrics([[1, -1], [0, 1]], ("a", "b"))
 
 
+@pytest.mark.filterwarnings("error")
+def test_metrics_take_only_whole_numbers_as_counts():
+    # a cast to int64 would read these as [[2, 0], [0, 1]] or as -2^63
+    for bad in ([[2.5, 0.4], [0, 1]], [[np.inf, 0], [0, 1]], [[np.nan, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="finite whole numbers"):
+            compute_metrics(bad, ("a", "b"))
+    report = compute_metrics([[3.0, 1.0], [2.0, 4.0]], ("a", "b"))
+    assert report.confusion.dtype == np.int64
+    assert report.weighted_f1 == compute_metrics([[3, 1], [2, 4]], ("a", "b")).weighted_f1
+
+
 @given(st.lists(st.integers(0, 30), min_size=9, max_size=9))
 def test_weighted_f1_matches_per_class_recomputation(entries):
     matrix = np.array(entries).reshape(3, 3)

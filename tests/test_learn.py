@@ -283,7 +283,7 @@ class TestNaiveBayes:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_rows=st.integers(1, 40),
-        n_cols=st.integers(1, 3),
+        n_cols=st.integers(0, 40),
         n_classes=st.integers(1, 4),
     )
     @example(seed=0, n_rows=40, n_cols=1, n_classes=2)
@@ -893,6 +893,17 @@ class TestTrainValidation:
             model = train(algorithm, X, y, LearnerConfig(forest_trees=3))
             with pytest.raises(ValueError, match="features"):
                 predict_batch(model, np.zeros((1, 7)))
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_predict_refuses_a_non_finite_row(self, algorithm):
+        # NaN fails every split test, so a tree would send it right, to 'b'
+        model = train(
+            algorithm, np.array([[0.0], [1.0], [2.0], [3.0]]), ["a", "a", "b", "b"],
+            LearnerConfig(forest_trees=3),
+        )
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                predict_batch(model, np.array([[bad]]))
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_rows_with_no_column(self, algorithm):
