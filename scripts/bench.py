@@ -11,9 +11,11 @@ Per command and side the file records the median of REPEATS wall times,
 the peak RSS of the command's process (its own rusage, as wait4 returns it
 for that child; on Linux that also counts the peak of this script's own
 process, so the script neither imports numpy nor reads an output whole),
-and the SHA-256 of what it wrote, so that equal outputs can be checked
-across sides. It also records the machine (cores, Python, numpy,
-OPENBLAS_NUM_THREADS) and each side's `src/` line count.
+and the SHA-256 of what it wrote after its three header lines, so that
+equal outputs can be checked across sides and across BENCH files (the third
+line names the corpus path, a fresh temp directory each run). It also
+records the machine (cores, Python, numpy, OPENBLAS_NUM_THREADS) and each
+side's `src/` line count.
 
     python3 scripts/bench.py --side parent=../parent --side change=. \\
         --out BENCH_NN.json
@@ -59,6 +61,8 @@ COMMANDS = [
     # at 3000 tasks the tree fits are most of the command's time
     (3000, ["cv", "--sets", "structural", "--algo", "tree", "--folds", "10"]),
     (300, ["cv", "--sets", "structural", "--algo", "forest", "--folds", "10"]),
+    # each node draws its columns from the ~1368 content columns
+    (300, ["cv", "--sets", "content", "--algo", "forest", "--folds", "10"]),
 ] + [
     (300, ["grid", "--algo", "naive_bayes,knn", "--folds", "10"]),
 ]
@@ -90,11 +94,13 @@ def run(side: Path, argv: list) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
 
 
-def sha256(path: Path) -> str:
-    """The file's SHA-256, read in chunks: a child's peak RSS counts this
-    process's own peak."""
+def sha256(path: Path, skip_lines: int = 0) -> str:
+    """The file's SHA-256 after its first skip_lines lines, read in chunks:
+    a child's peak RSS counts this process's own peak."""
     digest = hashlib.sha256()
     with path.open("rb") as f:
+        for _ in range(skip_lines):
+            f.readline()
         for chunk in iter(lambda: f.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
@@ -148,7 +154,7 @@ def main() -> None:
                     walls[side].append((wall, rss))
             digests = set()
             for side in sides:
-                digest = sha256(tmp / f"{side}.out")
+                digest = sha256(tmp / f"{side}.out", skip_lines=3)
                 digests.add(digest)
                 results[side]["commands"][name] = {
                     "wall_s": statistics.median(w for w, _ in walls[side]),

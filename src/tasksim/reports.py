@@ -261,8 +261,8 @@ def render_report_text(report: EvaluationReport) -> str:
 def _distribution_cells(clustering: Clustering, corpus):
     table = category_distribution(clustering, corpus)
     categories = sorted({c for row in table.values() for c in row})
-    sizes = [len(ids) for ids in clustering.groups()]
-    return table, categories, sizes
+    sizes = np.bincount(list(clustering.assignments.values()), minlength=clustering.k)
+    return table, categories, sizes.tolist()
 
 
 def render_distribution_text(clustering: Clustering, corpus) -> str:

@@ -243,9 +243,10 @@ _CONTENT_GRID_SHA256 = "6c2ec8e8a799b4931fc146afe9095a9159c38c040fe9ffd747c45293
 # as the SMO loop that recomputed its masks and curvature every step produced it
 _SVM_GRID_SHA256 = "2e507c1e8ae7508d75e971c03b7cc721910f71a38ae24fea27be71935c5959ef"
 # as the grower that renumbered each tree into depth-first preorder produced it
-_TREE_FOREST_GRID_SHA256 = (
-    "59136e4f700438b03d37d52be23be3812808090be0756df32c218b923f6ff77c"
-)
+_TREE_GRID_SHA256 = "7747de71ccf2d84ff67ef3a586c77a9d680fd7d8b4fb0f967a3f9effca5dafa9"
+# as the forest with SplitMix64 counter draws and Floyd's column sampling
+# produced it
+_FOREST_GRID_SHA256 = "3a948d25c9831c30221cded1e1addb121f93d793bd0b9efcb9be7de2e04ac8fd"
 # as the feature matrices that named every column produced it
 _FACTUAL_SEMANTIC_GRID_SHA256 = (
     "e3387d85b6b989c6cf3fb06f4207f441e5b5acb8a36f6a0c7b4f1f86f3e5bc4f"
@@ -263,9 +264,14 @@ def test_svm_grid_bytes_are_pinned(tmp_path):
     assert digest == _SVM_GRID_SHA256
 
 
-def test_tree_forest_grid_bytes_are_pinned(tmp_path):
-    digest = _grid_body_sha256(tmp_path, "structural,content", "tree,forest")
-    assert digest == _TREE_FOREST_GRID_SHA256
+def test_tree_grid_bytes_are_pinned(tmp_path):
+    digest = _grid_body_sha256(tmp_path, "structural,content", "tree")
+    assert digest == _TREE_GRID_SHA256
+
+
+def test_forest_grid_bytes_are_pinned(tmp_path):
+    digest = _grid_body_sha256(tmp_path, "structural,content", "forest")
+    assert digest == _FOREST_GRID_SHA256
 
 
 def test_factual_semantic_grid_bytes_are_pinned(tmp_path):
@@ -282,14 +288,18 @@ def pin_corpus(tmp_path_factory):
     return str(path)
 
 
-def _body_sha256(tmp_path, argv):
-    """sha256 of one report after its three header lines (command, seed and
-    the config echo, which names the corpus path)."""
-    out = tmp_path / "r.out"
-    assert dispatch(argv + ["--out", str(out)]) == 0
-    lines = out.read_text().splitlines(keepends=True)
+def _file_body_sha256(path):
+    """sha256 of one report file after its three header lines (command, seed
+    and the config echo, which names the corpus path)."""
+    lines = path.read_text().splitlines(keepends=True)
     assert lines[2].startswith("# config: ")
     return hashlib.sha256("".join(lines[3:]).encode()).hexdigest()
+
+
+def _body_sha256(tmp_path, argv):
+    out = tmp_path / "r.out"
+    assert dispatch(argv + ["--out", str(out)]) == 0
+    return _file_body_sha256(out)
 
 
 # as the per-character sentence splitter and the two-pattern word scanner,
@@ -329,6 +339,44 @@ def test_cluster_bytes_are_pinned(pin_corpus, tmp_path, measure):
         "--wordnet", WORDNET_DIR, "--k", "15", "--format", "csv",
     ])
     assert digest == _CLUSTER_SHA256[measure]
+
+
+# as the learners of the grid pins above, and the clusterings of the cluster
+# pins, produced them
+_REPORT_SHA256 = {
+    "grid.txt": "947d231ef2ebdb9b01923f3805039b059c0a686a81c0735f238fdfd189230d66",
+    "clusters_required_action.txt":
+        "471714c8668f96efb9d9d4220726dba34b5c8fb56a0b165bc7d82ec9e224f128",
+    "clusters_comprehensibility.txt":
+        "6c9c868610bebcbfa6090e97566d09d0bbf1e57724a34413d406ee3d2236ef73",
+}
+
+
+def test_report_bytes_are_pinned(pin_corpus, tmp_path):
+    assert dispatch([
+        "report", "--corpus", pin_corpus, "--wordnet", WORDNET_DIR,
+        "--folds", "3", "--out", str(tmp_path),
+    ]) == 0
+    digests = {path.name: _file_body_sha256(path) for path in tmp_path.iterdir()}
+    assert digests == _REPORT_SHA256
+
+
+_REPORT_IMPORT_PROBE = """
+import sys
+from tasksim.cli import dispatch
+
+assert dispatch(sys.argv[1:]) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_report_never_imports_numpy_random(small_corpus, tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-c", _REPORT_IMPORT_PROBE, "report", "--corpus", small_corpus,
+         "--wordnet", WORDNET_DIR, "--folds", "2", "--k", "3", "--out", str(tmp_path)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "False\n"
 
 
 def test_cluster_reruns_byte_identical(small_corpus, tmp_path):

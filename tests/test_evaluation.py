@@ -171,15 +171,14 @@ print("numpy.random" in sys.modules)
 """
 
 
-def test_cv_without_a_forest_never_imports_numpy_random(tmp_path):
+def test_cv_never_imports_numpy_random(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(synthetic_corpus_text(seed=3, categories=3, per_category=6))
     out = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(corpus)],
         capture_output=True, text=True, check=True,
     ).stdout.split()
-    # The forest's per-tree generators are now the only way in.
-    assert out == ["False", "True"]
+    assert out == ["False", "False"]
 
 
 # ---------------------------------------------------------------- metrics

@@ -532,8 +532,7 @@ class TestForest:
         model = train("forest", X, y, config, seed=40)
         table = model.parameters
         assert table["n_trees"] == 12
-        for t in range(12):
-            sample = np.random.default_rng(40 + t).integers(0, 30, size=30)
+        for t, sample in enumerate(forest.bootstraps(40, 12, 30)):
             expected = tree.fit(X[sample], y_idx[sample], 3, config)
             assert_same_tree(table, t, expected)
             assert_same_tree(table, t, oracle_tree(X[sample], y_idx[sample], 3, 2))
@@ -558,8 +557,7 @@ class TestForest:
         single = tree.fit(X, y_idx, 3, config)
         assert_same_tree(single, 0, oracle_tree(X, y_idx, 3, 1))
         table = train("forest", X, y, config, seed=8).parameters
-        for t in range(6):
-            sample = np.random.default_rng(8 + t).integers(0, 300, size=300)
+        for t, sample in enumerate(forest.bootstraps(8, 6, 300)):
             assert_same_tree(table, t, oracle_tree(X[sample], y_idx[sample], 3, 1))
         assert {np.dtype(np.uint16), np.dtype(np.uint32)} <= set(narrowed)
 
@@ -599,6 +597,67 @@ class TestForest:
         split_nodes = int((model.parameters["feature"] >= 0).sum())
         assert split_nodes > 500
         assert 0 < len(calls) < split_nodes / 10
+
+    @staticmethod
+    def column_rule(monkeypatch, n_features, m, n_trees=10, seed=3):
+        """The `columns(node_tree)` callback a forest fit hands the grower,
+        for a fit whose nodes draw m of n_features columns."""
+        captured = {}
+
+        def grow(X, y_idx, n_classes, min_leaf, roots, columns):
+            captured["columns"] = columns
+            return {}
+
+        monkeypatch.setattr(forest.tree, "grow", grow)
+        config = LearnerConfig(forest_trees=n_trees, forest_feature_fraction=m / n_features)
+        forest.fit(np.zeros((2, n_features)), np.array([0, 1]), 2, config, seed)
+        return captured["columns"]
+
+    @pytest.mark.parametrize("n_features, m", [(9, 3), (50, 7), (9586, 98)])
+    def test_node_columns_are_distinct_sorted_and_uniform(self, monkeypatch, n_features, m):
+        columns = self.column_rule(monkeypatch, n_features, m)
+        # four depths of 5000 open nodes each, spread unevenly over 10 trees
+        depths = [np.repeat(np.arange(10), np.bincount(np.arange(5000) * d % 10, minlength=10))
+                  for d in (1, 3, 7, 1)]
+        drawn = np.vstack([columns(node_tree) for node_tree in depths])
+        assert drawn.shape == (20000, m)
+        assert drawn.min() >= 0 and drawn.max() < n_features
+        assert np.all(np.diff(drawn, axis=1) > 0)  # sorted, hence distinct
+        # each column is a node's candidate with probability m / F
+        p = m / n_features
+        mean, sd = 20000 * p, math.sqrt(20000 * p * (1 - p))
+        counts = np.bincount(drawn.ravel(), minlength=n_features)
+        assert np.all(np.abs(counts - mean) <= 6 * sd)
+
+    def test_fewer_trees_are_the_first_trees_of_more(self):
+        rng = np.random.default_rng(7)
+        X = rng.integers(0, 5, size=(60, 9)).astype(float)
+        y = [f"c{i}" for i in rng.integers(0, 3, size=60)]
+        five = train("forest", X, y, LearnerConfig(forest_trees=5), seed=12).parameters
+        ten = train("forest", X, y, LearnerConfig(forest_trees=10), seed=12).parameters
+        assert five["n_trees"] == 5
+        for t in range(5):
+            nodes, ref_nodes = preorder(five, t), preorder(ten, t)
+            assert len(nodes) == len(ref_nodes) > 1
+            for key in ("feature", "threshold", "dist"):
+                assert np.array_equal(five[key][nodes], ten[key][ref_nodes]), key
+
+    @pytest.mark.filterwarnings("error")
+    def test_any_non_negative_seed_fits_without_a_warning(self):
+        X, y = blobs(seed=6, n_per=10)
+        config = LearnerConfig(forest_trees=5)
+        fits = {
+            seed: train("forest", X, y, config, seed=seed).parameters
+            for seed in (0, 2**64 - 1, 2**70, 2**70 % 2**64)
+        }
+        # the seed's high word counts: 2**70 and 0 agree in the low one
+        assert not np.array_equal(forest.bootstraps(2**70, 5, 30), forest.bootstraps(0, 5, 30))
+        assert not all(
+            np.array_equal(fits[2**70][key], fits[0][key])
+            for key in ("feature", "threshold", "left")
+        )
+        with pytest.raises(ValueError, match="non-negative"):
+            train("forest", X, y, config, seed=-1)
 
 
 # The per-tree router that `tree.leaf_distributions` replaced, and the
