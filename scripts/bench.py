@@ -3,8 +3,8 @@
 
 Each command in COMMANDS runs as its own process, `python -m tasksim.cli`,
 on the seed-7 synthetic corpora of 300 and 3000 tasks: `sim` and `cluster`
-for both measures, and a few `cv` and `grid` cells. `report` is left out,
-since one run takes about 100 s at 300 tasks. Every checkout named with
+for both measures, a few `cv` and `grid` cells, and `report` at 300 tasks
+with 10 folds, which takes about 80 s a run. Every checkout named with
 --side is timed in the same session: the sides take turns on each command,
 so that a drift in machine speed falls on all of them alike.
 Per command and side the file records the median of REPEATS wall times,
@@ -13,7 +13,8 @@ for that child; on Linux that also counts the peak of this script's own
 process, so the script neither imports numpy nor reads an output whole),
 and the SHA-256 of what it wrote after its three header lines, so that
 equal outputs can be checked across sides and across BENCH files (the third
-line names the corpus path, a fresh temp directory each run). It also
+line names the corpus path, a fresh temp directory each run); `report`
+writes a directory, so its row maps each file name to such a digest. It also
 records the machine (cores, Python, numpy, OPENBLAS_NUM_THREADS) and each
 side's `src/` line count.
 
@@ -33,6 +34,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -65,6 +67,7 @@ COMMANDS = [
     (300, ["cv", "--sets", "content", "--algo", "forest", "--folds", "10"]),
 ] + [
     (300, ["grid", "--algo", "naive_bayes,knn", "--folds", "10"]),
+    (300, ["report", "--folds", "10", "--wordnet", "{wordnet}"]),
 ]
 COMMON_ARGS = ["--corpus", "{corpus}", "--seed", "7", "--out", "{out}"]
 # tasks per category of each corpus size, for `tasksim synth --seed 7`
@@ -104,6 +107,24 @@ def sha256(path: Path, skip_lines: int = 0) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def output_sha256(path: Path):
+    """The digest after the three header lines of a command's output file,
+    or a {file name: digest} map for a directory (`report`)."""
+    if path.is_dir():
+        return {f.name: sha256(f, skip_lines=3) for f in sorted(path.iterdir())}
+    return sha256(path, skip_lines=3)
+
+
+def remove(path: Path) -> None:
+    """Remove the last command's output, a file or (`report`) a directory,
+    since `report` cannot write into a file's place, nor the rest into a
+    directory's."""
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink(missing_ok=True)
 
 
 def src_lines(side: Path) -> int:
@@ -150,12 +171,13 @@ def main() -> None:
                         "out": str(tmp / f"{side}.out"),
                     }
                     full = [a.format(**fill) for a in argv + COMMON_ARGS]
+                    remove(tmp / f"{side}.out")
                     wall, rss = run(root, full)
                     walls[side].append((wall, rss))
             digests = set()
             for side in sides:
-                digest = sha256(tmp / f"{side}.out", skip_lines=3)
-                digests.add(digest)
+                digest = output_sha256(tmp / f"{side}.out")
+                digests.add(json.dumps(digest))
                 results[side]["commands"][name] = {
                     "wall_s": statistics.median(w for w, _ in walls[side]),
                     "wall_s_runs": [round(w, 4) for w, _ in walls[side]],

@@ -37,7 +37,9 @@ from .reports import (
     render_report_text,
 )
 from .cluster import check_k, k_medoids, purity
-from .semsim import SIMILARITY_MEASURES, load_wordlist, similarity_matrix
+from .semsim import (
+    SIMILARITY_MEASURES, check_matrix_size, load_wordlist, similarity_matrix,
+)
 from .synth import synthetic_corpus_text
 from .wordnet import WordNetError, load_wordnet
 
@@ -53,8 +55,9 @@ class CliError(RuntimeError):
 def _load(args, needs_wordnet: bool):
     """Check the inputs, then load the corpus. Fails before any work if a
     given input path is missing, if the run needs WordNet and --wordnet was
-    not given, if --k or --folds does not fit the corpus, or if --seed,
-    which seeds the fold draws, is negative."""
+    not given, if --k or --folds does not fit the corpus, if a command that
+    clusters (it takes --k) gets more tasks than a similarity matrix may
+    hold, or if --seed, which seeds the fold draws, is negative."""
     for dest in ("corpus", "wordlist", "sentiment_lexicon"):
         value = getattr(args, dest, None)
         if value is not None and not Path(value).is_file():
@@ -72,6 +75,7 @@ def _load(args, needs_wordnet: bool):
     corpus = load_corpus(args.corpus, strict=getattr(args, "strict", False))
     if getattr(args, "k", None) is not None:
         check_k(args.k, len(corpus))
+        check_matrix_size(len(corpus))
     folds = getattr(args, "folds", None)
     if folds is not None and len(corpus) < 2:
         raise CliError(
@@ -147,10 +151,10 @@ def _load_lexicon(args):
     return load_sentiment_lexicon(args.sentiment_lexicon)
 
 
-def _similarities(args, corpus, measures) -> list:
+def _resources(args) -> dict:
+    """WordNet and the word list, as similarity_matrix takes them."""
     wn = load_wordnet(args.wordnet) if args.wordnet else None
-    wordlist = load_wordlist(args.wordlist) if args.wordlist else None
-    return [similarity_matrix(corpus, m, wn=wn, wordlist=wordlist) for m in measures]
+    return dict(wn=wn, wordlist=load_wordlist(args.wordlist) if args.wordlist else None)
 
 
 def _grid(args, corpus, combos, algos) -> str:
@@ -229,30 +233,31 @@ def cmd_grid(args) -> str:
 
 def cmd_sim(args):
     corpus = _load(args, needs_wordnet=args.measure == "required_action")
-    (matrix,) = _similarities(args, corpus, [args.measure])
+    matrix = similarity_matrix(corpus, args.measure, **_resources(args))
     chunks = _pick(args, matrix_text_chunks, matrix_csv_chunks)(matrix)
     return itertools.chain([_header(args)], chunks)
 
 
 def cmd_cluster(args) -> str:
     corpus = _load(args, needs_wordnet=args.measure == "required_action")
-    (matrix,) = _similarities(args, corpus, [args.measure])
+    matrix = similarity_matrix(corpus, args.measure, **_resources(args))
     return _clusters(args, corpus, matrix)
 
 
 def cmd_report(args) -> None:
     # the required_action clustering always needs WordNet
     corpus = _load(args, needs_wordnet=True)
-    matrices = _similarities(args, corpus, SIMILARITY_MEASURES)
+    resources = _resources(args)  # loaded first, so that a bad file fails fast
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = _pick(args, "txt", "csv")
     _atomic_write(out_dir / f"grid.{ext}", _grid(args, corpus, None, ALGORITHMS))
-    for measure, matrix in zip(SIMILARITY_MEASURES, matrices):
-        _atomic_write(
-            out_dir / f"clusters_{measure}.{ext}",
-            _clusters(args, corpus, matrix, measure=measure),
-        )
+    for measure in SIMILARITY_MEASURES:
+        # built here and dropped after, so that no other step holds it
+        matrix = similarity_matrix(corpus, measure, **resources)
+        text = _clusters(args, corpus, matrix, measure=measure)
+        del matrix
+        _atomic_write(out_dir / f"clusters_{measure}.{ext}", text)
 
 
 # ---------------------------------------------------------------------------

@@ -5,24 +5,21 @@ weighted F1 values are kept alongside it. All feature models (tf-idf
 vocabulary, one-hot vocabularies) are refitted on each fold's training split
 so no held-out text can leak into fitting.
 
-Folds are drawn from numpy 2.x's PCG64 stream, seeded as
-`np.random.default_rng(seed)` seeds it, through a small pure-Python port
-of that stream and of `Generator.permutation`. The folds are numpy's, but
-they stay put if a numpy release changes its `Generator` algorithms (NEP 19
-fixes only the bit streams), and a pass that runs no forest never imports
-numpy.random.
+Folds are drawn from tasksim.stream, the counter-based stream the forest
+draws from, on a branch of the seed's key that no forest draw reads (see
+that module), so no CV pass imports numpy.random.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .features import FEATURE_SET_NAMES, FeatureMatrix, combine_features, fit_extractor
+from . import stream
+from .features import FEATURE_SET_NAMES, FeatureMatrix, fit_extractor
 from .learn import ALGORITHMS, predict_batch, train
 
 
@@ -58,112 +55,16 @@ class EvaluationReport:
         return int(self.confusion.sum())
 
 
-_M32 = 0xFFFF_FFFF
-_M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
-_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
-
-
-def _seed_state(seed: int) -> list[int]:
-    """`SeedSequence(seed).generate_state(4, np.uint64)`."""
-    entropy = [seed & _M32]
-    while seed > _M32:
-        seed >>= 32
-        entropy.append(seed & _M32)
-    const = 0x43B0_D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * 0x931E_8875 & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (0xCA01_F9DD * x - 0x4973_F715 * y) & _M32
-        return value ^ value >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const = 0x8B51_F9DD
-    halves = []
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * 0x58F3_8DED & _M32
-        value = value * const & _M32
-        halves.append(value ^ value >> 16)
-    return [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-class _PCG64:
-    """numpy's PCG64 seeded through SeedSequence, and the two Generator
-    draws a fold shuffle makes. Each step is the 128-bit LCG and the XSL-RR
-    output (O'Neill, HMC-CS-2014-0905); a 32-bit draw takes the low half of
-    a 64-bit output and keeps the high half for the next one."""
-
-    def __init__(self, seed: int):
-        try:
-            seed = operator.index(seed)
-        except TypeError:
-            raise TypeError(f"seed must be an integer, got {seed!r}") from None
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
-        w = _seed_state(seed)
-        self._inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
-        # srandom_r: one step from 0, add the initial state, one more step.
-        state = self._inc + (w[0] << 64 | w[1])
-        self._state = (state * _PCG_MULT + self._inc) & _M128
-        self._half: int | None = None
-
-    def next64(self) -> int:
-        self._state = (self._state * _PCG_MULT + self._inc) & _M128
-        word = (self._state >> 64 ^ self._state) & _M64
-        rot = self._state >> 122
-        return (word >> rot | word << (64 - rot)) & _M64
-
-    def next32(self) -> int:
-        if self._half is not None:
-            half, self._half = self._half, None
-            return half
-        word = self.next64()
-        self._half = word >> 32
-        return word & _M32
-
-    def interval(self, bound: int) -> int:
-        """`random_interval(bound)` for bound >= 1: a draw from 0..bound by
-        masked rejection, on 32-bit words below 2^32, else on 64-bit ones."""
-        mask = (1 << bound.bit_length()) - 1
-        draw = self.next32 if bound <= _M32 else self.next64
-        value = draw() & mask
-        while value > bound:
-            value = draw() & mask
-        return value
-
-    def permutation(self, n: int) -> list[int]:
-        """`Generator.permutation(n)`: Fisher-Yates from the top."""
-        order = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.interval(i)
-            order[i], order[j] = order[j], order[i]
-        return order
-
-
 def stratified_folds(y: Sequence[str], k: int, seed: int) -> list[list[int]]:
     """Partition indices 0..len(y)-1 into k folds, preserving class balance.
 
-    Within each class the indices are shuffled and dealt round-robin, so per
-    class the fold counts differ by at most one. One generator, seeded with
-    the non-negative integer `seed`, shuffles every class in sorted label
-    order. Each shuffle is what numpy 2.x's
-    `np.random.default_rng(seed).permutation` draws, from the private port
-    of its PCG64 stream above, which keeps numpy.random unimported. Returns
-    each fold as a sorted index list.
+    Classes are taken in sorted label order. Each class's indices are
+    shuffled and dealt round-robin, so per class the fold counts differ by
+    at most one. The shuffle orders class c's members by a stable argsort
+    of their draws split(split(fold key, c), i), i being a member's place in
+    the class's ascending index list and the fold key that of the
+    non-negative integer `seed` (see tasksim.stream). Returns each fold as
+    a sorted index list.
     """
     labels = list(y)
     if k < 2:
@@ -173,13 +74,21 @@ def stratified_folds(y: Sequence[str], k: int, seed: int) -> list[list[int]]:
     by_class: dict[str, list[int]] = {}
     for idx, label in enumerate(labels):
         by_class.setdefault(label, []).append(idx)
-    rng = _PCG64(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for label in sorted(by_class):
-        members = by_class[label]
-        for j, pos in enumerate(rng.permutation(len(members))):
-            folds[j % k].append(members[pos])
-    return [sorted(fold) for fold in folds]
+    classes = sorted(by_class)
+    sizes = [len(by_class[label]) for label in classes]
+    members = np.concatenate([by_class[label] for label in classes])
+    # each member's place in its class's index list, class by class
+    place = np.arange(len(labels)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    branch = np.array([stream.FOLD_BRANCH], dtype=np.uint64)
+    class_keys = stream.split(
+        stream.split(stream.key(seed), branch), np.arange(len(classes), dtype=np.uint64)
+    )
+    draws = stream.split(np.repeat(class_keys, sizes), place.astype(np.uint64))
+    # sorted by class, then by draw, the j-th of a class goes to fold j % k
+    order = np.lexsort((draws, np.repeat(np.arange(len(classes)), sizes)))
+    fold_of = np.empty(len(labels), dtype=np.intp)
+    fold_of[members[order]] = place % k
+    return [np.flatnonzero(fold_of == fold).tolist() for fold in range(k)]
 
 
 def compute_metrics(
@@ -263,7 +172,10 @@ def all_feature_set_combinations() -> list[tuple[str, ...]]:
 
 
 def _combined_matrix(extractors, tasks) -> FeatureMatrix:
-    return combine_features([ext.matrix(tasks) for ext in extractors])
+    """The extractors' rows side by side, checked once."""
+    parts = [ext.rows(tasks) for ext in extractors]
+    rows = parts[0] if len(parts) == 1 else np.hstack(parts)
+    return FeatureMatrix(rows, frozenset(ext.set_name for ext in extractors))
 
 
 def cross_validate(

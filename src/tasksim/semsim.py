@@ -311,6 +311,15 @@ class SimilarityMatrix:
         object.__setattr__(self, "values", values)
 
 
+def check_matrix_size(n: int) -> None:
+    """Refuse a corpus of more than MAX_MATRIX_TASKS tasks."""
+    if n > MAX_MATRIX_TASKS:
+        raise ValueError(
+            f"{n} tasks exceed the similarity matrix limit of "
+            f"{MAX_MATRIX_TASKS} tasks"
+        )
+
+
 def similarity_matrix(
     corpus,
     measure: str,
@@ -343,11 +352,7 @@ def similarity_matrix(
     """
     tasks = list(corpus)
     n = len(tasks)
-    if n > MAX_MATRIX_TASKS:
-        raise ValueError(
-            f"{n} tasks exceed the similarity matrix limit of "
-            f"{MAX_MATRIX_TASKS} tasks"
-        )
+    check_matrix_size(n)
     ids = tuple(task.id for task in tasks)
     values = np.zeros((n, n))
     if measure == "required_action":

@@ -238,18 +238,15 @@ def _grid_body_sha256(tmp_path, sets, algo):
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-# as the Counter-based content features produced it
-_CONTENT_GRID_SHA256 = "6c2ec8e8a799b4931fc146afe9095a9159c38c040fe9ffd747c452931cf916a4"
-# as the SMO loop that recomputed its masks and curvature every step produced it
-_SVM_GRID_SHA256 = "2e507c1e8ae7508d75e971c03b7cc721910f71a38ae24fea27be71935c5959ef"
-# as the grower that renumbered each tree into depth-first preorder produced it
-_TREE_GRID_SHA256 = "7747de71ccf2d84ff67ef3a586c77a9d680fd7d8b4fb0f967a3f9effca5dafa9"
-# as the forest with SplitMix64 counter draws and Floyd's column sampling
-# produced it
-_FOREST_GRID_SHA256 = "3a948d25c9831c30221cded1e1addb121f93d793bd0b9efcb9be7de2e04ac8fd"
-# as the feature matrices that named every column produced it
+# Taken with the folds that tasksim.stream deals. CHANGES.md records the
+# digests before them, which the same learners reproduce when numpy's
+# `default_rng(seed).permutation` deals the folds instead.
+_CONTENT_GRID_SHA256 = "aa810ef75447e9b074e2ca919f8178ed2de0530f439de0bbdca11f6885d21455"
+_SVM_GRID_SHA256 = "eaa7b603a73b59cc6e5dadfa318c92c2762517d4edfdb9d502ee53e13f370c3f"
+_TREE_GRID_SHA256 = "561cbd40777c36b3b646521c5ab43492b9bbae5e295dea52140cfac021678fe8"
+_FOREST_GRID_SHA256 = "468264b751e6442e24f7b47a1ad724739e2d12cf4bcfd751bbba2ba138385f92"
 _FACTUAL_SEMANTIC_GRID_SHA256 = (
-    "e3387d85b6b989c6cf3fb06f4207f441e5b5acb8a36f6a0c7b4f1f86f3e5bc4f"
+    "f229ff3b054919909533612f82672198315f41cd29855c4707adbf331ca3d5ee"
 )
 
 
@@ -344,7 +341,7 @@ def test_cluster_bytes_are_pinned(pin_corpus, tmp_path, measure):
 # as the learners of the grid pins above, and the clusterings of the cluster
 # pins, produced them
 _REPORT_SHA256 = {
-    "grid.txt": "947d231ef2ebdb9b01923f3805039b059c0a686a81c0735f238fdfd189230d66",
+    "grid.txt": "6cad2d9faf55584669746f1bfe0e36d8d25ce411c71806101b88deba3746b74d",
     "clusters_required_action.txt":
         "471714c8668f96efb9d9d4220726dba34b5c8fb56a0b165bc7d82ec9e224f128",
     "clusters_comprehensibility.txt":
@@ -442,6 +439,22 @@ def test_sim_refuses_oversized_corpus(small_corpus, monkeypatch, capsys):
     assert captured.err == (
         "error: 18 tasks exceed the similarity matrix limit of 5 tasks\n"
     )
+
+
+def test_report_refuses_oversized_corpus_before_its_grid(
+        small_corpus, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(semsim, "MAX_MATRIX_TASKS", 5)
+    monkeypatch.setattr(cli, "grid_run", lambda *a, **kw: pytest.fail("grid ran"))
+    out_dir = tmp_path / "rep"
+    code = dispatch([
+        "report", "--corpus", small_corpus, "--wordnet", WORDNET_DIR,
+        "--folds", "3", "--out", str(out_dir),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: 18 tasks exceed the similarity matrix limit of 5 tasks\n"
+    )
+    assert not out_dir.exists()
 
 
 def test_cluster_without_wordnet_is_a_resource_error(small_corpus, tmp_path,

@@ -659,6 +659,23 @@ class TestForest:
         with pytest.raises(ValueError, match="non-negative"):
             train("forest", X, y, config, seed=-1)
 
+    def test_seed_is_checked_as_the_fold_seed_is(self):
+        X, y = blobs(seed=6, n_per=10)
+        config = LearnerConfig(forest_trees=5)
+        for seed, error, message in (
+            (1.5, TypeError, "seed must be an integer, got 1.5"),
+            ("7", TypeError, "seed must be an integer, got '7'"),
+            (-1, ValueError, "seed must be non-negative, got -1"),
+        ):
+            for check in (
+                lambda: train("forest", X, y, config, seed=seed),
+                lambda: forest.bootstraps(seed, 5, 30),
+                lambda: stratified_folds(y, 2, seed),
+            ):
+                with pytest.raises(error) as caught:
+                    check()
+                assert str(caught.value) == message
+
 
 # The per-tree router that `tree.leaf_distributions` replaced, and the
 # forest vote built on it, kept as the reference prediction must match
